@@ -8,7 +8,6 @@ eigenvalues polished by Newton iteration.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ __all__ = [
     "RationalFunction",
     "MatrixPolynomial",
     "PartialFractions",
-    "poly_eval",
+    "effective_degree",
     "sharp",
     "ab_split",
     "roots",
@@ -194,7 +193,7 @@ class Polynomial:
     # -- transforms ----------------------------------------------------------------
 
     def conj_coeffs(self) -> "Polynomial":
-        return Polynomial([c.conj() if hasattr(c, "conj") else c.conjugate() for c in self.coeffs])
+        return Polynomial([c.conjugate() for c in self.coeffs])
 
     def reflect(self) -> "Polynomial":
         """p(-z)."""
@@ -295,15 +294,17 @@ def _as_poly(x) -> Polynomial:
     return Polynomial([x])
 
 
-def poly_eval(p: Polynomial, z, mode: str = "exact"):
-    """Evaluate p at z.  mode="exact" demands exact inputs; "float" coerces."""
-    if mode == "float":
-        return p(complex(z))
-    if mode == "exact":
-        if isinstance(z, (float, complex)):
-            raise TypeError("exact evaluation requires an exact argument")
-        return p(ExactComplex.coerce(z) if isinstance(z, (int, Fraction)) else z)
-    raise ValueError(f"unknown mode {mode!r}")
+def effective_degree(p: Polynomial, rel: float) -> int:
+    """Degree of p; for float coefficients, ignoring leading ones below rel * max|c|."""
+    if p.mode != "float":
+        return p.degree
+    if p.is_zero():
+        return -1
+    scale = max(abs(complex(c)) for c in p.coeffs)
+    deg = p.degree
+    while deg >= 0 and abs(complex(p.coeffs[deg])) <= rel * scale:
+        deg -= 1
+    return deg
 
 
 def sharp(p: Polynomial) -> Polynomial:
@@ -606,18 +607,6 @@ class MatrixPolynomial:
 
     def __repr__(self):
         return f"MatrixPolynomial({[[str(e) for e in row] for row in self.entries]})"
-
-
-def matpoly_mul(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
-    return a * b
-
-
-def matpoly_det(a: MatrixPolynomial) -> Polynomial:
-    return a.det()
-
-
-def matpoly_eval(a: MatrixPolynomial, z):
-    return a(z)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from scipy import integrate
 
 from .algebra import Polynomial, RationalFunction
 from .exact import ExactComplex, PiScalar
-from .screw import ScrewFunctionData, eval_screw, g0_data
+from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure
 
 __all__ = [
@@ -286,13 +286,6 @@ def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
         charfn = np.sum(w * dens * np.exp(1j * float(t) * xs))
         out.append(abs(charfn - np.exp(complex(eval_screw(g, float(t))))))
     return out
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,13 @@ from .paleywiener import (
     PWFrame,
     g_r_laplace_check,
     pw_basis_gram,
-    pw_measure,
     pw_ode_residual,
     pw_sampling_matrix,
     pw_truncated_norm_defect,
     pw_weyl_is_fourier,
     tan_partial_fraction,
 )
-from .screw import eval_screw, g0_data, kernel_g, laplace_check, pd_check
+from .screw import g0_data, kernel_g, laplace_check, pd_check
 from .spectra import (
     DiscreteMeasure,
     cayley_q_to_theta,
@@ -69,7 +68,7 @@ from .spectra import (
     tau_from_mu,
     theta_to_e,
 )
-from .weyl import StepVector, diagram_check, inverse_weyl, l2h_inner, l2h_norm, screw_line_S, weyl_transform
+from .weyl import StepVector, diagram_check, inverse_weyl, l2h_inner, screw_line_S, weyl_transform
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 

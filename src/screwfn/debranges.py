@@ -13,9 +13,11 @@ identities below hold, and the moment table is built from w for the same
 reason.
 
 Inner products, moments, Hankel determinants, Gram-Schmidt bases and the
-eigenbases of the self-adjoint extensions of multiplication by z are exact
-(pi-graded surds) whenever the level set is rational; otherwise they run in
-floating point.
+eigenbases of the self-adjoint extensions of multiplication by z each have
+one code path, written against the numeric protocol of ``exact``.  The
+scalar type follows ``_weights``: exact (pi-graded surds) when the
+level-set measure is exact, floating point otherwise.  The two reproducing
+kernel forms are evaluated in floating point.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, hb_test, ab_split, rational_roots, roots
-from .exact import ExactComplex, PiScalar
+from .algebra import Polynomial, ab_split, effective_degree, hb_test, rational_roots, roots, sharp
+from .exact import ExactComplex, sqrt
 from .spectra import DiscreteMeasure, level_set_masses
 
 __all__ = [
@@ -76,16 +78,18 @@ def e0_frame() -> HermiteBiehlerFrame:
 
 
 def _weights(frame: HermiteBiehlerFrame):
-    """(point, mu(g)/|E(g)|^2) pairs; exact where the point is rational."""
-    out = []
-    for g, m in frame.mu:
-        if isinstance(g, Fraction) and isinstance(m, PiScalar):
-            e = frame.E(ExactComplex(g))
-            out.append((g, m / e.abs2()))
-        else:
-            gf = float(g)
-            out.append((gf, float(m) / abs(complex(frame.E(complex(gf)))) ** 2))
-    return out
+    """(point, mu(g)/|E(g)|^2) pairs; the only place that picks the scalar type.
+
+    Exact (ExactComplex point, PiScalar weight) when the level-set measure is
+    exact, floats otherwise.
+    """
+    if frame.mu.is_exact:
+        pts = [ExactComplex(g) for g in frame.mu.points]
+        return [(g, m / frame.E(g).abs2()) for g, m in zip(pts, frame.mu.masses)]
+    return [
+        (g, m / abs(frame.E(g)) ** 2)
+        for g, m in zip(frame.mu.float_points(), frame.mu.float_masses())
+    ]
 
 
 def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
@@ -93,18 +97,7 @@ def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
     n = frame.dim
     if p.degree >= n or q.degree >= n:
         raise ValueError(f"not a member of H(E): degree must be < {n}")
-    exact = frame.mu.is_exact and p.mode != "float" and q.mode != "float"
-    if exact:
-        total = PiScalar(0)
-        for g, w in _weights(frame):
-            ge = ExactComplex(g)
-            total = total + p(ge) * q(ge).conj() * w
-        return total
-    total = 0j
-    for g, w in _weights(frame):
-        gf = complex(float(g))
-        total += complex(p(gf)) * np.conj(complex(q(gf))) * float(w)
-    return total
+    return sum(p(g) * q(g).conjugate() * w for g, w in _weights(frame))
 
 
 @dataclass(frozen=True)
@@ -115,21 +108,21 @@ class MomentTable:
     hankel: tuple
 
 
-def _det_fractions(M: list[list[Fraction]]) -> Fraction:
+def _det(M: list[list]):
+    """Determinant by elimination with largest-|x| pivots, over any field of scalars."""
     n = len(M)
     M = [row[:] for row in M]
-    det = Fraction(1)
+    det = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return Fraction(0)
+        piv = max(range(c, n), key=lambda r: abs(complex(M[r][c])))
+        if not M[piv][c]:
+            return M[piv][c]
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
+        det = det * M[c][c]
         for r in range(c + 1, n):
-            f = M[r][c] * inv
+            f = M[r][c] / M[c][c]
             if f:
                 M[r] = [x - f * y for x, y in zip(M[r], M[c])]
     return det
@@ -138,34 +131,9 @@ def _det_fractions(M: list[list[Fraction]]) -> Fraction:
 def moments(frame: HermiteBiehlerFrame) -> MomentTable:
     n = frame.dim
     ws = _weights(frame)
-    exact = all(isinstance(g, Fraction) for g, _ in ws)
-    if exact:
-        ms = []
-        for k in range(2 * n - 1):
-            acc = PiScalar(0)
-            for g, w in ws:
-                acc = acc + w * (g**k)
-            ms.append(acc)
-        hankels = []
-        for k in range(n):
-            mat = [[_pi_rational(ms[i + j]) for j in range(k + 1)] for i in range(k + 1)]
-            hankels.append(PiScalar(_det_fractions(mat), 1, 2 * (k + 1)))
-        return MomentTable(tuple(ms), tuple(hankels))
-    ms = [sum(float(w) * float(g) ** k for g, w in ws) for k in range(2 * n - 1)]
-    hankels = [
-        float(np.linalg.det(np.array([[ms[i + j] for j in range(k + 1)] for i in range(k + 1)])))
-        for k in range(n)
-    ]
+    ms = [sum(w * g**k for g, w in ws) for k in range(2 * n - 1)]
+    hankels = [_det([ms[i : i + k + 1] for i in range(k + 1)]) for k in range(n)]
     return MomentTable(tuple(ms), tuple(hankels))
-
-
-def _pi_rational(x: PiScalar) -> Fraction:
-    """Coefficient of a grade-(pi) PiScalar, treating 0 as compatible."""
-    if x.is_zero():
-        return Fraction(0)
-    if x.root != 1 or x.pihalf != 2 or not x.is_real():
-        raise ValueError(f"expected a rational multiple of pi, got {x}")
-    return x.coef.re
 
 
 def kernel_ab(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex:
@@ -198,40 +166,18 @@ def gram_schmidt_basis(frame: HermiteBiehlerFrame) -> list[Polynomial]:
     """Orthonormal basis of H(E) by the determinant form of Gram-Schmidt."""
     n = frame.dim
     monos = [Polynomial.monomial(k) for k in range(n)]
-    gram = [[inner_product(frame, monos[i], monos[j]) for j in range(n)] for i in range(n)]
-    if frame.mu.is_exact:
-        C = [[_pi_rational(gram[i][j]) for j in range(n)] for i in range(n)]
-        dets = [Fraction(1)]
-        for k in range(1, n + 1):
-            d = _det_fractions([row[:k] for row in C[:k]])
-            if d <= 0:
-                raise ValueError("Gram matrix is not positive definite")
-            dets.append(d)
-        basis = []
-        for k in range(n):
-            coeffs = []
-            for j in range(k + 1):
-                cols = [c for c in range(k + 1) if c != j]
-                minor = [[C[r][c] for c in cols] for r in range(k)]
-                mj = _det_fractions(minor) if k else Fraction(1)
-                coeffs.append(PiScalar((-1) ** (k + j) * mj, 1, 2 * k))
-            norm = PiScalar(dets[k] * dets[k + 1], 1, 2 * (2 * k + 1)).sqrt()
-            basis.append(Polynomial([c / norm for c in coeffs]))
-        return basis
-    C = np.array([[complex(g).real for g in row] for row in gram])
-    dets = [1.0] + [float(np.linalg.det(C[:k, :k])) for k in range(1, n + 1)]
+    C = [[inner_product(frame, monos[i], monos[j]).real for j in range(n)] for i in range(n)]
+    dets = [1] + [_det([row[:k] for row in C[:k]]) for k in range(1, n + 1)]
     if any(d <= 0 for d in dets):
         raise ValueError("Gram matrix is not positive definite")
     basis = []
     for k in range(n):
-        coeffs = []
-        for j in range(k + 1):
-            cols = [c for c in range(k + 1) if c != j]
-            minor = C[np.ix_(range(k), cols)] if k else np.zeros((0, 0))
-            mj = float(np.linalg.det(minor)) if k else 1.0
-            coeffs.append((-1) ** (k + j) * mj)
-        norm = math.sqrt(dets[k] * dets[k + 1])
-        basis.append(Polynomial([complex(c / norm) for c in coeffs]))
+        coeffs = [
+            (-1) ** (k + j) * _det([[C[r][c] for c in range(k + 1) if c != j] for r in range(k)])
+            for j in range(k + 1)
+        ]
+        norm = sqrt(dets[k] * dets[k + 1])
+        basis.append(Polynomial([c / norm for c in coeffs]))
     return basis
 
 
@@ -249,13 +195,8 @@ def _cos_sin(theta: float):
 def s_theta(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
     """S_theta = e^{i theta} E - e^{-i theta} E#; exact at the axis angles."""
     c, s = _cos_sin(theta)
-    from .algebra import sharp
-
-    if isinstance(c, Fraction) and isinstance(s, Fraction):
-        u = ExactComplex(c, s)
-        return frame.E * u - sharp(frame.E) * u.conj()
-    u = complex(c, s)
-    return frame.E * u - sharp(frame.E) * np.conj(u)
+    u = c + s * ExactComplex(0, 1)
+    return frame.E * u - sharp(frame.E) * u.conjugate()
 
 
 def _s_theta_real(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
@@ -264,21 +205,9 @@ def _s_theta_real(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
     return frame.A * s - frame.B * c
 
 
-def _effective_degree(p: Polynomial) -> int:
-    if p.mode != "float":
-        return p.degree
-    if p.is_zero():
-        return -1
-    scale = max(abs(complex(c)) for c in p.coeffs)
-    deg = p.degree
-    while deg >= 0 and abs(complex(p.coeffs[deg])) <= 1e-12 * scale:
-        deg -= 1
-    return deg
-
-
 def s_theta_in_space(frame: HermiteBiehlerFrame, theta: float) -> bool:
     """S_theta lies in H(E) iff its degree drops below deg E; at most one theta."""
-    return _effective_degree(_s_theta_real(frame, theta)) < frame.dim
+    return effective_degree(_s_theta_real(frame, theta), 1e-12) < frame.dim
 
 
 @dataclass(frozen=True)
@@ -296,44 +225,28 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
     output always spans the space.
     """
     P = _s_theta_real(frame, theta)
-    in_space = _effective_degree(P) < frame.dim
-    evs: list = []
-    funcs: list[Polynomial] = []
+    in_space = effective_degree(P, 1e-12) < frame.dim
     rats, rest = rational_roots(P)
     if len(set(rats)) != len(rats):
         raise ValueError("zeros of S_theta must be simple")
-    for g in sorted(rats):
-        evs.append(g)
-        funcs.append(P.divmod(Polynomial([ExactComplex(-g), ExactComplex(1)]))[0])
+    evs: list = list(rats)
     if rest.degree >= 1:
-        for r in sorted(roots(rest), key=lambda v: v.real):
+        for r in roots(rest):
             if abs(r.imag) > 1e-9:
                 raise ValueError(f"nonreal zero {r} of S_theta")
             evs.append(r.real)
-            funcs.append(P.divmod(Polynomial([complex(-r.real), 1.0 + 0j]))[0])
-    order = np.argsort([float(e) for e in evs])
-    evs = [evs[i] for i in order]
-    funcs = [funcs[i] for i in order]
+    evs.sort(key=float)
+    funcs = [P.divmod(Polynomial([-g, 1]))[0] for g in evs]
     if in_space and not P.is_zero():
         evs.append(None)
         funcs.append(P)
-    normalized = []
-    for f in funcs:
-        nrm2 = inner_product(frame, f, f)
-        if isinstance(nrm2, PiScalar):
-            normalized.append(f / nrm2.sqrt())
-        else:
-            normalized.append(f / math.sqrt(nrm2.real))
+    normalized = [f / sqrt(inner_product(frame, f, f).real) for f in funcs]
     return Eigenbasis(tuple(evs), tuple(funcs), tuple(normalized))
 
 
 def boundary_value(frame: HermiteBiehlerFrame, f: Polynomial, x):
     """f(x)/E(x) on the real line; exact for rational x and exact f."""
-    if isinstance(x, (int, Fraction)) and f.mode != "float":
-        xe = ExactComplex(x)
-        return f(xe) / frame.E(xe)
-    xf = complex(float(x))
-    return complex(f(xf)) / complex(frame.E(xf))
+    return f(x) / frame.E(x)
 
 
 def sl2_transform(frame: HermiteBiehlerFrame, M) -> HermiteBiehlerFrame:

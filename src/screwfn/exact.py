@@ -11,14 +11,21 @@ Two scalar types carry all bit-exact identities in this package:
   exactly what is needed for quantities like 2*pi, pi/2, pi**3, 1/sqrt(2*pi).
 
 Arithmetic against ``float``/``complex`` degrades to floating point, so the
-exact types can be dropped into numeric code without ceremony.
+exact types can be dropped into numeric code without ceremony.  Both types
+provide the numeric-protocol names that ``complex``, ``Fraction`` and numpy
+scalars share: ``+ - * /`` against each other and against Python numbers,
+``conjugate()``, ``__complex__`` and ``__float__``.  ``PiScalar`` adds the
+``real`` part and the order ``< <= > >=`` of real values of one grade.  Code
+written against that protocol runs unchanged on exact and float scalars;
+``sqrt`` is the one operation without a protocol name, and is defined here.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-__all__ = ["ExactComplex", "PiScalar", "PI", "as_exact"]
+__all__ = ["ExactComplex", "PiScalar", "PI", "sqrt"]
 
 
 def _fraction(x) -> Fraction:
@@ -128,7 +135,7 @@ class ExactComplex:
             d = other.abs2()
             if not d:
                 raise ZeroDivisionError("division by zero")
-            return (self * other.conj()) / d
+            return (self * other.conjugate()) / d
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
@@ -153,7 +160,7 @@ class ExactComplex:
 
     # -- structure ----------------------------------------------------------
 
-    def conj(self) -> "ExactComplex":
+    def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
 
     def abs2(self) -> Fraction:
@@ -203,13 +210,7 @@ ONE = ExactComplex(1)
 I = ExactComplex(0, 1)
 
 
-def as_exact(x) -> ExactComplex:
-    """Coerce ints, Fractions, strings "p/q" and ExactComplex to ExactComplex."""
-    if isinstance(x, str):
-        return ExactComplex(Fraction(x))
-    return ExactComplex.coerce(x)
-
-
+@functools.total_ordering
 class PiScalar:
     """``coef * sqrt(root) * pi**(pihalf/2)`` in canonical form.
 
@@ -351,8 +352,12 @@ class PiScalar:
             return other / complex(self)
         return NotImplemented
 
-    def conj(self) -> "PiScalar":
-        return PiScalar(self.coef.conj(), self.root, self.pihalf)
+    def conjugate(self) -> "PiScalar":
+        return PiScalar(self.coef.conjugate(), self.root, self.pihalf)
+
+    @property
+    def real(self) -> "PiScalar":
+        return PiScalar(self.coef.re, self.root, self.pihalf)
 
     def abs2(self) -> "PiScalar":
         return PiScalar(self.coef.abs2() * self.root, 1, 2 * self.pihalf)
@@ -368,6 +373,15 @@ class PiScalar:
         q = self.coef.re
         s, r = _square_split(q.numerator * q.denominator)
         return PiScalar(Fraction(s, q.denominator), r, self.pihalf // 2)
+
+    # -- order of real values ------------------------------------------------------
+
+    def __lt__(self, other):
+        """Exact order of real values of one grade; zero compares with every grade."""
+        d = self - PiScalar.coerce(other)
+        if not d.is_real():
+            raise ValueError(f"{self} and {other} are not both real")
+        return d.coef.re < 0
 
     # -- conversions ---------------------------------------------------------------
 
@@ -408,6 +422,11 @@ class PiScalar:
         if self.pihalf:
             parts.append("pi" if self.pihalf == 2 else f"pi^({self.pihalf}/2)")
         return "*".join(p for p in parts if p) or "1"
+
+
+def sqrt(x):
+    """Square root of a nonnegative real: exact for a PiScalar, math.sqrt otherwise."""
+    return x.sqrt() if isinstance(x, PiScalar) else math.sqrt(x)
 
 
 PI = PiScalar.pi()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .screw import _simpson_weights
 from .spectra import DiscreteMeasure
 
 __all__ = [
@@ -103,11 +104,7 @@ def _osc_grid(T: float, r: float, min_points: int = 32769) -> tuple[np.ndarray, 
     if n % 2 == 0:
         n += 1
     xs = np.linspace(-T, T, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (xs[1] - xs[0]) / 3.0
-    return xs, w
+    return xs, _simpson_weights(n, xs[1] - xs[0])
 
 
 def pw_basis_gram(frame: PWFrame, n_max: int, T: float | None = None) -> np.ndarray:
@@ -244,10 +241,7 @@ def pw_weyl_is_fourier(frame: PWFrame, f_coeffs, g_coeffs,
 
     n = 8193
     ts = np.linspace(-r, r, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (ts[1] - ts[0]) / 3.0
+    w = _simpson_weights(n, ts[1] - ts[0])
     fe = np.polyval(list(reversed(f)) or [0], np.abs(ts))
     go = np.sign(ts) * np.polyval(list(reversed(g)) or [0], np.abs(ts))
     psi = fe - 1j * go

@@ -58,12 +58,6 @@ class ScrewFunctionData:
     c: float | Fraction
     tau: DiscreteMeasure
 
-    def mass_at_zero(self) -> float:
-        for p, m in self.tau:
-            if float(p) == 0.0:
-                return float(m)
-        return 0.0
-
 
 def g0_data() -> ScrewFunctionData:
     """The data of g(t) = -t^2/2 + cos(t) - 1: unit mass at 0, half masses at +-1."""
@@ -236,7 +230,6 @@ def aligned_test_function(d0, v1, vm1, support=(-3.0, 3.0), n: int = 4097) -> Te
     u = (2.0 * ts - (lo + hi)) / (hi - lo)
     window = (1.0 - u * u) ** 2
     basis = [window * ts**j for j in range(4)]
-    probe = TestFunction(np.zeros(n), support)
 
     def functionals(vals):
         f = TestFunction(vals.astype(complex), support)
@@ -251,7 +244,6 @@ def aligned_test_function(d0, v1, vm1, support=(-3.0, 3.0), n: int = 4097) -> Te
     rhs = np.array([0.0, d0, v1, vm1], dtype=complex)
     coef = np.linalg.solve(M, rhs)
     vals = sum(c * b for c, b in zip(coef, basis))
-    del probe
     return TestFunction(vals, support)
 
 

@@ -277,7 +277,7 @@ def theta_to_e(theta: RationalFunction, tol: float = 1e-12) -> Polynomial:
         if num.degree != 0:
             raise ValueError("not inner of HB form: degree mismatch")
         c = num.leading() / den.leading()
-        if c * c.conj() != ExactComplex(1):
+        if c * c.conjugate() != ExactComplex(1):
             raise ValueError("not inner of HB form: constant not unimodular")
         return Polynomial.one()
     if num.degree != den.degree:
@@ -288,11 +288,11 @@ def theta_to_e(theta: RationalFunction, tol: float = 1e-12) -> Polynomial:
     c = num.leading() / ds.leading()
     if num != ds * c:
         raise ValueError("not inner of HB form: numerator is not unimodular * sharp(denominator)")
-    if c * c.conj() != ExactComplex(1):
+    if c * c.conjugate() != ExactComplex(1):
         raise ValueError("not inner of HB form: constant not unimodular")
     if c == ExactComplex(-1):
         return den * ExactComplex(0, 1)
-    mu = ExactComplex(1) + c.conj()
+    mu = ExactComplex(1) + c.conjugate()
     E = den * mu / (1 + c.re)
     return E
 

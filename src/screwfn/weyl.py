@@ -25,16 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import Polynomial, effective_degree
 from .canonical import Hamiltonian, solution_rows_affine
-from .debranges import (
-    Eigenbasis,
-    HermiteBiehlerFrame,
-    extension_eigenbasis,
-    inner_product,
-)
-from .exact import ExactComplex, PiScalar, PI
-from .screw import ScrewFunctionData, TestFunction, inner_product_Hg, phi1
+from .debranges import Eigenbasis, HermiteBiehlerFrame, extension_eigenbasis
+from .exact import PiScalar, PI
+from .screw import ScrewFunctionData, TestFunction, phi1
 from .spectra import tau_from_mu
 
 __all__ = [
@@ -51,18 +46,6 @@ __all__ = [
     "diagram_check",
     "DiagramReport",
 ]
-
-
-def _effective_degree(p: Polynomial, rel: float = 1e-9) -> int:
-    if p.mode != "float":
-        return p.degree
-    if p.is_zero():
-        return -1
-    scale = max(abs(complex(c)) for c in p.coeffs)
-    deg = p.degree
-    while deg >= 0 and abs(complex(p.coeffs[deg])) <= rel * scale:
-        deg -= 1
-    return deg
 
 
 class StepVector:
@@ -85,7 +68,7 @@ class StepVector:
             pa, pb, pc = seg.proj
             row = (pa, pb) if pa else (pb, pc)
             constrained = f * row[0] + g * row[1]
-            if _effective_degree(constrained) > 0:
+            if effective_degree(constrained, 1e-9) > 0:
                 raise ValueError("not in L-hat: constrained component varies on an indivisible interval")
             comps.append((f, g))
         object.__setattr__(self, "H", H)
@@ -121,8 +104,6 @@ class StepVector:
     def from_row_values(H: Hamiltonian, gamma, scale=1, row: str = "bottom") -> "StepVector":
         """scale * [C(t, gamma); D(t, gamma)] (or the top row) as a step vector."""
         rows = solution_rows_affine(H, row=row)
-        if isinstance(gamma, (int, Fraction)):
-            gamma = ExactComplex(gamma)
         comps = []
         for (r0, r1) in rows:
             f = Polynomial([r0[0](gamma) * scale, r1[0](gamma) * scale])
@@ -157,18 +138,13 @@ class StepVector:
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
     """(1/pi) sum_k integral (F1 . P_k conj(F2)) over the segment; exact for exact data."""
-    total = None
+    total = 0
     for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
         pa, pb, pc = seg.proj
         f2c, g2c = f2.conj_coeffs(), g2.conj_coeffs()
         integrand = (f1 * f2c) * pa + (f1 * g2c + g1 * f2c) * pb + (g1 * g2c) * pc
-        piece = integrand.integrate(Fraction(0), seg.length)
-        total = piece if total is None else total + piece
-    if total is None:
-        return PiScalar(0)
-    if isinstance(total, (ExactComplex, PiScalar, int, Fraction)):
-        return PiScalar.coerce(total) / PI
-    return total / math.pi
+        total = total + integrand.integrate(Fraction(0), seg.length)
+    return total / PI
 
 
 def l2h_norm(H: Hamiltonian, F: StepVector):
@@ -192,19 +168,11 @@ def weyl_transform(H: Hamiltonian, F: StepVector, row: str = "bottom") -> Polyno
         for j in range(deg + 2):
             Ij = Fraction(L ** (j + 1), j + 1)
             uc, vc = u.coeff(j), v.coeff(j)
-            if not _is_zero(uc):
+            if uc:
                 acc = acc + r0c * (uc * Ij) + r1c * (uc * Fraction(L ** (j + 2), j + 2))
-            if not _is_zero(vc):
+            if vc:
                 acc = acc + r0d * (vc * Ij) + r1d * (vc * Fraction(L ** (j + 2), j + 2))
-    if acc.mode == "float":
-        return acc * (1.0 / math.pi)
     return acc * PiScalar(1, 1, -2)
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, (ExactComplex, PiScalar)):
-        return c.is_zero()
-    return c == 0
 
 
 def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> StepVector:
@@ -213,12 +181,7 @@ def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> S
         raise ValueError("not a member of H(E)")
     total = StepVector.zero(H)
     for g, m in frame.mu:
-        if isinstance(g, Fraction) and isinstance(m, PiScalar) and F.mode != "float":
-            val = F(ExactComplex(g)) * m
-            total = total + StepVector.from_row_values(H, g, scale=val)
-        else:
-            val = complex(F(complex(float(g)))) * float(m)
-            total = total + StepVector.from_row_values(H, float(g), scale=val)
+        total = total + StepVector.from_row_values(H, g, scale=F(g) * m)
     return total
 
 

@@ -10,11 +10,7 @@ from screwfn.algebra import (
     RationalFunction,
     ab_split,
     hb_test,
-    matpoly_det,
-    matpoly_eval,
-    matpoly_mul,
     partial_fractions,
-    poly_eval,
     rational_roots,
     roots,
     sharp,
@@ -36,24 +32,19 @@ def horner_oracle(coeffs, z):
 
 
 def test_poly_eval_constant_term():
-    assert poly_eval(E0, 0) == -I
+    assert E0(0) == -I
 
 
 def test_poly_eval_at_i_matches_independent_horner():
     # frozen from the independent Horner loop: i^3 + 2i*i^2 - i - i = -5i
     assert horner_oracle(E0.coeffs, 1j) == pytest.approx(-5j)
-    assert poly_eval(E0, I) == ExactComplex(0, -5)
+    assert E0(I) == ExactComplex(0, -5)
 
 
 def test_poly_eval_zero_polynomial():
     z = Polynomial.zero()
     for val in (0, 3, 1 + 2j):
-        assert complex(poly_eval(z, val, mode="float")) == 0
-
-
-def test_poly_eval_mode_guard():
-    with pytest.raises(TypeError):
-        poly_eval(E0, 0.5, mode="exact")
+        assert complex(z(complex(val))) == 0
 
 
 def test_sharp_of_e0():
@@ -185,13 +176,13 @@ def w0():
 
 
 def test_matpoly_det_w0_is_one():
-    assert matpoly_det(w0()) == Polynomial.one()
+    assert w0().det() == Polynomial.one()
 
 
 def test_matpoly_identity_and_eval():
     W = w0()
-    assert matpoly_mul(W, MatrixPolynomial.identity()) == W
-    vals = matpoly_eval(W, ExactComplex(2))
+    assert W * MatrixPolynomial.identity() == W
+    vals = W(ExactComplex(2))
     assert vals[1][0] == ExactComplex(6)  # 8 - 2
     assert vals[0][1] == ExactComplex(8)
 
@@ -208,7 +199,7 @@ def test_matpoly_det_multiplicative():
             )
 
         a, b = rand(), rand()
-        assert matpoly_det(matpoly_mul(a, b)) == matpoly_det(a) * matpoly_det(b)
+        assert (a * b).det() == a.det() * b.det()
 
 
 def test_polynomial_divmod_and_gcd():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from screwfn.algebra import Polynomial
@@ -21,6 +23,7 @@ from screwfn.debranges import (
     sl2_transform,
 )
 from screwfn.exact import PI, ExactComplex, PiScalar
+from screwfn.spectra import DiscreteMeasure
 
 from test_spectra import random_hb_cubic
 
@@ -266,3 +269,63 @@ def test_sl2_preserves_kernel():
 def test_sl2_rejects_wrong_determinant():
     with pytest.raises(ValueError, match="determinant"):
         sl2_transform(FR, [[2, 0], [0, 1]])
+
+
+@st.composite
+def rational_level_set_e(draw):
+    """E = A - iB with A = prod (z - g_k) and B/A = sum -m_k/(z - g_k), m_k > 0.
+
+    B/A is then a Herglotz function, so E is Hermite-Biehler, and its level
+    set {A = 0} is the rational g_k with masses pi * m_k.
+    """
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.fractions(-3, 3, max_denominator=2), min_size=n, max_size=n, unique=True))
+    masses = draw(st.lists(st.fractions(Fraction(1, 3), 3, max_denominator=3), min_size=n, max_size=n))
+    A = Polynomial.one()
+    for g in points:
+        A = A * Polynomial([-g, 1])
+    B = Polynomial.zero()
+    for k, m in enumerate(masses):
+        term = Polynomial([-m])
+        for j, g in enumerate(points):
+            if j != k:
+                term = term * Polynomial([-g, 1])
+        B = B + term
+    return A - B * I
+
+
+def _close(exact, approx, rel=1e-9) -> bool:
+    a, b = [complex(x) for x in exact], [complex(x) for x in approx]
+    scale = max(abs(x) for x in a)
+    return len(a) == len(b) and all(abs(x - y) <= rel * scale for x, y in zip(a, b))
+
+
+def _coeffs(p: Polynomial, n: int) -> list:
+    return [p.coeff(k) for k in range(n)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rational_level_set_e())
+def test_one_path_serves_exact_and_float_frames(E):
+    exact = HermiteBiehlerFrame.from_e(E)
+    assert exact.mu.is_exact
+    mu = DiscreteMeasure(exact.mu.float_points(), exact.mu.float_masses())
+    floating = HermiteBiehlerFrame(exact.E, exact.A, exact.B, mu)
+    n = exact.dim
+
+    mt, mt_f = moments(exact), moments(floating)
+    assert _close(mt.moments, mt_f.moments)
+    for h, h_f in zip(mt.hankel, mt_f.hankel, strict=True):
+        assert _close([h], [h_f])
+
+    basis, basis_f = gram_schmidt_basis(exact), gram_schmidt_basis(floating)
+    for q, q_f in zip(basis, basis_f, strict=True):
+        assert _close(_coeffs(q, n), _coeffs(q_f, n))
+    for i, qi in enumerate(basis):
+        for j, qj in enumerate(basis):
+            assert inner_product(exact, qi, qj) == (PiScalar(1) if i == j else PiScalar(0))
+
+    eb, eb_f = extension_eigenbasis(exact, math.pi / 2), extension_eigenbasis(floating, math.pi / 2)
+    assert eb.eigenvalues == eb_f.eigenvalues
+    for F, F_f in zip(eb.normalized, eb_f.normalized, strict=True):
+        assert _close(_coeffs(F, n), _coeffs(F_f, n))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from screwfn.exact import PI, ExactComplex, PiScalar
+from screwfn.exact import PI, ExactComplex, PiScalar, sqrt
 
 
 def test_exact_complex_field_ops():
@@ -13,7 +13,7 @@ def test_exact_complex_field_ops():
     assert a * b == ExactComplex(Fraction(1, 2) * 2 + Fraction(3, 4), Fraction(1, 2) - Fraction(3, 2))
     assert (a / b) * b == a
     assert a - a == ExactComplex(0)
-    assert a.conj().conj() == a
+    assert a.conjugate().conjugate() == a
     assert a.abs2() == Fraction(1, 4) + Fraction(9, 16)
 
 
@@ -79,3 +79,16 @@ def test_pi_scalar_float_value():
 def test_pi_scalar_division_keeps_surds_exact():
     q = PiScalar(Fraction(3, 4), 2, 3) / PiScalar(Fraction(1, 2), 2, 1)
     assert q == PiScalar(Fraction(3, 2), 1, 2)
+
+
+def test_pi_scalar_numeric_protocol():
+    x = PiScalar(ExactComplex(Fraction(1, 2), 3), 2, 2)
+    assert x.conjugate() == PiScalar(ExactComplex(Fraction(1, 2), -3), 2, 2)
+    assert x.real == PiScalar(Fraction(1, 2), 2, 2)
+    assert PI / 2 < PI and PI >= PI and -PI <= 0 < PI
+    with pytest.raises(ValueError):
+        PI < PiScalar(1)  # different grades have no exact order here
+    with pytest.raises(ValueError):
+        x < PI * 2  # not real
+    assert sqrt(PI * PI / 4) == PI / 2
+    assert sqrt(2.25) == 1.5

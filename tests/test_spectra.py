@@ -147,7 +147,7 @@ def test_theta_to_e_roundtrip_random_hb():
         back = theta_to_e(theta)
         ratio = back.leading() / E.leading()
         assert back == E * ratio
-        assert ratio * ratio.conj() == ExactComplex(1)
+        assert ratio * ratio.conjugate() == ExactComplex(1)
         assert RationalFunction(sharp(back), back) == theta
 
 
