@@ -4,7 +4,10 @@ Coefficients are ExactComplex (exact mode), PiScalar (pi-graded exact mode)
 or plain complex (float mode); the mode is inferred on construction and
 mixed inputs degrade exactly once, never silently per-operation.  Root
 finding is the only intrinsically floating-point operation: companion-matrix
-eigenvalues polished by Newton iteration.
+eigenvalues polished by Newton iteration.  ``real_zeros`` is the one routine
+for real, simple zeros: it returns exact Fractions where ``rational_roots``
+finds them and floats for the rest, and it is where float input skips the
+exact extraction.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ __all__ = [
     "ab_split",
     "roots",
     "rational_roots",
+    "real_zeros",
     "hb_test",
     "partial_fractions",
     "solve_exact",
@@ -192,9 +196,6 @@ class Polynomial:
 
     # -- transforms ----------------------------------------------------------------
 
-    def conj_coeffs(self) -> "Polynomial":
-        return Polynomial([c.conjugate() for c in self.coeffs])
-
     def reflect(self) -> "Polynomial":
         """p(-z)."""
         return Polynomial([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
@@ -309,7 +310,7 @@ def effective_degree(p: Polynomial, rel: float) -> int:
 
 def sharp(p: Polynomial) -> Polynomial:
     """p#(z) = conj(p(conj z)): coefficient-wise conjugation."""
-    return p.conj_coeffs()
+    return Polynomial([c.conjugate() for c in p.coeffs])
 
 
 def ab_split(E: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -392,6 +393,29 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
         found.append(hit)
         cur = cur.divmod(Polynomial([-hit, 1]))[0]
     return found, cur
+
+
+def real_zeros(p: Polynomial, tol: float = 1e-12) -> list:
+    """The zeros of p sorted by value, all real and simple.
+
+    Zeros that rational_roots finds are exact Fractions, the rest are floats
+    from roots(); float input skips the exact extraction.  Raises ValueError
+    on a nonreal zero (|Im| > 1e-9) or a repeated one (equal values, or
+    floats closer than 1e-8).
+    """
+    rats, rest = ([], p) if p.mode == "float" else rational_roots(p)
+    zs: list = list(rats)
+    if rest.degree >= 1:
+        for r in roots(rest, tol=tol):
+            if abs(r.imag) > 1e-9:
+                raise ValueError(f"nonreal zero at {r}")
+            zs.append(r.real)
+    zs.sort()
+    for a, b in zip(zs, zs[1:]):
+        exact = isinstance(a, Fraction) and isinstance(b, Fraction)
+        if a == b or (not exact and b - a < 1e-8):
+            raise ValueError(f"repeated zero at {a}")
+    return zs
 
 
 def _divisors(n: int) -> list[int]:

@@ -193,9 +193,13 @@ def titchmarsh_weyl(s: KreinString) -> RationalFunction:
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """Gaussian variance a >= 0, drift b, and jump measure (no mass at 0)."""
+    """Gaussian variance a >= 0, drift b, and jump measure (no mass at 0).
 
-    a: Fraction | float
+    a is tau({0}) in the measure's own scalar type: a PiScalar, a float, or
+    Fraction(0) when tau does not charge 0.
+    """
+
+    a: PiScalar | float | Fraction
     b: Fraction | float
     nu: DiscreteMeasure
 
@@ -213,16 +217,11 @@ def levy_triplet(g: ScrewFunctionData) -> LevyTriplet:
     a = Fraction(0)
     pts, ms = [], []
     for p, m in g.tau:
-        if isinstance(p, Fraction) and p == 0:
-            a = m.as_fraction() if isinstance(m, PiScalar) else float(m)
-        elif float(p) == 0.0:
-            a = float(m)
+        if p == 0:
+            a = m
         else:
             pts.append(p)
-            if isinstance(m, PiScalar) and isinstance(p, Fraction):
-                ms.append(m / (p * p))
-            else:
-                ms.append(float(m) / float(p) ** 2)
+            ms.append(m / (p * p))
     return LevyTriplet(a, g.c, DiscreteMeasure(pts, ms))
 
 
@@ -235,10 +234,7 @@ def screw_from_triplet(t: LevyTriplet) -> ScrewFunctionData:
         ms.append(t.a)
     for p, m in t.nu:
         pts.append(p)
-        if isinstance(m, PiScalar) and isinstance(p, Fraction):
-            ms.append(m * (p * p))
-        else:
-            ms.append(float(m) * float(p) ** 2)
+        ms.append(m * (p * p))
     return ScrewFunctionData(Fraction(0), t.b, DiscreteMeasure(pts, ms))
 
 

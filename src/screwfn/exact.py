@@ -11,13 +11,18 @@ Two scalar types carry all bit-exact identities in this package:
   exactly what is needed for quantities like 2*pi, pi/2, pi**3, 1/sqrt(2*pi).
 
 Arithmetic against ``float``/``complex`` degrades to floating point, so the
-exact types can be dropped into numeric code without ceremony.  Both types
-provide the numeric-protocol names that ``complex``, ``Fraction`` and numpy
-scalars share: ``+ - * /`` against each other and against Python numbers,
-``conjugate()``, ``__complex__`` and ``__float__``.  ``PiScalar`` adds the
-``real`` part and the order ``< <= > >=`` of real values of one grade.  Code
-written against that protocol runs unchanged on exact and float scalars;
-``sqrt`` is the one operation without a protocol name, and is defined here.
+exact types can be dropped into numeric code without ceremony.  A real
+``PiScalar`` against a ``float`` gives a ``float``, the way ``Fraction``
+does, so ``PI * 0.5`` is ``math.pi * 0.5`` to the bit; a nonreal value or a
+``complex`` operand gives a ``complex``.  ``ExactComplex`` always degrades to
+``complex``.  Both types provide the numeric-protocol names that
+``complex``, ``Fraction`` and numpy scalars share: ``+ - * /`` against each
+other and against Python numbers, ``real``, ``conjugate()``, ``__complex__``
+and ``__float__``.  ``ExactComplex`` adds ``imag``; ``PiScalar`` adds the
+order ``< <= > >=`` of real values of one grade.  Code written against that
+protocol runs unchanged on exact and float scalars.  Two operations have no
+protocol name and are defined here: ``sqrt``, and the realness test
+``is_real``, exact for exact scalars and to a tolerance for floats.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["ExactComplex", "PiScalar", "PI", "sqrt"]
+__all__ = ["ExactComplex", "PiScalar", "PI", "sqrt", "is_real"]
 
 
 def _fraction(x) -> Fraction:
@@ -163,6 +168,14 @@ class ExactComplex:
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
@@ -203,11 +216,6 @@ class ExactComplex:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-ZERO = ExactComplex(0)
-ONE = ExactComplex(1)
-I = ExactComplex(0, 1)
 
 
 @functools.total_ordering
@@ -274,6 +282,12 @@ class PiScalar:
     def __bool__(self):
         return not self.is_zero()
 
+    def _mix(self, other):
+        """This value as a float against a float when real, as a complex otherwise."""
+        if isinstance(other, float) and self.is_real():
+            return float(self)
+        return complex(self)
+
     # -- ring ops -----------------------------------------------------------------
 
     def _compatible(self, other: "PiScalar"):
@@ -295,7 +309,7 @@ class PiScalar:
                 return self
             return PiScalar(self.coef + other.coef, self.root, self.pihalf)
         if isinstance(other, (float, complex)):
-            return complex(self) + other
+            return self._mix(other) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -307,14 +321,14 @@ class PiScalar:
         if isinstance(other, (int, Fraction, ExactComplex, PiScalar)):
             return self + (-PiScalar.coerce(other))
         if isinstance(other, (float, complex)):
-            return complex(self) - other
+            return self._mix(other) - other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
             return PiScalar.coerce(other) - self
         if isinstance(other, (float, complex)):
-            return other - complex(self)
+            return other - self._mix(other)
         return NotImplemented
 
     def __mul__(self, other):
@@ -327,7 +341,7 @@ class PiScalar:
                 self.pihalf + other.pihalf,
             )
         if isinstance(other, (float, complex)):
-            return complex(self) * other
+            return self._mix(other) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -342,14 +356,14 @@ class PiScalar:
             coef = self.coef / (other.coef * other.root)
             return PiScalar(coef, self.root * other.root, self.pihalf - other.pihalf)
         if isinstance(other, (float, complex)):
-            return complex(self) / other
+            return self._mix(other) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
             return PiScalar.coerce(other) / self
         if isinstance(other, (float, complex)):
-            return other / complex(self)
+            return other / self._mix(other)
         return NotImplemented
 
     def conjugate(self) -> "PiScalar":
@@ -427,6 +441,13 @@ class PiScalar:
 def sqrt(x):
     """Square root of a nonnegative real: exact for a PiScalar, math.sqrt otherwise."""
     return x.sqrt() if isinstance(x, PiScalar) else math.sqrt(x)
+
+
+def is_real(x, tol: float = 1e-9) -> bool:
+    """True if x has no imaginary part: exactly for exact scalars, within tol for floats."""
+    if isinstance(x, (ExactComplex, PiScalar)):
+        return x.is_real()
+    return abs(x.imag) <= tol
 
 
 PI = PiScalar.pi()

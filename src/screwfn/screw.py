@@ -180,9 +180,7 @@ class TestFunction:
         total = self.integral()
         if total == 0:
             return self
-        lo, hi = self.support
-        u = (2.0 * self.grid - (lo + hi)) / (hi - lo)
-        bump = (1.0 - u * u) ** 2
+        bump = _bump(self.grid, *self.support)
         scale = total / self.quad(bump)
         return TestFunction(self.samples - scale * bump, self.support)
 
@@ -197,6 +195,12 @@ class TestFunction:
     __rmul__ = __mul__
 
 
+def _bump(ts: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The window (1 - u^2)^2 with u = (2t - (lo + hi))/(hi - lo), zero at both ends."""
+    u = (2.0 * ts - (lo + hi)) / (hi - lo)
+    return (1.0 - u * u) ** 2
+
+
 def phi1(phi: TestFunction, z: complex) -> complex:
     """Phi1(phi, z) = integral phi(t) (exp(izt) - 1)/z dt; the z=0 limit is i t."""
     z = complex(z)
@@ -209,8 +213,7 @@ def random_test_function(rng: np.random.Generator, support=(-3.0, 3.0), n: int =
     """Smooth random zero-mean test function: windowed random trig polynomial."""
     lo, hi = support
     ts = np.linspace(lo, hi, n)
-    u = (2.0 * ts - (lo + hi)) / (hi - lo)
-    window = (1.0 - u * u) ** 2
+    window = _bump(ts, lo, hi)
     vals = np.zeros(n, dtype=complex)
     for k in range(1, 4):
         a = rng.normal() + 1j * rng.normal()
@@ -227,8 +230,7 @@ def aligned_test_function(d0, v1, vm1, support=(-3.0, 3.0), n: int = 4097) -> Te
     """
     lo, hi = support
     ts = np.linspace(lo, hi, n)
-    u = (2.0 * ts - (lo + hi)) / (hi - lo)
-    window = (1.0 - u * u) ** 2
+    window = _bump(ts, lo, hi)
     basis = [window * ts**j for j in range(4)]
 
     def functionals(vals):

@@ -7,12 +7,14 @@ The correspondence chain implemented here, for rational data:
     Theta = E#/E with E Hermite-Biehler   (when Theta is rational inner)
     level set {A=0} with masses 2*pi/|Theta'|, and tau = mu/pi.
 
-Measures with rational support and pi-rational masses are kept exact;
-irrational support degrades to floating point per point.
+The scalar type follows each point, in measure_from_q as in
+level_set_masses: a rational pole or zero (of exact input) is a Fraction
+with an exact pi-rational mass, an irrational one is a float with a float
+mass, and one measure may hold both.  Both find their points with
+algebra.real_zeros.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,11 +23,10 @@ from .algebra import (
     RationalFunction,
     ab_split,
     hb_test,
-    rational_roots,
-    roots,
+    real_zeros,
     sharp,
 )
-from .exact import PI, ExactComplex, PiScalar
+from .exact import PI, ExactComplex, PiScalar, is_real
 
 __all__ = [
     "DiscreteMeasure",
@@ -39,12 +40,6 @@ __all__ = [
     "tau_from_mu",
 ]
 
-_IMAG_POLE_TOL = 1e-9
-
-
-def _point_float(p) -> float:
-    return float(p)
-
 
 class DiscreteMeasure:
     """Finitely many support points with positive masses.
@@ -53,18 +48,18 @@ class DiscreteMeasure:
     possibly pi-graded) or floats.  Points are stored strictly increasing.
     """
 
-    __slots__ = ("points", "masses")
+    __slots__ = ("points", "masses", "is_exact")
 
     def __init__(self, points, masses):
         pts = list(points)
         ms = list(masses)
         if len(pts) != len(ms):
             raise ValueError("points and masses must have equal length")
-        pairs = sorted(zip(pts, ms), key=lambda pm: _point_float(pm[0]))
+        pairs = sorted(zip(pts, ms), key=lambda pm: float(pm[0]))
         for (p1, _), (p2, _) in zip(pairs, pairs[1:]):
-            if _point_float(p1) == _point_float(p2):
+            if float(p1) == float(p2):
                 raise ValueError("support points must be distinct")
-        norm_pts, norm_ms = [], []
+        norm_pts, norm_ms, exact = [], [], True
         for p, m in pairs:
             if isinstance(p, int):
                 p = Fraction(p)
@@ -80,10 +75,12 @@ class DiscreteMeasure:
                     raise ValueError("masses must be positive")
             else:
                 raise TypeError(f"unsupported mass type {type(m).__name__}")
+            exact = exact and isinstance(p, Fraction) and isinstance(m, PiScalar)
             norm_pts.append(p)
             norm_ms.append(m)
         object.__setattr__(self, "points", tuple(norm_pts))
         object.__setattr__(self, "masses", tuple(norm_ms))
+        object.__setattr__(self, "is_exact", exact)
 
     def __setattr__(self, *a):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -94,24 +91,15 @@ class DiscreteMeasure:
     def __iter__(self):
         return iter(zip(self.points, self.masses))
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.points) and all(
-            isinstance(m, PiScalar) for m in self.masses
-        )
-
     def float_points(self) -> list[float]:
-        return [_point_float(p) for p in self.points]
+        return [float(p) for p in self.points]
 
     def float_masses(self) -> list[float]:
         return [float(m) for m in self.masses]
 
     def mass_at(self, point):
         for p, m in self:
-            if isinstance(p, Fraction) and isinstance(point, (int, Fraction)):
-                if p == point:
-                    return m
-            elif _point_float(p) == _point_float(point):
+            if p == point:
                 return m
         raise KeyError(f"no mass at {point}")
 
@@ -153,8 +141,7 @@ def q_from_measure(d: NevanlinnaData) -> RationalFunction:
     """Assemble Q(z) = a z + b + sum m*(1/(g-z) - g/(1+g^2)) exactly."""
     if not d.measure.is_exact:
         raise TypeError("q_from_measure requires an exact measure")
-    a = Fraction(d.a) if not isinstance(d.a, Fraction) else d.a
-    b = Fraction(d.b) if not isinstance(d.b, Fraction) else d.b
+    a, b = Fraction(d.a), Fraction(d.b)
     q = RationalFunction(Polynomial([ExactComplex(b), ExactComplex(a)]))
     for g, m in d.measure:
         mf = m.as_fraction()
@@ -182,65 +169,31 @@ def measure_from_q(Q: RationalFunction) -> NevanlinnaData:
     """Invert the Herglotz representation of a real rational Q with simple real poles.
 
     Masses are minus the residues; a is the degree-excess slope; b = Re Q(i).
-    Exact whenever the poles are rational, floating point otherwise.
+    Each pole and its mass are exact when the pole is rational and Q exact,
+    floating point otherwise.
     """
     num, den = Q.num, Q.den
     if num.degree > den.degree + 1:
         raise ValueError("not Herglotz: growth exceeds a linear term")
     _herglotz_sample_check(Q)
-
-    if Q.mode == "exact":
-        a = ExactComplex(0)
-        if num.degree == den.degree + 1:
-            a = num.leading() / den.leading()
-            if not a.is_real() or a.re < 0:
-                raise ValueError("not Herglotz: leading behavior not a nonnegative real slope")
-        rats, rest = rational_roots(den)
-        if rest.degree < 1:
-            if len(set(rats)) != len(rats):
-                raise ValueError("not Herglotz: repeated pole")
-            dden = den.derivative()
-            pts, ms = [], []
-            for g in rats:
-                res = num(ExactComplex(g)) / dden(ExactComplex(g))
-                mass = -res
-                if not mass.is_real() or not (mass.re > 0):
-                    raise ValueError(f"not Herglotz: extracted mass {mass} at {g} not positive")
-                pts.append(g)
-                ms.append(PiScalar(mass))
-            qi = Q(ExactComplex(0, 1))
-            b = qi.re
-            data = NevanlinnaData(a.re, b, DiscreteMeasure(pts, ms))
-            if q_from_measure(data) != Q:
-                raise ValueError("not Herglotz: representation does not reconstruct Q")
-            return data
-
-    # floating-point fallback, also used for exact Q with irrational poles
-    poles = roots(den) if den.degree >= 1 else []
-    for p in poles:
-        if abs(p.imag) > _IMAG_POLE_TOL:
-            raise ValueError(f"not real-meromorphic Herglotz: pole at {p}")
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) < 1e-8:
-                raise ValueError("not Herglotz: repeated pole")
+    try:
+        poles = real_zeros(den)
+    except ValueError as exc:
+        raise ValueError(f"not Herglotz: {exc}") from exc
     dden = den.derivative()
-    pts, ms = [], []
-    for p in poles:
-        res = complex(num(p)) / complex(dden(p))
-        mass = -res
-        if abs(mass.imag) > 1e-9 or mass.real <= 0:
-            raise ValueError(f"not Herglotz: extracted mass {mass} at {p.real} not positive")
-        pts.append(p.real)
+    ms = []
+    for g in poles:
+        mass = -num(g) / dden(g)
+        if not is_real(mass) or not mass.real > 0:
+            raise ValueError(f"not Herglotz: extracted mass {mass} at {g} not positive")
         ms.append(mass.real)
-    af = 0.0
-    if num.degree == den.degree + 1:
-        lead = complex(num.leading()) / complex(den.leading())
-        if abs(lead.imag) > 1e-9 or lead.real < 0:
-            raise ValueError("not Herglotz: leading behavior not a nonnegative real slope")
-        af = lead.real
-    b = Q(1j).real
-    return NevanlinnaData(af, b, DiscreteMeasure(pts, ms))
+    a = num.coeff(den.degree + 1) / den.leading()
+    if not is_real(a) or a.real < 0:
+        raise ValueError("not Herglotz: leading behavior not a nonnegative real slope")
+    data = NevanlinnaData(a.real, Q(ExactComplex(0, 1)).real, DiscreteMeasure(poles, ms))
+    if data.measure.is_exact and q_from_measure(data) != Q:
+        raise ValueError("not Herglotz: representation does not reconstruct Q")
+    return data
 
 
 def cayley_q_to_theta(Q: RationalFunction) -> RationalFunction:
@@ -308,36 +261,10 @@ def level_set_masses(E: Polynomial, tol: float = 1e-12) -> DiscreteMeasure:
         raise ValueError("E is not in the Hermite-Biehler class")
     A, B = ab_split(E)
     dA = A.derivative()
-    if A.degree < 1:
-        return DiscreteMeasure([], [])
-    rats, rest = rational_roots(A)
-    if len(set(rats)) != len(rats):
-        raise ValueError("non-simple real zero of A")
-    pts: list[Fraction | float] = []
-    ms: list[PiScalar | float] = []
-    for g in rats:
-        ge = ExactComplex(g)
-        d = dA(ge)
-        if d.is_zero():
-            raise ValueError("non-simple real zero of A")
-        ratio = (B(ge) / d).re
-        ms.append(PI * abs(ratio))
-        pts.append(g)
-    if rest.degree >= 1:
-        for r in roots(rest, tol=max(tol, 1e-12)):
-            if abs(r.imag) > _IMAG_POLE_TOL:
-                # complex zeros of A are not level-set points
-                continue
-            x = r.real
-            d = complex(dA(complex(x)))
-            if abs(d) < 1e-12:
-                raise ValueError("non-simple real zero of A")
-            pts.append(x)
-            ms.append(math.pi * abs(complex(B(complex(x))) / d))
-    return DiscreteMeasure(pts, ms)
+    pts = real_zeros(A, tol=max(tol, 1e-12))
+    return DiscreteMeasure(pts, [PI * abs((B(g) / dA(g)).real) for g in pts])
 
 
 def tau_from_mu(mu: DiscreteMeasure) -> DiscreteMeasure:
     """tau = mu / pi."""
-    ms = [m / PI if isinstance(m, PiScalar) else m / math.pi for m in mu.masses]
-    return DiscreteMeasure(mu.points, ms)
+    return DiscreteMeasure(mu.points, [m / PI for m in mu.masses])

@@ -12,9 +12,9 @@ matrix-polynomial coefficients, so the integral is a finite moment sum.
 The worked example uses the bottom (C, D) row, whose kernel identity makes
 W unitary onto the de Branges space.
 
-The model-space screw line has coefficients c_g(t) = sqrt(pi tau({g})) *
-(exp(itg) - 1)/g over the orthonormal eigenbasis at angle pi/2 (limit i*t at
-g = 0); its Gram matrix reproduces pi * G(t, s) exactly.
+The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
+(exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
+pi/2 (limit i*t at g = 0); its Gram matrix reproduces pi * G(t, s) exactly.
 """
 from __future__ import annotations
 
@@ -25,12 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, effective_degree
+from .algebra import Polynomial, effective_degree, sharp
 from .canonical import Hamiltonian, solution_rows_affine
-from .debranges import Eigenbasis, HermiteBiehlerFrame, extension_eigenbasis
+from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import PiScalar, PI
 from .screw import ScrewFunctionData, TestFunction, phi1
-from .spectra import tau_from_mu
 
 __all__ = [
     "StepVector",
@@ -141,7 +140,7 @@ def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
     total = 0
     for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
         pa, pb, pc = seg.proj
-        f2c, g2c = f2.conj_coeffs(), g2.conj_coeffs()
+        f2c, g2c = sharp(f2), sharp(g2)
         integrand = (f1 * f2c) * pa + (f1 * g2c + g1 * f2c) * pb + (g1 * g2c) * pc
         total = total + integrand.integrate(Fraction(0), seg.length)
     return total / PI
@@ -200,48 +199,44 @@ class ModelVector:
         return float(sum(abs(a) ** 2 for a in self.coeffs))
 
 
-def _pi_half_basis(frame: HermiteBiehlerFrame) -> Eigenbasis:
-    return extension_eigenbasis(frame, math.pi / 2)
+def _model_basis(frame: HermiteBiehlerFrame) -> list:
+    """(g, mu({g}), F_g) over the orthonormal eigenbasis at angle pi/2, as floats."""
+    basis = extension_eigenbasis(frame, math.pi / 2)
+    return [
+        (float(ev), float(frame.mu.mass_at(ev)), F)
+        for ev, F in zip(basis.eigenvalues, basis.normalized)
+    ]
 
 
 def screw_line_S(frame: HermiteBiehlerFrame, t: float) -> ModelVector:
     """The model-space screw line at time t.
 
-    Coefficient at level point g is sqrt(pi tau({g})) (e^{itg} - 1)/g, with
-    the limit value i t at g = 0; the Gram of these vectors is pi*G(t,s).
+    Coefficient at level point g is sqrt(mu({g})) (e^{itg} - 1)/g, with the
+    limit value i t at g = 0; the Gram of these vectors is pi*G(t,s).
     """
-    basis = _pi_half_basis(frame)
-    tau = tau_from_mu(frame.mu)
+    model = _model_basis(frame)
     coeffs = []
-    for ev in basis.eigenvalues:
-        g = float(ev)
-        m = float(tau.mass_at(ev))
-        root = math.sqrt(math.pi * m)
+    for g, m, _ in model:
+        root = math.sqrt(m)
         if g == 0.0:
             coeffs.append(root * 1j * t)
         else:
             coeffs.append(root * (cmath.exp(1j * t * g) - 1.0) / g)
-    return ModelVector(frame, basis.eigenvalues, tuple(coeffs))
+    return ModelVector(frame, tuple(g for g, _, _ in model), tuple(coeffs))
 
 
 def phat(frame: HermiteBiehlerFrame, phi: TestFunction) -> ModelVector:
     """Integrate the test function against the screw line: coefficients
-    sqrt(pi tau({g})) * Phi1(phi, g) over the eigenbasis."""
-    basis = _pi_half_basis(frame)
-    tau = tau_from_mu(frame.mu)
-    coeffs = []
-    for ev in basis.eigenvalues:
-        g = float(ev)
-        m = float(tau.mass_at(ev))
-        coeffs.append(math.sqrt(math.pi * m) * phi1(phi, g))
-    return ModelVector(frame, basis.eigenvalues, tuple(coeffs))
+    sqrt(mu({g})) * Phi1(phi, g) over the eigenbasis."""
+    model = _model_basis(frame)
+    coeffs = tuple(math.sqrt(m) * phi1(phi, g) for g, m, _ in model)
+    return ModelVector(frame, tuple(g for g, _, _ in model), coeffs)
 
 
 def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
     """Map a model vector to H(E): multiply by E, i.e. expand over the eigenbasis."""
-    basis = _pi_half_basis(frame)
     acc = Polynomial.zero()
-    for c, F in zip(v.coeffs, basis.normalized):
+    for c, (_, _, F) in zip(v.coeffs, _model_basis(frame)):
         acc = acc + Polynomial([complex(x) for x in F.coeffs]) * complex(c)
     return acc
 
@@ -249,20 +244,15 @@ def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
 def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> StepVector:
     """Map a test function to a step vector through the level-set kernel.
 
-    (L0 phi)(t) = pi * sum_g tau({g}) sqrt(pi tau({g})) F_g(g) Phi1(phi, g)
-                       * [C(t,g); D(t,g)],
+    (L0 phi)(t) = sum_g mu({g}) sqrt(mu({g})) F_g(g) Phi1(phi, g) [C(t,g); D(t,g)],
 
     which for the worked example reduces to the familiar three-term display
     with coefficients (-phihat'(0), phihat(1)/2, -phihat(-1)/2).
     """
-    basis = _pi_half_basis(frame)
-    tau = tau_from_mu(frame.mu)
     total = StepVector.zero(H)
-    for ev, F in zip(basis.eigenvalues, basis.normalized):
-        g = float(ev)
-        m = float(tau.mass_at(ev))
+    for g, m, F in _model_basis(frame):
         Fg = complex(F(complex(g)))
-        coef = math.pi * m * math.sqrt(math.pi * m) * Fg * phi1(phi, g)
+        coef = m * math.sqrt(m) * Fg * phi1(phi, g)
         total = total + StepVector.from_row_values(H, g, scale=coef)
     return total
 
@@ -307,19 +297,15 @@ def diagram_check(
 
     from .screw import kernel_g
 
-    basis = _pi_half_basis(frame)
-    tau = tau_from_mu(frame.mu)
+    model = _model_basis(frame)
     rng = np.random.default_rng(seed)
     r1 = r2 = r3 = r4 = r5 = 0.0
 
-    # predicted unimodular diagonal sqrt(pi tau) F_g(g)/E(g) of the square
-    phases = []
-    for ev, F in zip(basis.eigenvalues, basis.normalized):
-        gam = float(ev)
-        m = float(tau.mass_at(ev))
-        phases.append(
-            math.sqrt(math.pi * m) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        )
+    # predicted unimodular diagonal sqrt(mu) F_g(g)/E(g) of the square
+    phases = [
+        math.sqrt(m) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
+        for gam, m, F in model
+    ]
 
     # all samples share one grid, so the weighted kernel matrix is built once
     probe = random_test_function(rng, support=support)
@@ -349,9 +335,7 @@ def diagram_check(
         P = E_times(frame, v)
         norm_restr = 0.0
         restr_resid = 0.0
-        for ev, d in zip(basis.eigenvalues, phases):
-            gam = float(ev)
-            mass = float(frame.mu.mass_at(ev))
+        for (gam, mass, _), d in zip(model, phases):
             val = complex(P(complex(gam))) / complex(frame.E(complex(gam)))
             norm_restr += abs(val) ** 2 * mass
             restr_resid = max(restr_resid, abs(val - d * phi1(phi, gam)))
@@ -370,24 +354,23 @@ def diagram_check(
             max((abs(complex(c)) for c in diff.coeffs), default=0.0),
         )
 
-    diag, off = _aligned_basis_gram(g, frame, basis, support)
+    diag, off = _aligned_basis_gram(g, frame, model, support)
     passed = max(r1, r2, r3, r4, r5) < tol
     return DiagramReport(
         r1, r2, r3, r4, r5, complex(np.mean(phases)), diag, off, passed
     )
 
 
-def _aligned_basis_gram(g, frame, basis, support):
+def _aligned_basis_gram(g, frame, model, support):
     """Measured Gram of the aligned basis functions; constant reported, not asserted."""
     from .screw import aligned_test_function
 
-    if sorted(float(e) for e in basis.eigenvalues) != [-1.0, 0.0, 1.0]:
+    if sorted(e for e, _, _ in model) != [-1.0, 0.0, 1.0]:
         return float("nan"), float("nan")
     aligned = []
-    for ev, F in zip(basis.eigenvalues, basis.normalized):
-        gam = float(ev)
+    for gam, _, F in model:
         target = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        targets = {float(e): 0j for e in basis.eigenvalues}
+        targets = {e: 0j for e, _, _ in model}
         targets[gam] = target
         # Phi1 profile -> functionals (phihat'(0), phihat(1), phihat(-1))
         aligned.append(

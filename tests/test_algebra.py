@@ -12,6 +12,7 @@ from screwfn.algebra import (
     hb_test,
     partial_fractions,
     rational_roots,
+    real_zeros,
     roots,
     sharp,
     solve_exact,
@@ -115,6 +116,28 @@ def test_rational_roots_extracts_and_deflates():
     rts, rest = rational_roots(p)
     assert sorted(rts) == [Fraction(-1), Fraction(-1)]
     assert rest == Polynomial([1, 0, 1])
+
+
+def test_real_zeros_mixes_exact_and_float_zeros_in_order():
+    zs = real_zeros(Polynomial([-1, 1]) * Polynomial([-2, 0, 1]))  # (z - 1)(z^2 - 2)
+    assert [type(z) for z in zs] == [float, Fraction, float]
+    assert zs[1] == Fraction(1)
+    assert zs[0] == pytest.approx(-math.sqrt(2), abs=1e-12)
+    assert zs[2] == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert real_zeros(A0) == [Fraction(-1), Fraction(0), Fraction(1)]
+
+
+def test_real_zeros_float_input_gives_floats():
+    zs = real_zeros(Polynomial([complex(c) for c in A0.coeffs]))
+    assert all(type(z) is float for z in zs)
+    assert zs == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+
+
+def test_real_zeros_rejects_repeated_and_nonreal_zeros():
+    with pytest.raises(ValueError, match="repeated"):
+        real_zeros(Polynomial([1, 2, 1]))  # (z + 1)^2
+    with pytest.raises(ValueError, match="nonreal"):
+        real_zeros(Polynomial([1, 0, 1]))  # z^2 + 1
 
 
 def test_hb_test():

@@ -92,3 +92,8 @@ def test_pi_scalar_numeric_protocol():
         x < PI * 2  # not real
     assert sqrt(PI * PI / 4) == PI / 2
     assert sqrt(2.25) == 1.5
+    # a real PiScalar against a float gives a float, the way Fraction does
+    assert type(PI * 0.5) is float and PI * 0.5 == math.pi * 0.5
+    assert type(0.5 / PI) is float and 0.5 / PI == 0.5 / math.pi
+    assert type(PiScalar(ExactComplex(0, 1)) * 0.5) is complex
+    assert type(PI * 0.5j) is complex

@@ -1,4 +1,8 @@
-"""Source hygiene checks that need no linter: every module-level import is used."""
+"""Source hygiene checks that need no linter.
+
+Every module-level import is used, and every module-level definition is
+either exported or read somewhere in the package.
+"""
 import ast
 from pathlib import Path
 
@@ -7,13 +11,17 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "screwfn").glob("*.py"))
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    exported: set[str] = set()
+def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    exported = _exported(tree)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = []
     for node in tree.body:
@@ -35,3 +43,58 @@ def test_no_unused_module_imports(path):
 def test_guard_flags_an_unused_import():
     tree = ast.parse("import cmath\nimport math\nfrom .x import y\n__all__ = ['y']\nmath.pi\n")
     assert _unused_imports(tree) == ["cmath"]
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned names, in source order.
+
+    Dunder names such as __all__ and __version__ are module metadata and
+    are left out.
+    """
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names read as a variable, an attribute or an import alias."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _dead_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Definitions outside their module's __all__ that no module reads."""
+    loaded = set().union(*(_loaded_names(t) for t in modules.values()))
+    return [
+        name
+        for tree in modules.values()
+        for name in _defined_names(tree)
+        if name not in _exported(tree) and name not in loaded
+    ]
+
+
+def test_no_dead_module_definitions():
+    modules = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert _dead_definitions(modules) == []
+
+
+def test_guard_flags_a_dead_definition():
+    a = ast.parse(
+        "__all__ = ['f']\n__version__ = '1'\nLIMIT = 3\nDEAD = 4\n_TOL = 1e-9\n"
+        "def f():\n    return LIMIT\ndef _unused():\n    pass\n"
+    )
+    b = ast.parse("from .a import _TOL\n")
+    assert _dead_definitions({"a.py": a, "b.py": b}) == ["DEAD", "_unused"]

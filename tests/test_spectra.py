@@ -189,6 +189,28 @@ def test_level_set_masses_match_numeric_theta_derivative():
             assert abs(float(m) - 2 * math.pi / abs(dtheta)) < 1e-6
 
 
+def test_level_set_masses_float_coefficients_match_exact():
+    exact = level_set_masses(E0)
+    mu = level_set_masses(Polynomial([complex(c) for c in E0.coeffs]))
+    assert all(type(p) is float and type(m) is float for p, m in mu)
+    assert mu.float_points() == pytest.approx(exact.float_points(), abs=1e-12)
+    assert mu.float_masses() == pytest.approx(exact.float_masses(), abs=1e-12)
+
+
+def test_measure_from_q_scalar_type_follows_each_pole():
+    # 1/(1 - z) - 2z/(z^2 - 2): unit masses at 1 and at +-sqrt(2)
+    Q = RationalFunction(Polynomial([1]), Polynomial([1, -1])) - RationalFunction(
+        Polynomial([0, 2]), Polynomial([-2, 0, 1])
+    )
+    d = measure_from_q(Q)
+    assert d.measure.mass_at(Fraction(1)) == PiScalar(1)
+    (lo, lo_m), (one, _), (hi, hi_m) = d.measure
+    assert one == Fraction(1) and type(lo) is float and type(hi) is float
+    assert lo == pytest.approx(-math.sqrt(2), abs=1e-12) and hi == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert lo_m == pytest.approx(1.0, abs=1e-12) and hi_m == pytest.approx(1.0, abs=1e-12)
+    assert not d.measure.is_exact
+
+
 def test_tau_from_mu():
     mu = level_set_masses(E0)
     assert tau_from_mu(mu) == TAU0
