@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactComplex, PiScalar
+from .exact import ExactComplex, PiScalar, is_real
 
 __all__ = [
     "Polynomial",
@@ -400,14 +400,14 @@ def real_zeros(p: Polynomial, tol: float = 1e-12) -> list:
 
     Zeros that rational_roots finds are exact Fractions, the rest are floats
     from roots(); float input skips the exact extraction.  Raises ValueError
-    on a nonreal zero (|Im| > 1e-9) or a repeated one (equal values, or
+    on a nonreal zero (not exact.is_real) or a repeated one (equal values, or
     floats closer than 1e-8).
     """
     rats, rest = ([], p) if p.mode == "float" else rational_roots(p)
     zs: list = list(rats)
     if rest.degree >= 1:
         for r in roots(rest, tol=tol):
-            if abs(r.imag) > 1e-9:
+            if not is_real(r):
                 raise ValueError(f"nonreal zero at {r}")
             zs.append(r.real)
     zs.sort()

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Polynomial, ab_split, effective_degree, hb_test, rational_roots, roots, sharp
-from .exact import ExactComplex, sqrt
+from .exact import ExactComplex, is_real, sqrt
 from .spectra import DiscreteMeasure, level_set_masses
 
 __all__ = [
@@ -232,7 +232,7 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
     evs: list = list(rats)
     if rest.degree >= 1:
         for r in roots(rest):
-            if abs(r.imag) > 1e-9:
+            if not is_real(r):
                 raise ValueError(f"nonreal zero {r} of S_theta")
             evs.append(r.real)
     evs.sort(key=float)

@@ -18,11 +18,11 @@ does, so ``PI * 0.5`` is ``math.pi * 0.5`` to the bit; a nonreal value or a
 ``complex``.  Both types provide the numeric-protocol names that
 ``complex``, ``Fraction`` and numpy scalars share: ``+ - * /`` against each
 other and against Python numbers, ``real``, ``conjugate()``, ``__complex__``
-and ``__float__``.  ``ExactComplex`` adds ``imag``; ``PiScalar`` adds the
-order ``< <= > >=`` of real values of one grade.  Code written against that
-protocol runs unchanged on exact and float scalars.  Two operations have no
-protocol name and are defined here: ``sqrt``, and the realness test
-``is_real``, exact for exact scalars and to a tolerance for floats.
+and ``__float__``.  ``PiScalar`` adds the order ``< <= > >=`` of real
+values of one grade.  Code written against that protocol runs unchanged on
+exact and float scalars.  Two operations have no protocol name and are
+defined here: ``sqrt``, and the realness test ``is_real``, exact for exact
+scalars and to ``_REAL_TOL`` for floats.
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ import math
 from fractions import Fraction
 
 __all__ = ["ExactComplex", "PiScalar", "PI", "sqrt", "is_real"]
+
+# Largest |Im x| of a float that is_real still counts as real.
+_REAL_TOL = 1e-9
 
 
 def _fraction(x) -> Fraction:
@@ -171,10 +174,6 @@ class ExactComplex:
     @property
     def real(self) -> Fraction:
         return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
@@ -443,11 +442,11 @@ def sqrt(x):
     return x.sqrt() if isinstance(x, PiScalar) else math.sqrt(x)
 
 
-def is_real(x, tol: float = 1e-9) -> bool:
-    """True if x has no imaginary part: exactly for exact scalars, within tol for floats."""
+def is_real(x) -> bool:
+    """True if x has no imaginary part: exactly for exact scalars, within _REAL_TOL for floats."""
     if isinstance(x, (ExactComplex, PiScalar)):
         return x.is_real()
-    return abs(x.imag) <= tol
+    return abs(x.imag) <= _REAL_TOL
 
 
 PI = PiScalar.pi()

@@ -98,6 +98,11 @@ class DiscreteMeasure:
         return [float(m) for m in self.masses]
 
     def mass_at(self, point):
+        """The mass at point, which must be the stored point's scalar type.
+
+        The lookup is ``==``, so a float key finds a dyadic Fraction point
+        but not Fraction(1, 3).
+        """
         for p, m in self:
             if p == point:
                 return m
