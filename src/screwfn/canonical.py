@@ -414,10 +414,16 @@ class ChainEntry:
 
 
 def subspace_chain(H: Hamiltonian) -> list[ChainEntry]:
-    """The de Branges subspace chain E(t, z) = C(t, z) - i D(t, z) at regular points."""
+    """The de Branges subspace chain E(t, z) = C(t, z) - i D(t, z) at regular points.
+
+    W(t, z) is carried from one breakpoint to the next by one segment factor
+    per segment, the same product fundamental_solution forms at each t.
+    """
     out = []
-    for t in H.breakpoints:
-        W = fundamental_solution(H, t)
+    W = MatrixPolynomial.identity()
+    for k, t in enumerate(H.breakpoints):
+        if k:
+            W = W * _segment_factor(H.segments[k - 1], H.segments[k - 1].length)
         C, D = W.entries[1]
         E = C - D * ExactComplex(0, 1)
         out.append(ChainEntry(t, E, max(E.degree, 0)))

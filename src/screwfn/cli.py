@@ -245,11 +245,10 @@ def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
 
     def screw_gram():
         ts = np.linspace(-5, 5, 20)
+        lines = [screw_line_S(fr, t) for t in ts]
         worst = 0.0
-        for t in ts:
-            St = screw_line_S(fr, t)
-            for s in ts:
-                Ss = screw_line_S(fr, s)
+        for t, St in zip(ts, lines):
+            for s, Ss in zip(ts, lines):
                 worst = max(worst, abs(St.inner(Ss) - math.pi * kernel_g(g0, t, s)))
         return worst, 1e-12
 

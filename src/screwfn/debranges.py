@@ -15,15 +15,21 @@ reason.
 Inner products, moments, Hankel determinants, Gram-Schmidt bases and the
 eigenbases of the self-adjoint extensions of multiplication by z each have
 one code path, written against the numeric protocol of ``exact``.  The
-scalar type follows ``_weights``: exact (pi-graded surds) when the
-level-set measure is exact, floating point otherwise.  The two reproducing
-kernel forms are evaluated in floating point.
+scalar type follows ``HermiteBiehlerFrame.weights``: exact (pi-graded
+surds) when the level-set measure is exact, floating point otherwise.  The
+two reproducing kernel forms are evaluated in floating point.
+
+A frame builds its sampling weights, its moment table and its pi/2
+eigenbasis once, on first use, and keeps them; every reader gets the same
+instance.  This is sound only because every part of a frame, and every
+object built from it, is immutable.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +57,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HermiteBiehlerFrame:
-    """A certified Hermite-Biehler polynomial with its split and level-set measure."""
+    """A certified Hermite-Biehler polynomial with its split and level-set measure.
+
+    ``weights``, ``moment_table`` and ``pi_half_eigenbasis`` are derived from
+    the four fields, built once on first use and kept on the instance.
+    Equality and hashing see the fields only.  Sharing the cached objects is
+    safe because the fields and the cached objects are all immutable.
+    """
 
     E: Polynomial
     A: Polynomial
@@ -69,6 +81,34 @@ class HermiteBiehlerFrame:
     def dim(self) -> int:
         return self.E.degree
 
+    @cached_property
+    def weights(self) -> tuple:
+        """(point, mu(g)/|E(g)|^2) pairs; the only place that picks the scalar type.
+
+        Exact (ExactComplex point, PiScalar weight) when the level-set measure
+        is exact, floats otherwise.
+        """
+        if self.mu.is_exact:
+            pts = [ExactComplex(g) for g in self.mu.points]
+            return tuple((g, m / self.E(g).abs2()) for g, m in zip(pts, self.mu.masses))
+        return tuple(
+            (g, m / abs(self.E(g)) ** 2)
+            for g, m in zip(self.mu.float_points(), self.mu.float_masses())
+        )
+
+    @cached_property
+    def moment_table(self) -> "MomentTable":
+        """Moments of the sampling weights and the leading Hankel determinants."""
+        n = self.dim
+        ms = [sum(w * g**k for g, w in self.weights) for k in range(2 * n - 1)]
+        hankels = [_det([ms[i : i + k + 1] for i in range(k + 1)]) for k in range(n)]
+        return MomentTable(tuple(ms), tuple(hankels))
+
+    @cached_property
+    def pi_half_eigenbasis(self) -> "Eigenbasis":
+        """Eigenbasis of the self-adjoint extension at angle pi/2."""
+        return _eigenbasis(self, math.pi / 2)
+
 
 def e0_frame() -> HermiteBiehlerFrame:
     """The worked example E(z) = z^3 + 2iz^2 - z - i."""
@@ -77,27 +117,12 @@ def e0_frame() -> HermiteBiehlerFrame:
     return HermiteBiehlerFrame.from_e(E)
 
 
-def _weights(frame: HermiteBiehlerFrame):
-    """(point, mu(g)/|E(g)|^2) pairs; the only place that picks the scalar type.
-
-    Exact (ExactComplex point, PiScalar weight) when the level-set measure is
-    exact, floats otherwise.
-    """
-    if frame.mu.is_exact:
-        pts = [ExactComplex(g) for g in frame.mu.points]
-        return [(g, m / frame.E(g).abs2()) for g, m in zip(pts, frame.mu.masses)]
-    return [
-        (g, m / abs(frame.E(g)) ** 2)
-        for g, m in zip(frame.mu.float_points(), frame.mu.float_masses())
-    ]
-
-
 def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
     """<p, q> over the level set; exact PiScalar when all data is exact."""
     n = frame.dim
     if p.degree >= n or q.degree >= n:
         raise ValueError(f"not a member of H(E): degree must be < {n}")
-    return sum(p(g) * q(g).conjugate() * w for g, w in _weights(frame))
+    return sum(p(g) * q(g).conjugate() * w for g, w in frame.weights)
 
 
 @dataclass(frozen=True)
@@ -129,11 +154,8 @@ def _det(M: list[list]):
 
 
 def moments(frame: HermiteBiehlerFrame) -> MomentTable:
-    n = frame.dim
-    ws = _weights(frame)
-    ms = [sum(w * g**k for g, w in ws) for k in range(2 * n - 1)]
-    hankels = [_det([ms[i : i + k + 1] for i in range(k + 1)]) for k in range(n)]
-    return MomentTable(tuple(ms), tuple(hankels))
+    """The frame's moment table, built once per frame."""
+    return frame.moment_table
 
 
 def kernel_ab(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex:
@@ -222,8 +244,15 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
 
     Eigenfunctions are (A sin - B cos)/(z - g) over the real zeros g; when
     S_theta itself lies in H(E) it is appended (eigenvalue None) so the
-    output always spans the space.
+    output always spans the space.  At pi/2 this is the frame's own
+    eigenbasis, built once per frame.
     """
+    if _cos_sin(theta) == (0, 1):
+        return frame.pi_half_eigenbasis
+    return _eigenbasis(frame, theta)
+
+
+def _eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis:
     P = _s_theta_real(frame, theta)
     in_space = effective_degree(P, 1e-12) < frame.dim
     rats, rest = rational_roots(P)

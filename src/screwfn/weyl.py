@@ -102,13 +102,7 @@ class StepVector:
     @staticmethod
     def from_row_values(H: Hamiltonian, gamma, scale=1, row: str = "bottom") -> "StepVector":
         """scale * [C(t, gamma); D(t, gamma)] (or the top row) as a step vector."""
-        rows = solution_rows_affine(H, row=row)
-        comps = []
-        for (r0, r1) in rows:
-            f = Polynomial([r0[0](gamma) * scale, r1[0](gamma) * scale])
-            g = Polynomial([r0[1](gamma) * scale, r1[1](gamma) * scale])
-            comps.append((f, g))
-        return StepVector(H, comps)
+        return _step_from_rows(H, solution_rows_affine(H, row=row), gamma, scale)
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -133,6 +127,16 @@ class StepVector:
 
     def __neg__(self):
         return self * (-1)
+
+
+def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
+    """scale * rows(t, gamma) as a step vector, for rows from solution_rows_affine(H)."""
+    comps = []
+    for (r0, r1) in rows:
+        f = Polynomial([r0[0](gamma) * scale, r1[0](gamma) * scale])
+        g = Polynomial([r0[1](gamma) * scale, r1[1](gamma) * scale])
+        comps.append((f, g))
+    return StepVector(H, comps)
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
@@ -178,9 +182,10 @@ def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> S
     """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] mu(g), the measure form of the inverse."""
     if F.degree >= frame.dim:
         raise ValueError("not a member of H(E)")
+    rows = solution_rows_affine(H)
     total = StepVector.zero(H)
     for g, m in frame.mu:
-        total = total + StepVector.from_row_values(H, g, scale=F(g) * m)
+        total = total + _step_from_rows(H, rows, g, F(g) * m)
     return total
 
 
@@ -249,11 +254,12 @@ def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> Ste
     which for the worked example reduces to the familiar three-term display
     with coefficients (-phihat'(0), phihat(1)/2, -phihat(-1)/2).
     """
+    rows = solution_rows_affine(H)
     total = StepVector.zero(H)
     for g, m, F in _model_basis(frame):
         Fg = complex(F(complex(g)))
         coef = m * math.sqrt(m) * Fg * phi1(phi, g)
-        total = total + StepVector.from_row_values(H, g, scale=coef)
+        total = total + _step_from_rows(H, rows, g, coef)
     return total
 
 

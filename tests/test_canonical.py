@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwfn.algebra import MatrixPolynomial, Polynomial
 from screwfn.canonical import (
@@ -237,6 +239,32 @@ def test_subspace_chain():
 
     for entry in chain[1:]:
         assert hb_test(entry.E)
+
+
+@st.composite
+def step_hamiltonian(draw):
+    """An exact step Hamiltonian of 1 to 12 segments with rational directions."""
+    n = draw(st.integers(1, 12))
+    segments = []
+    for _ in range(n):
+        length = draw(st.fractions(Fraction(1, 4), 3, max_denominator=4))
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+        r = a * a + b * b
+        proj = (Fraction(a * a, r), Fraction(a * b, r), Fraction(b * b, r))
+        if not segments or segments[-1].proj != proj:
+            segments.append(Segment(length, proj))
+    return Hamiltonian(segments)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(step_hamiltonian())
+def test_subspace_chain_matches_fundamental_solution(H):
+    chain = subspace_chain(H)
+    assert [e.t for e in chain] == list(H.breakpoints)
+    for entry in chain:
+        C, D = fundamental_solution(H, entry.t).entries[1]
+        assert entry.E == C - D * I
+        assert entry.dim == max(entry.E.degree, 0)
 
 
 def test_chain_kernel_vanishes_at_origin_time():

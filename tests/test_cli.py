@@ -8,7 +8,7 @@ from screwfn import serialization as ser
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction
 from screwfn.canonical import factorize, w0_matrix
 from screwfn.classical import KreinString, q_substitute
-from screwfn.cli import main, q0_function, run_pw_pipeline
+from screwfn.cli import main, q0_function, run_g0_pipeline, run_pw_pipeline
 from screwfn.exact import ExactComplex, PI, PiScalar
 from screwfn.spectra import DiscreteMeasure, level_set_masses
 
@@ -143,3 +143,8 @@ def test_pw_report_deterministic_under_seed():
     a = run_pw_pipeline(trunc=50, seed=7).to_json()
     b = run_pw_pipeline(trunc=50, seed=7).to_json()
     assert a == b
+
+
+def test_g0_report_deterministic_within_one_process():
+    # a second run reuses nothing from the first: no derived data outlives its frame
+    assert run_g0_pipeline(seed=1).to_json() == run_g0_pipeline(seed=1).to_json()

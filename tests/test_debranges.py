@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from screwfn import cli, debranges
 from screwfn.algebra import Polynomial
 from screwfn.debranges import (
     HermiteBiehlerFrame,
@@ -269,6 +271,55 @@ def test_sl2_preserves_kernel():
 def test_sl2_rejects_wrong_determinant():
     with pytest.raises(ValueError, match="determinant"):
         sl2_transform(FR, [[2, 0], [0, 1]])
+
+
+def test_frame_derived_data_built_once():
+    fr = e0_frame()
+    assert fr.weights is fr.weights
+    assert moments(fr) is moments(fr)
+    assert extension_eigenbasis(fr, math.pi / 2) is extension_eigenbasis(fr, math.pi / 2)
+    assert extension_eigenbasis(fr, math.pi / 2) is fr.pi_half_eigenbasis
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_warm_frame_keeps_equality_hash_and_immutability():
+    warm = e0_frame()
+    kernel_moment(warm, 0.5j, 1.0)
+    extension_eigenbasis(warm, math.pi / 2)
+    fresh = e0_frame()
+    assert warm == fresh
+    # a frame hashes its fields only; its measure is unhashable, so both fail alike
+    assert _hash_or_error(warm) == _hash_or_error(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        warm.E = fresh.E
+
+
+def test_transformed_frame_gets_its_own_derived_data():
+    fr = e0_frame()
+    moments(fr)
+    fr2 = sl2_transform(fr, [[1, 1], [0, 1]])  # A2 = A + B: another level set
+    assert [float(g.real) for g, _ in fr2.weights] != [float(g.real) for g, _ in fr.weights]
+    assert moments(fr2) is not moments(fr)
+    assert moments(fr2).moments != moments(fr).moments
+
+
+def test_g0_pipeline_builds_the_pi_half_eigenbasis_once(monkeypatch):
+    calls = []
+    original = debranges.rational_roots
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(debranges, "rational_roots", counting)
+    assert cli.run_g0_pipeline(seed=1).passed
+    assert len(calls) <= 2
 
 
 @st.composite
