@@ -14,12 +14,21 @@ functions with vanishing integral embed isometrically into L^2(tau) via
 
 which is the identity every quadrature check below exercises.
 
+On a uniform grid t_i = lo + i h the kernel matrix is a Toeplitz matrix
+[g((i-j) h)] plus the rank-two terms -g(t_i) - g(-t_j) and the constant
+g(0), so inner_product_Hg applies it to a vector as one convolution with
+the 2n - 1 values g(k h), |k| < n, and needs g at O(n) points, not n^2.
+This is why both of its test functions must share one grid (same support
+and sample count).  pd_check and weyl.diagram_check still build the dense
+matrix, which they need whole.
+
 Test functions are uniform-grid sampled; all their integrals use composite
 Simpson rule, so quadrature-limited identities hold to ~1e-8 on smooth data
 while measure-side sums are exact up to the same sampling error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +67,17 @@ class ScrewFunctionData:
     c: float | Fraction
     tau: DiscreteMeasure
 
+    @functools.cached_property
+    def float_atoms(self) -> tuple[tuple[float, float], ...]:
+        """The atoms (gamma, mass) of tau as floats, converted once per g.
+
+        cached_property stores them in the instance __dict__, outside the
+        dataclass fields, so == and hash still see only (g0, c, tau).  The
+        cache is safe only because tau is immutable: it can never disagree
+        with the measure it was read from.
+        """
+        return tuple((float(p), float(m)) for p, m in self.tau)
+
 
 def g0_data() -> ScrewFunctionData:
     """The data of g(t) = -t^2/2 + cos(t) - 1: unit mass at 0, half masses at +-1."""
@@ -73,8 +93,7 @@ def eval_screw(g: ScrewFunctionData, t):
     t = np.asarray(t, dtype=float)
     out = np.full(t.shape, complex(float(g.g0)), dtype=complex)
     out += 1j * float(g.c) * t
-    for p, m in g.tau:
-        gamma, mass = float(p), float(m)
+    for gamma, mass in g.float_atoms:
         if gamma == 0.0:
             out -= mass * t * t / 2.0
         else:
@@ -184,9 +203,13 @@ class TestFunction:
         scale = total / self.quad(bump)
         return TestFunction(self.samples - scale * bump, self.support)
 
-    def __add__(self, other: "TestFunction") -> "TestFunction":
+    def _check_same_grid(self, other: "TestFunction") -> None:
+        """Raise ValueError unless other is sampled on this grid (support and count)."""
         if self.support != other.support or len(self.samples) != len(other.samples):
-            raise ValueError("incompatible test functions")
+            raise ValueError("incompatible test functions: not sampled on one grid")
+
+    def __add__(self, other: "TestFunction") -> "TestFunction":
+        self._check_same_grid(other)
         return TestFunction(self.samples + other.samples, self.support)
 
     def __mul__(self, scalar) -> "TestFunction":
@@ -265,17 +288,27 @@ def inner_product_Hg(
     """<phi_1, phi_2> two ways: kernel double integral and measure-side sum.
 
     The agreement of the two is the isometry of the embedding into L^2(tau);
-    it is quadrature-limited, not exact.
+    it is quadrature-limited, not exact.  Both test functions must be
+    sampled on one grid (ValueError otherwise): the kernel side applies
+    [G(t_i, t_j)] as the Toeplitz convolution described in the module
+    docstring.
     """
-    tgrid, sgrid = phi_2.grid, phi_1.grid
-    K = kernel_g(g, tgrid[:, None], sgrid[None, :])
-    inner_s = K @ (phi_1._weights * phi_1.samples)
+    phi_1._check_same_grid(phi_2)
+    (lo, hi), n, ts = phi_1.support, len(phi_1.samples), phi_1.grid
+    v = phi_1._weights * phi_1.samples
+    lags = np.arange(1 - n, n) * ((hi - lo) / (n - 1))
+    total = np.sum(v)
+    inner_s = (
+        np.convolve(eval_screw(g, lags), v)[n - 1 : 2 * n - 1]
+        - eval_screw(g, ts) * total
+        - np.sum(eval_screw(g, -ts) * v)
+        + complex(float(g.g0)) * total
+    )
     via_kernel = complex(np.sum(phi_2._weights * np.conj(phi_2.samples) * inner_s))
 
     via_measure = 0j
-    for p, m in g.tau:
-        gamma = float(p)
-        via_measure += phi1(phi_1, gamma) * np.conj(phi1(phi_2, gamma)) * float(m)
+    for gamma, mass in g.float_atoms:
+        via_measure += phi1(phi_1, gamma) * np.conj(phi1(phi_2, gamma)) * mass
     return InnerProductComparison(via_kernel, complex(via_measure))
 
 

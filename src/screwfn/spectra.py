@@ -124,6 +124,13 @@ class DiscreteMeasure:
             return NotImplemented
         return self.points == other.points and self.masses == other.masses
 
+    def __hash__(self):
+        # Points only: equal measures have equal points, and a Fraction and
+        # a float point hash alike when equal.  The masses are left out
+        # because a pi-graded PiScalar can equal a float without hashing
+        # like it.
+        return hash(self.points)
+
     def __repr__(self):
         body = ", ".join(f"{p}: {m}" for p, m in self)
         return f"DiscreteMeasure({{{body}}})"
@@ -143,17 +150,37 @@ class NevanlinnaData:
 
 
 def q_from_measure(d: NevanlinnaData) -> RationalFunction:
-    """Assemble Q(z) = a z + b + sum m*(1/(g-z) - g/(1+g^2)) exactly."""
+    """Assemble Q(z) = a z + b + sum m*(1/(g-z) - g/(1+g^2)) exactly, as N/D.
+
+    The shifts fold into one constant b' = b - sum m g/(1+g^2), and with
+    D = prod (z - g_k) the sum is N/D where
+
+        N = (a z + b') D - sum m_k D/(z - g_k).
+
+    D is one running product and each D/(z - g_k) one synthetic division, so
+    the assembly takes O(n^2) rational operations for n atoms.  N/D needs no
+    gcd: at each pole N(g_k) = -m_k D'(g_k), which is nonzero because the
+    points are distinct (D' has no zero among them) and the masses positive.
+    So N and D share no zero, and with D monic, N/D is already the canonical
+    form RationalFunction reduces to.
+    """
     if not d.measure.is_exact:
         raise TypeError("q_from_measure requires an exact measure")
-    a, b = Fraction(d.a), Fraction(d.b)
-    q = RationalFunction(Polynomial([ExactComplex(b), ExactComplex(a)]))
-    for g, m in d.measure:
-        mf = m.as_fraction()
-        term = RationalFunction(Polynomial([ExactComplex(mf)]), Polynomial([ExactComplex(g), ExactComplex(-1)]))
-        shift = mf * g / (1 + g * g)
-        q = q + term - RationalFunction(Polynomial([ExactComplex(shift)]))
-    return q
+    pts = d.measure.points
+    ms = [m.as_fraction() for m in d.measure.masses]
+    a = Fraction(d.a)
+    b = Fraction(d.b) - sum(m * g / (1 + g * g) for g, m in zip(pts, ms))
+    den = [Fraction(1)]  # ascending coefficients of the monic running product
+    for g in pts:
+        den = [-g * den[0]] + [lo - g * hi for lo, hi in zip(den, den[1:])] + [den[-1]]
+    num = [b * lo + a * hi for lo, hi in zip(den + [0], [0] + den)]
+    for g, m in zip(pts, ms):
+        quot = den[1:]  # D/(z - g) by synthetic division, from the top degree down
+        for k in range(len(quot) - 2, -1, -1):
+            quot[k] += g * quot[k + 1]
+        for k, c in enumerate(quot):
+            num[k] -= m * c
+    return RationalFunction(Polynomial(num), Polynomial(den), reduce=False)
 
 
 def _herglotz_sample_check(Q: RationalFunction, samples: int = 24) -> None:

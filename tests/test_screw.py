@@ -170,6 +170,74 @@ def test_inner_product_aligned_unit():
     assert abs(out.via_kernel - 1.0) < 1e-6
 
 
+def _dense_kernel_side(g, phi_1, phi_2):
+    """The kernel double sum with the whole matrix [G(t_i, s_j)] built."""
+    K = kernel_g(g, phi_2.grid[:, None], phi_1.grid[None, :])
+    inner_s = K @ (phi_1._weights * phi_1.samples)
+    return complex(np.sum(phi_2._weights * np.conj(phi_2.samples) * inner_s))
+
+
+@pytest.mark.parametrize("tau", [
+    DiscreteMeasure([Fraction(-3, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4), Fraction(3, 2)],
+                    [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(3), Fraction(1, 2)]),
+    DiscreteMeasure([Fraction(-2), Fraction(1, 2), Fraction(3, 2)],
+                    [Fraction(1, 4), Fraction(1), Fraction(1, 2)]),
+], ids=["symmetric", "asymmetric"])
+def test_inner_product_kernel_side_matches_dense_double_sum(tau):
+    g = ScrewFunctionData(Fraction(1, 3), Fraction(1, 2), tau)
+    rng = np.random.default_rng(11)
+    phi_1, phi_2 = random_test_function(rng, n=1025), random_test_function(rng, n=1025)
+    for a, b in ((phi_1, phi_2), (phi_2, phi_1), (phi_1, phi_1)):
+        dense = _dense_kernel_side(g, a, b)
+        assert abs(inner_product_Hg(g, a, b).via_kernel - dense) <= 1e-13 * abs(dense)
+
+
+def test_inner_product_requires_one_grid():
+    rng = np.random.default_rng(12)
+    phi = random_test_function(rng, n=513)
+    with pytest.raises(ValueError, match="one grid"):
+        inner_product_Hg(G0, phi, random_test_function(rng, support=(-2.0, 3.0), n=513))
+    with pytest.raises(ValueError, match="one grid"):
+        inner_product_Hg(G0, phi, random_test_function(rng, n=1025))
+
+
+def _eval_screw_per_atom(g, t):
+    """eval_screw as it was written first: each atom converted inside the loop."""
+    t = np.asarray(t, dtype=float)
+    out = np.full(t.shape, complex(float(g.g0)), dtype=complex)
+    out += 1j * float(g.c) * t
+    for p, m in g.tau:
+        gamma, mass = float(p), float(m)
+        if gamma == 0.0:
+            out -= mass * t * t / 2.0
+        else:
+            out += mass * (
+                (np.exp(1j * t * gamma) - 1.0) / gamma**2
+                - 1j * t / (gamma * (1.0 + gamma**2))
+            )
+    return out if out.shape else complex(out)
+
+
+def test_eval_screw_is_bit_identical_to_per_atom_conversion():
+    pts = [Fraction(k, 7) for k in range(-12, 13) if k != 5]
+    ms = [Fraction(k % 5 + 1, 3) for k in range(len(pts))]
+    atoms24 = ScrewFunctionData(Fraction(2, 3), Fraction(-1, 5), DiscreteMeasure(pts, ms))
+    ts = np.linspace(-6.0, 6.0, 301)
+    for g in (G0, atoms24):
+        for t in (ts, ts[:, None] - ts[None, ::7], 1.7):
+            got = eval_screw(g, t)
+            assert np.array_equal(got, _eval_screw_per_atom(g, t))
+        assert type(eval_screw(g, 1.7)) is complex
+
+
+def test_warm_screw_data_keeps_equality_and_hash():
+    warm, fresh = g0_data(), g0_data()
+    eval_screw(warm, 0.5)
+    assert "float_atoms" in vars(warm) and "float_atoms" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert warm.float_atoms == ((-1.0, 0.5), (0.0, 1.0), (1.0, 0.5))
+
+
 def test_isometry_on_many_random_functions():
     # one shared grid lets the weighted kernel matrix be assembled once
     rng = np.random.default_rng(6)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from screwfn.algebra import Polynomial, RationalFunction, sharp
 from screwfn.exact import PI, ExactComplex, PiScalar
@@ -51,6 +53,37 @@ def test_q_from_measure_constant_and_single_point():
         Polynomial([Fraction(6, 5)])
     )
     assert got == expect
+
+
+def _q_per_atom(d: NevanlinnaData) -> RationalFunction:
+    """The reference: one gcd-reduced RationalFunction added per atom."""
+    q = RationalFunction(Polynomial([d.b, d.a]))
+    for g, m in d.measure:
+        mf = m.as_fraction()
+        q = q + RationalFunction(Polynomial([mf]), Polynomial([g, -1]))
+        q = q - RationalFunction(Polynomial([mf * g / (1 + g * g)]))
+    return q
+
+
+@st.composite
+def nevanlinna_data(draw):
+    points = draw(st.lists(st.fractions(-4, 4, max_denominator=6), max_size=10, unique=True))
+    masses = draw(st.lists(st.fractions(Fraction(1, 8), 4, max_denominator=8),
+                           min_size=len(points), max_size=len(points)))
+    a = draw(st.fractions(0, 3, max_denominator=4))
+    b = draw(st.fractions(-3, 3, max_denominator=4))
+    return NevanlinnaData(a, b, DiscreteMeasure(points, masses))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(nevanlinna_data())
+@example(NevanlinnaData(Fraction(0), Fraction(0), DiscreteMeasure([], [])))
+@example(NevanlinnaData(Fraction(1, 2), Fraction(-2), DiscreteMeasure([Fraction(0), Fraction(1, 3)],
+                                                                      [Fraction(2), Fraction(1, 5)])))
+def test_q_from_measure_matches_per_atom_sum(d):
+    got, ref = q_from_measure(d), _q_per_atom(d)
+    assert got.num.coeffs == ref.num.coeffs
+    assert got.den.coeffs == ref.den.coeffs
 
 
 def test_measure_from_q_inverts_q0_exactly():
@@ -226,6 +259,19 @@ def test_total_mass_matches_zeroth_moment_for_e0():
     mu = level_set_masses(E0)
     assert mu.total_mass() == PI * 2
     assert moments(e0_frame()).moments[0] == PI * 2
+
+
+def test_equal_measures_hash_equal():
+    exact = DiscreteMeasure([Fraction(1, 2), Fraction(-1)], [Fraction(1), Fraction(3, 4)])
+    same = DiscreteMeasure([Fraction(-1), Fraction(1, 2)], [Fraction(3, 4), Fraction(1)])
+    floats = DiscreteMeasure([0.5, -1.0], [1.0, 0.75])
+    assert exact == same and hash(exact) == hash(same)
+    assert exact == floats and hash(exact) == hash(floats)
+    assert len({exact, same, floats}) == 1
+    # a pi-graded mass equal to a float mass: masses would hash apart
+    graded = DiscreteMeasure([Fraction(0)], [PI])
+    assert graded == DiscreteMeasure([0.0], [math.pi])
+    assert hash(graded) == hash(DiscreteMeasure([0.0], [math.pi]))
 
 
 def test_measure_validation():
