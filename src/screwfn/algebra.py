@@ -2,12 +2,13 @@
 
 Coefficients are ExactComplex (exact mode), PiScalar (pi-graded exact mode)
 or plain complex (float mode); the mode is inferred on construction and
-mixed inputs degrade exactly once, never silently per-operation.  Root
-finding is the only intrinsically floating-point operation: companion-matrix
-eigenvalues polished by Newton iteration.  ``real_zeros`` is the one routine
-for real, simple zeros: it returns exact Fractions where ``rational_roots``
-finds them and floats for the rest, and it is where float input skips the
-exact extraction.
+mixed inputs degrade exactly once, never silently per-operation.  Floats
+are used only to locate zeros: companion-matrix eigenvalues polished by
+Newton iteration.  ``real_zeros`` is the one routine for real, simple zeros:
+it returns exact Fractions where ``rational_roots`` finds them and floats for
+the rest, and it is where float input skips the exact extraction.  ``hb_test``
+locates no zero: it reads a Cauchy index off the signed remainder sequence
+that ``Polynomial.gcd`` also runs.
 """
 from __future__ import annotations
 
@@ -233,18 +234,7 @@ class Polynomial:
                 np.array([complex(c) for c in reversed(other.coeffs)]),
             )
             return Polynomial(list(q[::-1])), Polynomial(list(r[::-1]))
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.coeffs[-1]
-        quot = [ExactComplex(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / lead
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-            while rem and _is_zero_scalar(rem[-1]):
-                rem.pop()
+        quot, rem = _divmod_lists(self.coeffs, other.coeffs)
         return Polynomial(quot), Polynomial(rem)
 
     def __mod__(self, other):
@@ -259,13 +249,9 @@ class Polynomial:
         return self / self.leading()
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd over the exact complex rationals."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Monic gcd over the exact complex rationals: the last signed remainder."""
+        *_, last = _signed_remainders(self.coeffs, other.coeffs)
+        return Polynomial(last).monic()
 
     # -- display -------------------------------------------------------------------------
 
@@ -293,6 +279,33 @@ def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
     return Polynomial([x])
+
+
+def _divmod_lists(f, g) -> tuple[list, list]:
+    """Quotient and remainder of ascending coefficient lists over a field, g nonzero.
+
+    Any field scalar will do; the lists carry no trailing zeros, and the
+    empty list is the zero polynomial.
+    """
+    rem, dg = list(f), len(g) - 1
+    quot = [0] * max(len(rem) - dg, 0)
+    while len(rem) > dg:
+        c, k = rem[-1] / g[-1], len(rem) - 1 - dg
+        quot[k] = c
+        for j in range(dg):
+            rem[k + j] -= c * g[j]
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    return quot, rem
+
+
+def _signed_remainders(f: list, g: list):
+    """Yield f, g, -(f mod g), ... down to the last nonzero term; lists as in _divmod_lists."""
+    yield f
+    while g:
+        yield g
+        f, g = g, [-c for c in _divmod_lists(f, g)[1]]
 
 
 def effective_degree(p: Polynomial, rel: float) -> int:
@@ -325,7 +338,11 @@ def ab_split(E: Polynomial) -> tuple[Polynomial, Polynomial]:
 # root finding
 # ---------------------------------------------------------------------------
 
-def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
+# Newton polish stops, and roots() accepts a zero, once |p(a)| <= this * max|c|.
+_POLISH_TOL = 1e-12
+
+
+def roots(p: Polynomial) -> list[complex]:
     """All roots with multiplicity: companion-matrix eigenvalues + Newton polish."""
     if p.degree < 1:
         raise ValueError("no roots: polynomial must have degree >= 1")
@@ -338,7 +355,7 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
         a = complex(a)
         for _ in range(60):
             fa = p(a)
-            if abs(fa) <= 0.5 * tol * scale:
+            if abs(fa) <= 0.5 * _POLISH_TOL * scale:
                 break
             da = dp(a)
             if da == 0:
@@ -348,9 +365,9 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
             if abs(step) < 1e-17 * max(1.0, abs(a)):
                 break
         polished.append(a)
-    bad = [a for a in polished if abs(p(a)) >= tol * scale]
+    bad = [a for a in polished if abs(p(a)) >= _POLISH_TOL * scale]
     if bad:
-        raise RuntimeError(f"root polishing failed to reach residual {tol}: {bad}")
+        raise RuntimeError(f"root polishing failed to reach residual {_POLISH_TOL}: {bad}")
     return polished
 
 
@@ -395,7 +412,7 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     return found, cur
 
 
-def real_zeros(p: Polynomial, tol: float = 1e-12) -> list:
+def real_zeros(p: Polynomial) -> list:
     """The zeros of p sorted by value, all real and simple.
 
     Zeros that rational_roots finds are exact Fractions, the rest are floats
@@ -406,7 +423,7 @@ def real_zeros(p: Polynomial, tol: float = 1e-12) -> list:
     rats, rest = ([], p) if p.mode == "float" else rational_roots(p)
     zs: list = list(rats)
     if rest.degree >= 1:
-        for r in roots(rest, tol=tol):
+        for r in roots(rest):
             if not is_real(r):
                 raise ValueError(f"nonreal zero at {r}")
             zs.append(r.real)
@@ -430,11 +447,28 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def hb_test(E: Polynomial, tol: float = 1e-12) -> bool:
-    """True iff every root of E lies strictly in the open lower half-plane."""
+def hb_test(E: Polynomial) -> bool:
+    """True iff every zero of E lies in the open lower half-plane; exact, no root finding.
+
+    With E = A - iB, let f0 be whichever of A, B has the higher degree (A on a
+    tie).  By the Hermite-Biehler theorem E is HB exactly when the Cauchy index
+    of the other over f0 is -deg E for f0 = A and +deg E for f0 = B.  The index
+    V(-inf) - V(+inf) of the signed remainder sequence sums, over each pair of
+    neighbours whose degrees differ by an odd number, +1 where their leading
+    coefficients agree in sign and -1 where they do not (Gantmacher, The Theory
+    of Matrices vol. 2, ch. XV).  It runs on Fraction(c.real), exact for exact
+    and for float coefficients alike.
+    """
     if E.degree < 1:
         raise ValueError("hb_test requires degree >= 1")
-    return all(a.imag < -tol for a in roots(E, tol=min(tol, 1e-12)))
+    a, b = ([Fraction(c.real) for c in P.coeffs] for P in ab_split(E))
+    if not a or not b:
+        return False
+    f0, f1, target = (a, b, -E.degree) if len(a) >= len(b) else (b, a, E.degree)
+    seq = list(_signed_remainders(f0, f1))
+    index = sum(1 if (f[-1] > 0) == (g[-1] > 0) else -1
+                for f, g in zip(seq, seq[1:]) if (len(f) - len(g)) % 2)
+    return index == target
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +569,14 @@ class PartialFractions:
     polynomial_part: Polynomial
 
 
-def partial_fractions(r: RationalFunction, tol: float = 1e-12) -> PartialFractions:
+def partial_fractions(r: RationalFunction) -> PartialFractions:
     """Decompose r = polynomial_part + sum residue_k/(z - pole_k), simple poles only."""
     quot, rem = r.num.divmod(r.den)
     if r.den.degree < 1:
         return PartialFractions([], [], quot)
     if r.mode == "exact" and r.den.gcd(r.den.derivative()).degree >= 1:
         raise ValueError("unsupported multiplicity: poles must be simple")
-    poles = roots(r.den, tol=tol)
+    poles = roots(r.den)
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             if abs(poles[i] - poles[j]) < 1e-6:

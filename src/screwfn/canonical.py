@@ -1,20 +1,21 @@
 """Transfer matrices, their rank-one factorization and canonical systems.
 
-A transfer matrix W(z) = [[A,B],[C,D]] of real polynomials with W(0) = I,
-det W = 1 and the J-contractivity sample conditions factors as a product of
-elementary factors I - z M_k J with M_k real symmetric PSD of rank one.
-Peeling the factors off the right (using (MJ)^2 = 0, so (I - zMJ)^{-1} is
-I + zMJ) yields the step Hamiltonian whose fundamental solution restores
-W exactly: segment k has length alpha_k + gamma_k and direction given by
-the normalized projector M_k/(alpha_k + gamma_k).
+A J-inner transfer matrix W(z) = [[A,B],[C,D]] of real polynomials with
+W(0) = I, det W = 1 factors as a product of elementary factors I - z M_k J
+with M_k real symmetric PSD of rank one (Potapov; de Branges, Hilbert Spaces
+of Entire Functions).  Peeling the factors off the right (using (MJ)^2 = 0,
+so (I - zMJ)^{-1} is I + zMJ) yields the step Hamiltonian whose fundamental
+solution restores W exactly: segment k has length alpha_k + gamma_k and
+direction given by the normalized projector M_k/(alpha_k + gamma_k).
 
-All factorization arithmetic is exact rational; only the J-contractivity
-inequalities are sampled in floating point.
+The peel is also the J-inner certificate: a product of PSD elementary
+factors is J-inner and the factorization is unique, so W is J-inner exactly
+when the peel reaches I with every factor PSD.  All of it is exact rational
+arithmetic; nothing is sampled.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,38 +57,32 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_transfer(W: MatrixPolynomial, samples: int = 40, seed: int = 0,
-                      tol: float = 1e-10) -> ValidationReport:
-    """Exact checks W(0)=I and det W=1, plus sampled J-contractivity bounds."""
+def _peel_all(W: MatrixPolynomial) -> list[ElementaryFactor]:
+    """W's PSD elementary factors, left to right; ValueError where W is not J-inner.
+
+    Each peel keeps the value at z = 0, so for W(0) = I the constant left is I.
+    """
     failures = []
-    w0 = W.coeff_matrix(0)
-    ident = [[ExactComplex(1), ExactComplex(0)], [ExactComplex(0), ExactComplex(1)]]
-    if [[w0[i][j] for j in range(2)] for i in range(2)] != ident:
+    if W.coeff_matrix(0) != [[1, 0], [0, 1]]:
         failures.append("W(0) != I")
     if W.det() != Polynomial.one():
         failures.append("det W != 1")
-    rng = random.Random(seed)
-    A, B = W.entries[0]
-    C, D = W.entries[1]
-    for _ in range(samples):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3))
-        a, b = complex(A(z)), complex(B(z))
-        c, d = complex(C(z)), complex(D(z))
-        if (a * d.conjugate() - b * c.conjugate()).real < 1 - tol:
-            failures.append(f"Re[A conj(D) - B conj(C)] < 1 at z={z}")
-            break
-    for _ in range(samples):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3))
-        a, b = complex(A(z)), complex(B(z))
-        c, d = complex(C(z)), complex(D(z))
-        twoi = z - z.conjugate()
-        if ((b * a.conjugate() - a * b.conjugate()) / twoi).real < -tol:
-            failures.append(f"(B conj(A) - A conj(B))/(z - conj z) < 0 at z={z}")
-            break
-        if ((d * c.conjugate() - c * d.conjugate()) / twoi).real < -tol:
-            failures.append(f"(D conj(C) - C conj(D))/(z - conj z) < 0 at z={z}")
-            break
-    return ValidationReport(not failures, tuple(failures))
+    if failures:
+        raise ValueError("; ".join(failures))
+    factors = []
+    while W.degree >= 1:
+        W, M = peel_factor(W)
+        factors.append(M)
+    return factors[::-1]
+
+
+def validate_transfer(W: MatrixPolynomial) -> ValidationReport:
+    """Exact certificate: W(0) = I, det W = 1, and the rank-one peel down to I with PSD factors."""
+    try:
+        _peel_all(W)
+    except ValueError as exc:
+        return ValidationReport(False, (str(exc),))
+    return ValidationReport(True, ())
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,8 @@ class TransferMatrix:
     W: MatrixPolynomial
 
     @staticmethod
-    def from_matrix(W: MatrixPolynomial, samples: int = 40, seed: int = 0) -> "TransferMatrix":
-        report = validate_transfer(W, samples=samples, seed=seed)
+    def from_matrix(W: MatrixPolynomial) -> "TransferMatrix":
+        report = validate_transfer(W)
         if not report.ok:
             raise ValueError("not a transfer matrix: " + "; ".join(report.failures))
         return TransferMatrix(W)
@@ -123,7 +118,7 @@ def bezout_complete(
     """Minimal-degree real (A, B) with A*D - B*C = 1 completing a transfer matrix.
 
     Requires C odd, D even (both real) and gcd(C, D) constant; the completed
-    matrix [[A,B],[C,D]] must pass the J-inner sample checks unless
+    matrix [[A,B],[C,D]] must pass validate_transfer's exact J-inner check unless
     validate=False, which returns the bare extended-Euclid solution.  Pairs
     whose ratio D/C is not Herglotz have no J-inner completion at all, so the
     error is surfaced rather than searching the solution family.
@@ -307,23 +302,15 @@ class Hamiltonian:
         return f"Hamiltonian([{body}])"
 
 
-def factorize(W: MatrixPolynomial, samples: int = 40, seed: int = 0) -> Hamiltonian:
-    """Full rank-one factorization of a transfer matrix into its step Hamiltonian."""
-    report = validate_transfer(W, samples=samples, seed=seed)
-    if not report.ok:
-        raise ValueError("not a transfer matrix: " + "; ".join(report.failures))
-    factors = []
-    V = W
-    while V.degree >= 1:
-        V, M = peel_factor(V)
-        factors.append(M)
-    if V != MatrixPolynomial.identity():
-        raise ValueError("not factorable: residual matrix is not the identity")
-    factors.reverse()
-    for prev, cur in zip(factors, factors[1:]):
-        sep = cur.alpha * prev.gamma + cur.gamma * prev.alpha - 2 * cur.beta * prev.beta
-        if sep <= 0:
-            raise ValueError("consecutive factors of equal type")
+def factorize(W: MatrixPolynomial) -> Hamiltonian:
+    """Full rank-one factorization of a transfer matrix into its step Hamiltonian.
+
+    The peel is the J-inner certificate, so W is checked once, as it is factored.
+    """
+    try:
+        factors = _peel_all(W)
+    except ValueError as exc:
+        raise ValueError(f"not a transfer matrix: {exc}") from exc
     segments = []
     for M in factors:
         tr = M.trace

@@ -309,7 +309,7 @@ class MeanPeriodicReport:
         )
 
 
-def mean_periodic_checks(grid=None, tol: float = 1e-8) -> MeanPeriodicReport:
+def mean_periodic_checks(grid=None) -> MeanPeriodicReport:
     """Annihilation, kernel transform, one-sided convolution and the
     Fourier-Carleman quotient, all for the three-point screw function.
 

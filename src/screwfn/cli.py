@@ -27,7 +27,7 @@ import numpy as np
 
 from . import serialization as ser
 from .algebra import Polynomial, RationalFunction
-from .canonical import factorize, fundamental_solution, validate_transfer, w0_matrix
+from .canonical import factorize, fundamental_solution, w0_matrix
 from .classical import (
     idd_charfn_check,
     levy_triplet,
@@ -59,7 +59,7 @@ from .paleywiener import (
     pw_weyl_is_fourier,
     tan_partial_fraction,
 )
-from .screw import g0_data, kernel_g, laplace_check, pd_check
+from .screw import ScrewFunctionData, g0_data, kernel_g, laplace_check, pd_check
 from .spectra import (
     DiscreteMeasure,
     cayley_q_to_theta,
@@ -203,9 +203,10 @@ def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
     rep.run("multiplication-operator-extensions", "eigenbasis-boundary-values",
             multiplication_domain)
 
+    W0 = w0_matrix()
+    H0 = factorize(W0)
+
     def factorization() -> bool:
-        W0 = w0_matrix()
-        H0 = factorize(W0, seed=seed)
         ok = list(H0.breakpoints) == [0, Fraction(1, 2), Fraction(9, 2), 5]
         ok &= [s.theta for s in H0.segments] == [math.pi / 2, 0.0, math.pi / 2]
         ok &= fundamental_solution(H0, 5) == W0
@@ -219,8 +220,6 @@ def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
         return ok
 
     rep.run("hamiltonian-factorization", "rank-one-transfer-factors", factorization)
-
-    H0 = factorize(w0_matrix(), seed=seed)
 
     def weyl_images() -> bool:
         half = PiScalar(Fraction(1, 2), 1, -2)
@@ -401,13 +400,18 @@ def _emit(report: VerificationReport, out_path: str | None) -> int:
         if c.message:
             line += f"  ({c.message})"
         print(line)
-    payload = json.dumps(report.to_json(), indent=2)
+    _write_json(report.to_json(), out_path)
+    return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+def _write_json(obj, out_path: str | None) -> None:
+    """Write obj as indented JSON to out_path, or print it when there is none."""
+    payload = json.dumps(obj, indent=2)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _load_json(path: str) -> dict:
@@ -474,17 +478,12 @@ def main(argv=None) -> int:
             W = ser.matrix_from_json(obj)
         except (KeyError, ValueError, TypeError) as exc:
             return _input_error(f"bad transfer-matrix JSON: {exc}")
-        report = validate_transfer(W, seed=args.seed)
-        if not report.ok:
-            print("validation failed: " + "; ".join(report.failures), file=sys.stderr)
+        try:
+            H = factorize(W)
+        except ValueError as exc:
+            print(f"validation failed: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        H = factorize(W, seed=args.seed)
-        payload = json.dumps(ser.hamiltonian_to_json(H), indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write_json(ser.hamiltonian_to_json(H), args.out)
         return EXIT_PASS
 
     if args.command == "string":
@@ -498,12 +497,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        payload = json.dumps(ser.string_to_json(s), indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write_json(ser.string_to_json(s), args.out)
         return EXIT_PASS
 
     if args.command == "pd-check":
@@ -514,18 +508,11 @@ def main(argv=None) -> int:
                 tau = ser.measure_from_json(obj)
             except (KeyError, ValueError, TypeError) as exc:
                 return _input_error(f"bad measure JSON: {exc}")
-            from .screw import ScrewFunctionData
-
             data = ScrewFunctionData(Fraction(0), Fraction(0), tau)
         else:
             data = g0_data()
         out = pd_check(data, np.linspace(lo, hi, args.grid), tol=args.tol)
-        payload = json.dumps({"min_eigenvalue": out.min_eigenvalue, "pass": out.passed}, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write_json({"min_eigenvalue": out.min_eigenvalue, "pass": out.passed}, args.out)
         return EXIT_PASS if out.passed else EXIT_FAIL
 
     if args.command == "pw":

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Polynomial, ab_split, effective_degree, hb_test, rational_roots, roots, sharp
+from .algebra import Polynomial, ab_split, effective_degree, rational_roots, roots, sharp
 from .exact import ExactComplex, is_real, sqrt
 from .spectra import DiscreteMeasure, level_set_masses
 
@@ -71,11 +71,9 @@ class HermiteBiehlerFrame:
     mu: DiscreteMeasure
 
     @staticmethod
-    def from_e(E: Polynomial, tol: float = 1e-12) -> "HermiteBiehlerFrame":
-        if not hb_test(E, tol=tol):
-            raise ValueError("E is not in the Hermite-Biehler class")
-        A, B = ab_split(E)
-        return HermiteBiehlerFrame(E, A, B, level_set_masses(E, tol=tol))
+    def from_e(E: Polynomial) -> "HermiteBiehlerFrame":
+        mu = level_set_masses(E)  # certifies E as Hermite-Biehler
+        return HermiteBiehlerFrame(E, *ab_split(E), mu)
 
     @property
     def dim(self) -> int:

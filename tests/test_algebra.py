@@ -1,8 +1,15 @@
+import importlib.util
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwfn.algebra import (
     MatrixPolynomial,
@@ -17,6 +24,7 @@ from screwfn.algebra import (
     sharp,
     solve_exact,
 )
+from screwfn.canonical import subspace_chain
 from screwfn.exact import ExactComplex
 
 I = ExactComplex(0, 1)
@@ -144,6 +152,67 @@ def test_hb_test():
     assert hb_test(E0)
     assert not hb_test(Polynomial([-I, 1]))  # root at +i
     assert not hb_test(Polynomial([0, 1]))  # real root
+
+
+def _chain_workload():
+    """perfbench/chain_workload.py, loaded by path for its fixed Hamiltonians."""
+    if "chain_workload" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "chain_workload.py"
+        spec = importlib.util.spec_from_file_location("chain_workload", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["chain_workload"] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["chain_workload"]
+
+
+def _from_zeros(zeros) -> Polynomial:
+    E = Polynomial.one()
+    for zeta in zeros:
+        E = E * Polynomial([-zeta, ExactComplex(1)])
+    return E
+
+
+def _mpmath_all_lower(E: Polynomial) -> bool:
+    """Independent verdict: every zero below -1e-40 at 60 digits."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                             mpmath.mpf(c.im.numerator) / c.im.denominator)
+                  for c in reversed(E.coeffs)]
+        zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+        return all(mpmath.im(z) < mpmath.mpf("-1e-40") for z in zs)
+
+
+_quarter = st.fractions(-3, 3, max_denominator=4)
+_depth = st.fractions(Fraction(1, 4), 3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_quarter, _depth), min_size=1, max_size=10, unique=True),
+       st.integers(0, 9), st.booleans())
+def test_hb_test_property_on_rational_zeros(zeros, k, onto_axis):
+    lower = [ExactComplex(x, -y) for x, y in zeros]
+    E = _from_zeros(lower)
+    assert hb_test(E) and _mpmath_all_lower(E)
+    k %= len(lower)
+    moved = list(lower)
+    moved[k] = ExactComplex(lower[k].re) if onto_axis else lower[k].conjugate()
+    F = _from_zeros(moved)
+    assert not hb_test(F) and not _mpmath_all_lower(F)
+
+
+def test_hb_test_certifies_degree_16_fault_entries():
+    # the top entries E(L, z) on which the float root polish used to raise
+    cw = _chain_workload()
+    for seed in cw.FAULT_SEEDS:
+        E = cw.top_entry(cw.random_hamiltonian(random.Random(seed), cw.FAULT_SIZE))
+        assert E.degree == 16 and hb_test(E)
+
+
+def test_hb_test_certifies_every_entry_of_a_32_segment_chain():
+    cw = _chain_workload()
+    chain = subspace_chain(cw.random_hamiltonian(random.Random(7), 32))
+    entries = [e.E for e in chain if e.E.degree >= 1]
+    assert len(entries) == 32 and all(hb_test(E) for E in entries)
 
 
 def test_hb_implies_contractive_quotient():

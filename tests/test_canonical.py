@@ -294,6 +294,47 @@ def test_solution_rows_affine_reconstruct():
         assert r0[1] + r1[1] * tau == W.entries[1][1]
 
 
+def _factor_product(factors) -> MatrixPolynomial:
+    """prod (I - z M J) for M = [[alpha, beta], [beta, gamma]], left to right."""
+    W = MatrixPolynomial.identity()
+    for alpha, beta, gamma in factors:
+        W = W * MatrixPolynomial([[Polynomial([1, -beta]), Polynomial([0, alpha])],
+                                  [Polynomial([0, -gamma]), Polynomial([1, beta])]])
+    return W
+
+
+@st.composite
+def psd_rank_one_segments(draw):
+    """1 to 8 (length, projector) pairs with rational directions, neighbours not parallel."""
+    n = draw(st.integers(1, 8))
+    segments = []
+    while len(segments) < n:
+        length = draw(st.fractions(Fraction(1, 4), 3, max_denominator=4))
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+        r = a * a + b * b
+        proj = (Fraction(a * a, r), Fraction(a * b, r), Fraction(b * b, r))
+        if not segments or segments[-1][1] != proj:
+            segments.append((length, proj))
+    return segments
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(psd_rank_one_segments(), st.integers(0, 7))
+def test_psd_factor_products_certify_and_negated_factors_do_not(segments, k):
+    # factor M = length * projector, PSD of rank one and trace = length
+    factors = [tuple(length * p for p in proj) for length, proj in segments]
+    W = _factor_product(factors)
+    assert validate_transfer(W).ok
+    assert [(s.length, s.proj) for s in factorize(W).segments] == segments
+    k %= len(factors)
+    flipped = list(factors)
+    flipped[k] = tuple(-x for x in factors[k])
+    bad = _factor_product(flipped)
+    assert not validate_transfer(bad).ok
+    with pytest.raises(ValueError, match="not a transfer matrix"):
+        factorize(bad)
+
+
 def test_factorize_rejects_invalid_matrix():
     with pytest.raises(ValueError, match="not a transfer matrix"):
         factorize(MatrixPolynomial([[Polynomial([1, 1]), Polynomial.zero()],

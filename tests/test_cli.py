@@ -87,6 +87,17 @@ def test_cli_factorize_rejects_invalid_matrix(tmp_path):
     assert main(["factorize", str(win)]) == 1
 
 
+def test_cli_factorize_reports_a_failed_peel(tmp_path, capsys):
+    # W(0) = I and det W = 1, but the peel finds the non-PSD factor gamma = -1
+    bad = MatrixPolynomial([[Polynomial([1]), Polynomial.zero()],
+                            [Polynomial([0, 1]), Polynomial([1])]])
+    win = tmp_path / "bad.json"
+    win.write_text(json.dumps(ser.matrix_to_json(bad)))
+    assert main(["factorize", str(win)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failed: ") and "PSD" in err
+
+
 def test_cli_string_q0(tmp_path):
     qin = tmp_path / "q0.json"
     sout = tmp_path / "string.json"

@@ -1,23 +1,34 @@
 """Source hygiene checks that need no linter.
 
-Every module-level import is used, and every module-level definition is
-either exported or read somewhere in the package.
+Every module-level import is used, every module-level definition is either
+exported or read somewhere in the package, and every name the benchmark's
+tracer wraps exists.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "screwfn").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "screwfn").glob("*.py"))
+
+
+def _module_constant(tree: ast.Module, name: str):
+    """The literal value assigned to a module-level name; KeyError if there is none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+    try:
+        return set(_module_constant(tree, "__all__"))
+    except KeyError:
+        return set()
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -98,3 +109,23 @@ def test_guard_flags_a_dead_definition():
     )
     b = ast.parse("from .a import _TOL\n")
     assert _dead_definitions({"a.py": a, "b.py": b}) == ["DEAD", "_unused"]
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these by name; a rename would crash `--trace 1`
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    traced = _module_constant(tree, "TRACED")
+    method_attr = _module_constant(tree, "METHOD_ATTR")
+    missing = []
+    for mod_name, names in traced.items():
+        mod = importlib.import_module(f"screwfn.{mod_name}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(mod, cls_name, None)
+                found = cls is not None and method_attr.get(meth, meth) in vars(cls)
+            else:
+                found = callable(getattr(mod, name, None))
+            if not found:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []

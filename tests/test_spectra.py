@@ -121,6 +121,14 @@ def test_measure_from_q_rejects_complex_poles():
         measure_from_q(RationalFunction(Polynomial([1.0]), Polynomial([1.0, 0.0, 1.0]), reduce=False))
 
 
+def test_measure_from_q_rejects_a_nonreal_q():
+    # z - 0.5i + 1/(0.3 - z): one real pole with a positive mass, but Q is not real
+    Q = RationalFunction(Polynomial([-0.5j, 1.0])) + RationalFunction(
+        Polynomial([1.0]), Polynomial([0.3, -1.0]))
+    with pytest.raises(ValueError, match="not Herglotz"):
+        measure_from_q(Q)
+
+
 def test_measure_from_q_rejects_negative_mass():
     # -1/(0 - z) = 1/z has residue +1 at 0, so the extracted mass is negative
     with pytest.raises(ValueError, match="not Herglotz"):
