@@ -6,9 +6,13 @@ mixed inputs degrade exactly once, never silently per-operation.  Floats
 are used only to locate zeros: companion-matrix eigenvalues polished by
 Newton iteration.  ``real_zeros`` is the one routine for real, simple zeros:
 it returns exact Fractions where ``rational_roots`` finds them and floats for
-the rest, and it is where float input skips the exact extraction.  ``hb_test``
-locates no zero: it reads a Cauchy index off the signed remainder sequence
-that ``Polynomial.gcd`` also runs.
+the rest, and it is where float input skips the exact extraction.  Two
+degradations of ``rational_roots`` are not flagged at run time, so they are
+stated here: real float input raises AttributeError rather than returning
+no roots, and a polynomial whose integer end coefficient exceeds 10^12 gets
+no search, so its rational zeros reach ``real_zeros`` callers as floats.
+``hb_test`` locates no zero: it reads a Cauchy index off the signed
+remainder sequence that ``Polynomial.gcd`` also runs.
 """
 from __future__ import annotations
 
@@ -374,8 +378,20 @@ def roots(p: Polynomial) -> list[complex]:
 def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     """Exact rational roots (with multiplicity) of a real-rational polynomial.
 
-    Returns (roots, remainder) with p = remainder * prod(z - r); the remainder
-    has no rational roots.  Falls back to no extraction for complex input.
+    Returns (roots, remainder) with p = remainder * prod(z - r).  Nonreal
+    input comes back whole: ([], p).  Real float (or pi-graded) input raises
+    AttributeError ("... has no attribute 're'") unless it is c*z^k, since
+    its coefficients have no rational part; ``real_zeros`` skips this call
+    for float input.
+
+    After z^k, each step tries the reduced p/q with p | a_0 and q | a_n of
+    the integer-scaled remainder, in the order of increasing p, then q, then
+    +p before -p, by the integer sum of a_k p^k q^(n-k) (the rational root
+    test), and deflates the integer polynomial by (qz - p), exactly by
+    Gauss's lemma.  The search stops once |a_0| or |a_n| of the remainder,
+    scaled by the lcm of its denominators, exceeds 10^12: rational zeros
+    beyond that cap stay in the remainder, with no notice, and ``real_zeros``
+    returns them as floats.
     """
     if p.is_zero() or not p.is_real():
         return [], p
@@ -385,31 +401,56 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     while not cur.is_zero() and _is_zero_scalar(cur.coeffs[0]):
         found.append(Fraction(0))
         cur = Polynomial(cur.coeffs[1:])
-    while cur.degree >= 1:
-        den_lcm = 1
-        for c in cur.coeffs:
-            den_lcm = den_lcm * c.re.denominator // math.gcd(den_lcm, c.re.denominator)
-        ints = [int(c.re * den_lcm) for c in cur.coeffs]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        if a0 == 0 or a0 > 10**12 or an > 10**12:
+    if cur.degree < 1:
+        return found, cur
+    lead = cur.coeffs[-1].re
+    scale = math.lcm(*(c.re.denominator for c in cur.coeffs))
+    ints = [int(c.re * scale) for c in cur.coeffs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]  # primitive, and so is each quotient (Gauss's lemma)
+    while len(ints) > 1:
+        # cur times the lcm of its denominators is this multiple of ints
+        mult = abs((lead / ints[-1]).numerator)
+        if mult * max(abs(ints[0]), abs(ints[-1])) > 10**12:
             break
-        hit = None
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                for sgn in (1, -1):
-                    cand = Fraction(sgn * pnum, qden)
-                    if cur(ExactComplex(cand)).is_zero():
-                        hit = cand
-                        break
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
+        hit = _first_rational_root(ints)
         if hit is None:
             break
         found.append(hit)
         cur = cur.divmod(Polynomial([-hit, 1]))[0]
+        ints = _deflate(ints, hit.numerator, hit.denominator)
     return found, cur
+
+
+def _first_rational_root(a: list[int]) -> Fraction | None:
+    """The first reduced p/q in rational_roots' order with a(p/q) = 0, or None."""
+    dens = _divisors(abs(a[-1]))
+    for num in _divisors(abs(a[0])):
+        for den in dens:
+            if math.gcd(num, den) == 1:
+                for sgn in (num, -num):
+                    if not _homogeneous_value(a, sgn, den):
+                        return Fraction(sgn, den)
+    return None
+
+
+def _homogeneous_value(a: list[int], num: int, den: int) -> int:
+    """sum a_k num^k den^(n-k): den^n a(num/den), in integers."""
+    acc, dpow = 0, 1
+    for c in reversed(a):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc
+
+
+def _deflate(a: list[int], num: int, den: int) -> list[int]:
+    """The integer quotient a / (den z - num), for a zero num/den of a with gcd(num, den) = 1."""
+    out = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry = (a[k] + num * carry) // den
+        out[k - 1] = carry
+    return out
 
 
 def real_zeros(p: Polynomial) -> list:

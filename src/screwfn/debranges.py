@@ -243,7 +243,8 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
     Eigenfunctions are (A sin - B cos)/(z - g) over the real zeros g; when
     S_theta itself lies in H(E) it is appended (eigenvalue None) so the
     output always spans the space.  At pi/2 this is the frame's own
-    eigenbasis, built once per frame.
+    eigenbasis, built once per frame, and its eigenvalues are the points of
+    ``frame.mu``: the zeros of A that ``level_set_masses`` already found.
     """
     if _cos_sin(theta) == (0, 1):
         return frame.pi_half_eigenbasis
@@ -253,16 +254,19 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
 def _eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis:
     P = _s_theta_real(frame, theta)
     in_space = effective_degree(P, 1e-12) < frame.dim
-    rats, rest = rational_roots(P)
-    if len(set(rats)) != len(rats):
-        raise ValueError("zeros of S_theta must be simple")
-    evs: list = list(rats)
-    if rest.degree >= 1:
-        for r in roots(rest):
-            if not is_real(r):
-                raise ValueError(f"nonreal zero {r} of S_theta")
-            evs.append(r.real)
-    evs.sort(key=float)
+    if _cos_sin(theta) == (0, 1):
+        evs: list = list(frame.mu.points)  # P = A, and the level set is its zeros
+    else:
+        rats, rest = rational_roots(P)
+        if len(set(rats)) != len(rats):
+            raise ValueError("zeros of S_theta must be simple")
+        evs = list(rats)
+        if rest.degree >= 1:
+            for r in roots(rest):
+                if not is_real(r):
+                    raise ValueError(f"nonreal zero {r} of S_theta")
+                evs.append(r.real)
+        evs.sort(key=float)
     funcs = [P.divmod(Polynomial([-g, 1]))[0] for g in evs]
     if in_space and not P.is_zero():
         evs.append(None)

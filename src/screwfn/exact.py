@@ -96,6 +96,8 @@ class ExactComplex:
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
         if isinstance(other, ExactComplex):
+            if not self.im and not other.im:
+                return ExactComplex(self.re + other.re)
             return ExactComplex(self.re + other.re, self.im + other.im)
         if isinstance(other, (float, complex)):
             return complex(self) + other
@@ -124,6 +126,8 @@ class ExactComplex:
         if isinstance(other, (int, Fraction)):
             return ExactComplex(self.re * other, self.im * other)
         if isinstance(other, ExactComplex):
+            if not self.im and not other.im:
+                return ExactComplex(self.re * other.re)
             return ExactComplex(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screwfn.algebra import (
@@ -126,6 +126,75 @@ def test_rational_roots_extracts_and_deflates():
     assert rest == Polynomial([1, 0, 1])
 
 
+def _divisors_of(n: int) -> list[int]:
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+
+def _divisor_enumeration(p: Polynomial):
+    """The plain rational root search: every +-d/e with d | a_0, e | a_n, by exact evaluation."""
+    found, cur = [], p
+    while not cur.is_zero() and cur.coeffs[0].is_zero():
+        found.append(Fraction(0))
+        cur = Polynomial(cur.coeffs[1:])
+    while cur.degree >= 1:
+        scale = math.lcm(*(c.re.denominator for c in cur.coeffs))
+        ints = [int(c.re * scale) for c in cur.coeffs]
+        a0, an = abs(ints[0]), abs(ints[-1])
+        if a0 > 10**12 or an > 10**12:
+            break
+        hit = next((Fraction(sgn * d, e) for d in _divisors_of(a0) for e in _divisors_of(an)
+                    for sgn in (1, -1) if cur(ExactComplex(Fraction(sgn * d, e))).is_zero()), None)
+        if hit is None:
+            break
+        found.append(hit)
+        cur = cur.divmod(Polynomial([-hit, 1]))[0]
+    return found, cur
+
+
+_small_fraction = st.fractions(-4, 4, max_denominator=4)
+_no_rational_zero = [[1], [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [3, 1, 1]]
+
+
+@st.composite
+def planted_rational_zeros(draw):
+    """c * f * prod (z - r): planted r (repeats, 0 and negatives allowed), f without rational zeros."""
+    planted = draw(st.lists(_small_fraction, max_size=4))
+    free = draw(st.lists(_small_fraction, max_size=3))  # a random cofactor, usually irreducible
+    p = Polynomial(free + [draw(st.fractions(1, 6, max_denominator=5))])
+    p = p * Polynomial(draw(st.sampled_from(_no_rational_zero)))
+    for r in planted:
+        p = p * Polynomial([-r, 1])
+    return p * draw(st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(7, 5)]))
+
+
+_above_cap = Polynomial([-1, 1]) * Polynomial([-1, 10**13])  # a_n = 10^13: no search at all
+# (2z - 1)(z - 3) * 3 * 10^11: 1/2 is found, then the remainder 6 * 10^11 * (z - 3) has a_0 above 10^12
+_cap_after_one_step = Polynomial([Fraction(1, 2), -1]) * Polynomial([-3, 1]) * (-6 * 10**11)
+
+
+@settings(max_examples=80)
+@given(planted_rational_zeros())
+@example(_above_cap)
+@example(_cap_after_one_step)
+@example(Polynomial([0, 0, -2, 0, 1]))
+def test_rational_roots_matches_divisor_enumeration(p):
+    rts, rest = rational_roots(p)
+    assert (rts, rest) == _divisor_enumeration(p)
+    product = rest
+    for r in rts:
+        product = product * Polynomial([-r, 1])
+    assert product == p
+
+
+def test_rational_roots_cap_and_float_input():
+    assert rational_roots(_above_cap) == ([], _above_cap)
+    rts, rest = rational_roots(_cap_after_one_step)
+    assert rts == [Fraction(1, 2)] and rest.degree == 1
+    with pytest.raises(AttributeError, match="'re'"):
+        rational_roots(Polynomial([-1.0, 0.0, 1.0]))
+    assert rational_roots(Polynomial([0.0, 0.0, 2.0])) == ([0, 0], Polynomial([2.0]))
+
+
 def test_real_zeros_mixes_exact_and_float_zeros_in_order():
     zs = real_zeros(Polynomial([-1, 1]) * Polynomial([-2, 0, 1]))  # (z - 1)(z^2 - 2)
     assert [type(z) for z in zs] == [float, Fraction, float]
@@ -186,7 +255,7 @@ _quarter = st.fractions(-3, 3, max_denominator=4)
 _depth = st.fractions(Fraction(1, 4), 3, max_denominator=4)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(_quarter, _depth), min_size=1, max_size=10, unique=True),
        st.integers(0, 9), st.booleans())
 def test_hb_test_property_on_rational_zeros(zeros, k, onto_axis):

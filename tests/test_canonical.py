@@ -256,7 +256,7 @@ def step_hamiltonian(draw):
     return Hamiltonian(segments)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(step_hamiltonian())
 def test_subspace_chain_matches_fundamental_solution(H):
     chain = subspace_chain(H)
@@ -318,7 +318,7 @@ def psd_rank_one_segments(draw):
     return segments
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(psd_rank_one_segments(), st.integers(0, 7))
 def test_psd_factor_products_certify_and_negated_factors_do_not(segments, k):
     # factor M = length * projector, PSD of rank one and trace = length

@@ -1,7 +1,10 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwfn.exact import PI, ExactComplex, PiScalar, sqrt
 
@@ -15,6 +18,41 @@ def test_exact_complex_field_ops():
     assert a - a == ExactComplex(0)
     assert a.conjugate().conjugate() == a
     assert a.abs2() == Fraction(1, 4) + Fraction(9, 16)
+
+
+def _four_product(op, a, b, c, d):
+    """(a + bi) op (c + di) by the general formulas, as (re, im)."""
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+_part = st.fractions(-10, 10, max_denominator=12)
+
+
+@settings(max_examples=60)
+@given(_part, _part, _part, _part, st.integers(-6, 6))
+def test_real_operands_give_the_general_result(a, b, c, d, k):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # real * real, real * complex, complex * real, complex * complex
+        for bi, di in ((0, 0), (b, 0), (0, d), (b, d)):
+            pairs = [(ExactComplex(c, di), c, di)]
+            if not di:
+                pairs += [(c, c, 0), (k, k, 0)]  # Fraction and int right operands
+            for other, cr, ci in pairs:
+                if op is operator.truediv and not (cr or ci):
+                    continue
+                got = op(ExactComplex(a, bi), other)
+                general = ExactComplex(*_four_product(op, a, Fraction(bi), Fraction(cr), Fraction(ci)))
+                assert type(got) is ExactComplex
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+                assert (got.re, got.im) == (general.re, general.im)
+                assert got == general and hash(got) == hash(general)
 
 
 def test_exact_complex_degrades_to_float():

@@ -75,7 +75,7 @@ def nevanlinna_data(draw):
     return NevanlinnaData(a, b, DiscreteMeasure(points, masses))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(nevanlinna_data())
 @example(NevanlinnaData(Fraction(0), Fraction(0), DiscreteMeasure([], [])))
 @example(NevanlinnaData(Fraction(1, 2), Fraction(-2), DiscreteMeasure([Fraction(0), Fraction(1, 3)],
