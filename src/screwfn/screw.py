@@ -22,12 +22,40 @@ This is why both of its test functions must share one grid (same support
 and sample count).  pd_check and weyl.diagram_check still build the dense
 matrix, which they need whole.
 
+eval_screw has two evaluation paths, and both return, bit for bit, what
+the plain numpy expression of the sum above returns: the per-atom loop that
+tests/test_screw.py keeps as its reference.  Each term is formed by the same
+IEEE operations in the same order, and the terms are added in atom order.
+
+- A scalar t takes a Python complex path with cmath.exp, which costs a
+  microsecond or so per atom instead of a numpy call per operation.  numpy
+  divides a complex by a real c as a product with 1/c (Smith's algorithm
+  with a zero imaginary part), while Python's complex division divides.
+  The path therefore writes its two divisions as products with 1.0/gamma^2
+  and 1.0/(gamma (1 + gamma^2)).  A complex product with a real factor
+  rounds the same in both, since the cross products are exact zeros.
+- An array t is flattened and evaluated _BLOCK = 8192 points at a time
+  into one preallocated output, so each complex temporary (128 KB) stays
+  in cache.  The temporaries of one block are reused for every atom.
+
+Where -gamma and +gamma are both atoms, the later one takes the conjugate
+of the earlier one's exp(i gamma t) instead of a second complex exp, the
+dominant cost: about 50 ns per point against about 1 ns for each
+arithmetic pass, measured on one core of a shared 2-vCPU x86-64 host.  The arguments i t gamma and -i t gamma are exact
+negatives, and the complex exp of a purely imaginary argument is
+(cos y, sin y), whose parts are even and odd bit for bit.  Signed zeros
+may differ inside a term, but they vanish in the running sum, which never
+holds -0.0 unless g(0) is the float -0.0: it starts at +0.0 or a nonzero
+value, and an exact cancellation rounds to +0.0.  All of this is for
+finite t.
+
 Test functions are uniform-grid sampled; all their integrals use composite
 Simpson rule, so quadrature-limited identities hold to ~1e-8 on smooth data
 while measure-side sums are exact up to the same sampling error.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -57,6 +85,8 @@ __all__ = [
 ]
 
 MIN_GRID = 513  # composite Simpson needs an odd point count; >= 512 samples
+_BLOCK = 8192  # points per block of eval_screw's array path: 128 KB per complex temporary
+_MAX_KEPT = 64  # exponentials held at once for mirror atoms: 8 MB at full blocks
 
 
 @dataclass(frozen=True)
@@ -78,6 +108,26 @@ class ScrewFunctionData:
         """
         return tuple((float(p), float(m)) for p, m in self.tau)
 
+    @functools.cached_property
+    def mirror_pairs(self) -> dict[int, int]:
+        """{k: j} for atoms k at -gamma_j, j < k: atom k reuses atom j's exponential.
+
+        Each j serves one k.  An atom waits for its mirror only while fewer
+        than _MAX_KEPT atoms wait, so an evaluation holds at most _MAX_KEPT
+        exponentials at once.  Cached like float_atoms.
+        """
+        waiting: dict[float, int] = {}
+        pairs = {}
+        for k, (gamma, _) in enumerate(self.float_atoms):
+            if gamma == 0.0:
+                continue
+            j = waiting.pop(-gamma, None)
+            if j is not None:
+                pairs[k] = j
+            elif len(waiting) < _MAX_KEPT:
+                waiting[gamma] = k
+        return pairs
+
 
 def g0_data() -> ScrewFunctionData:
     """The data of g(t) = -t^2/2 + cos(t) - 1: unit mass at 0, half masses at +-1."""
@@ -89,27 +139,84 @@ def g0_data() -> ScrewFunctionData:
 
 
 def eval_screw(g: ScrewFunctionData, t):
-    """Evaluate g at t (scalar or ndarray); complex valued."""
+    """Evaluate g at t (scalar or ndarray); complex valued.
+
+    A scalar t (Python float, numpy scalar or 0-d array) gives a Python
+    complex from the scalar path; anything else gives an array of t's shape
+    from the blocked array path.  Both are described in the module docstring.
+    """
+    if np.ndim(t) == 0:
+        return _eval_scalar(g, float(t))
     t = np.asarray(t, dtype=float)
-    out = np.full(t.shape, complex(float(g.g0)), dtype=complex)
-    out += 1j * float(g.c) * t
-    for gamma, mass in g.float_atoms:
+    out = np.empty(t.shape, dtype=complex)
+    _eval_blocks(g, t.reshape(-1), out.reshape(-1))
+    return out
+
+
+def _eval_scalar(g: ScrewFunctionData, t: float) -> complex:
+    """g(t) in Python complex arithmetic, with numpy's rounding (module docstring)."""
+    out = complex(float(g.g0)) + 1j * float(g.c) * t
+    it, mirrors, kept = 1j * t, g.mirror_pairs, {}
+    for k, (gamma, mass) in enumerate(g.float_atoms):
         if gamma == 0.0:
             out -= mass * t * t / 2.0
+            continue
+        if k in mirrors:
+            e = kept.pop(mirrors[k]).conjugate()
         else:
-            out += mass * (
-                (np.exp(1j * t * gamma) - 1.0) / gamma**2
-                - 1j * t / (gamma * (1.0 + gamma**2))
-            )
-    return out if out.shape else complex(out)
+            e = kept[k] = cmath.exp(it * gamma)
+        out += mass * (
+            (e - 1.0) * (1.0 / gamma**2) - it * (1.0 / (gamma * (1.0 + gamma**2)))
+        )
+    return out
+
+
+def _eval_blocks(g: ScrewFunctionData, t: np.ndarray, out: np.ndarray) -> None:
+    """Write g at the 1-D points t into out, _BLOCK points at a time (module docstring)."""
+    g0, drift = complex(float(g.g0)), 1j * float(g.c)
+    mirrors = g.mirror_pairs
+    reused = set(mirrors.values())
+    it, term, tmp = (np.empty(min(len(t), _BLOCK), dtype=complex) for _ in range(3))
+    for lo in range(0, len(t), _BLOCK):
+        tb, ob = t[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
+        n = len(tb)
+        itb, termb, tmpb = it[:n], term[:n], tmp[:n]
+        np.multiply(1j, tb, out=itb)
+        ob[...] = g0
+        ob += np.multiply(drift, tb, out=tmpb)
+        kept = {}
+        for k, (gamma, mass) in enumerate(g.float_atoms):
+            if gamma == 0.0:
+                ob -= mass * tb * tb / 2.0
+                continue
+            if k in mirrors:
+                np.conj(kept.pop(mirrors[k]), out=termb)
+            else:
+                np.exp(np.multiply(itb, gamma, out=termb), out=termb)
+                if k in reused:
+                    kept[k] = termb.copy()
+            termb -= 1.0
+            termb *= 1.0 / gamma**2
+            termb -= np.multiply(itb, 1.0 / (gamma * (1.0 + gamma**2)), out=tmpb)
+            termb *= mass
+            ob += termb
 
 
 def kernel_g(g: ScrewFunctionData, t, s):
-    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting."""
+    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting.
+
+    The n x n kernel allocates its result and t - s, and nothing else of
+    that size: g(t) and g(-s) are subtracted and g(0) added in place.
+    """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    val = eval_screw(g, t - s) - eval_screw(g, t) - eval_screw(g, -s) + complex(float(g.g0))
-    return val if np.ndim(val) else complex(val)
+    val = eval_screw(g, t - s)
+    if not np.ndim(val):
+        return val - eval_screw(g, t) - eval_screw(g, -s) + complex(float(g.g0))
+    val -= eval_screw(g, t)
+    val -= eval_screw(g, -s)
+    val += complex(float(g.g0))
+    return val
 
 
 def chord_length(g: ScrewFunctionData, t: float) -> float:
@@ -325,11 +432,18 @@ def laplace_check(
     if z.imag <= 0:
         raise ValueError("laplace_check requires Im z > 0")
 
+    values = {}  # the two passes share most of their nodes
+
+    def integrand(t):
+        if t not in values:
+            values[t] = eval_screw(g, t) * np.exp(1j * z * t)
+        return values[t]
+
     def integrand_re(t):
-        return (eval_screw(g, t) * np.exp(1j * z * t)).real
+        return integrand(t).real
 
     def integrand_im(t):
-        return (eval_screw(g, t) * np.exp(1j * z * t)).imag
+        return integrand(t).imag
 
     re, _ = integrate.quad(integrand_re, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)
     im, _ = integrate.quad(integrand_im, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)

@@ -317,7 +317,9 @@ def diagram_check(
     probe = random_test_function(rng, support=support)
     ts = probe.grid
     weights = probe._weights
-    kernel_weighted = weights[:, None] * kernel_g(g, ts[:, None], ts[None, :]) * weights[None, :]
+    kernel_weighted = kernel_g(g, ts[:, None], ts[None, :])
+    kernel_weighted *= weights[:, None]
+    kernel_weighted *= weights[None, :]
 
     def measure_norm(phi: TestFunction) -> float:
         total = 0.0

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
+from screwfn import screw
 from screwfn.algebra import Polynomial, RationalFunction
 from screwfn.screw import (
     ScrewFunctionData,
@@ -19,7 +24,7 @@ from screwfn.screw import (
     phi1,
     random_test_function,
 )
-from screwfn.spectra import DiscreteMeasure
+from screwfn.spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
 
 G0 = g0_data()
 Q0 = RationalFunction(Polynomial([1, 0, -2]), Polynomial([0, -1, 0, 1]))
@@ -222,12 +227,109 @@ def test_eval_screw_is_bit_identical_to_per_atom_conversion():
     pts = [Fraction(k, 7) for k in range(-12, 13) if k != 5]
     ms = [Fraction(k % 5 + 1, 3) for k in range(len(pts))]
     atoms24 = ScrewFunctionData(Fraction(2, 3), Fraction(-1, 5), DiscreteMeasure(pts, ms))
+    # more mirror pairs than exponentials kept at once: the innermost pairs take no conjugate
+    pairs = screw._MAX_KEPT + 11
+    wide = DiscreteMeasure([Fraction(k, 8) for k in range(-pairs, pairs + 1)], [Fraction(1, 2)] * (2 * pairs + 1))
+    atoms151 = ScrewFunctionData(Fraction(0), Fraction(1, 3), wide)
+    assert len(atoms151.mirror_pairs) == screw._MAX_KEPT
     ts = np.linspace(-6.0, 6.0, 301)
-    for g in (G0, atoms24):
+    for g in (G0, atoms24, atoms151):
         for t in (ts, ts[:, None] - ts[None, ::7], 1.7):
             got = eval_screw(g, t)
             assert np.array_equal(got, _eval_screw_per_atom(g, t))
         assert type(eval_screw(g, 1.7)) is complex
+
+
+def _bits(x):
+    """The float64 words of a complex scalar or array: equal bits, zero signs included."""
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.float64)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@st.composite
+def _screw_data(draw):
+    """Random rational screw data: symmetric, asymmetric or mixed, maybe with an atom at 0."""
+    sides = draw(st.sampled_from([["both"], ["plus", "minus"], ["both", "plus", "minus"]]))
+    gammas = draw(st.lists(st.builds(Fraction, st.integers(1, 64), st.integers(1, 16)),
+                           max_size=6, unique=True))
+    pts = set()
+    for gamma in gammas:
+        side = draw(st.sampled_from(sides))
+        if side != "minus":
+            pts.add(gamma)
+        if side != "plus":
+            pts.add(-gamma)
+    if draw(st.booleans()):
+        pts.add(Fraction(0))
+    pts = sorted(pts)
+    masses = [draw(st.builds(Fraction, st.integers(1, 20), st.integers(1, 8))) for _ in pts]
+    return ScrewFunctionData(draw(_FRACTIONS), draw(_FRACTIONS), DiscreteMeasure(pts, masses))
+
+
+@settings(max_examples=40)
+@given(g=_screw_data(), seed=st.integers(0, 2**32 - 1),
+       extra=st.integers(1, screw._BLOCK - 1), scale=st.sampled_from([1e-9, 1.0, 40.0]))
+def test_eval_screw_paths_are_bit_identical_to_the_per_atom_reference(g, seed, extra, scale):
+    rng = np.random.default_rng(seed)
+    line = rng.uniform(-scale, scale, screw._BLOCK + extra)  # a ragged last block
+    line[:3] = (0.0, -0.0, scale)
+    ts, ss = line[:40], rng.uniform(-scale, scale, 30)
+    for t in (line, ts[:, None] - ss[None, :]):
+        assert np.array_equal(_bits(eval_screw(g, t)), _bits(_eval_screw_per_atom(g, t)))
+    for x in line[:5]:
+        for t in (float(x), np.float64(x), np.array(x)):
+            got = eval_screw(g, t)
+            assert type(got) is complex
+            assert np.array_equal(_bits(got), _bits(_eval_screw_per_atom(g, t)))
+    K = kernel_g(g, ts[:, None], ss[None, :])
+    for i, j in ((0, 0), (1, 2), (2, 29), (39, 7)):
+        got = kernel_g(g, float(ts[i]), float(ss[j]))
+        assert type(got) is complex
+        assert np.array_equal(_bits(got), _bits(K[i, j]))
+
+
+def _laplace_unmemoized(g, Q, z, T=80.0):
+    """laplace_check's two quad passes, each evaluating g afresh at every node."""
+    def integrand_re(t):
+        return (_eval_screw_per_atom(g, t) * np.exp(1j * z * t)).real
+
+    def integrand_im(t):
+        return (_eval_screw_per_atom(g, t) * np.exp(1j * z * t)).imag
+
+    re, _ = integrate.quad(integrand_re, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)
+    im, _ = integrate.quad(integrand_im, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)
+    rhs = -(1j / z**2) * complex(Q(z))
+    return abs(complex(re, im) - rhs)
+
+
+@pytest.mark.parametrize("tau", [
+    G0.tau,
+    DiscreteMeasure([Fraction(-2), Fraction(1, 2), Fraction(3, 2)],
+                    [Fraction(1, 4), Fraction(1), Fraction(1, 2)]),
+], ids=["g0", "asymmetric"])
+def test_laplace_check_is_bit_identical_to_unmemoized_quadrature(tau):
+    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
+    Q = q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
+    for z in (2j, 1 + 1j):
+        assert np.array_equal(_bits(laplace_check(g, Q, z)), _bits(_laplace_unmemoized(g, Q, z)))
+
+
+def test_dense_kernel_makes_no_other_matrix_sized_temporaries():
+    # numpy reports its buffers to tracemalloc: the result and t - s are all of size n^2
+    n = 1025
+    pts = [Fraction(k, 4) for k in range(-6, 7)]
+    g = ScrewFunctionData(Fraction(1, 3), Fraction(1, 2), DiscreteMeasure(pts, [Fraction(1)] * len(pts)))
+    ts = np.linspace(-3.0, 3.0, n)
+    tracemalloc.start()
+    try:
+        K = kernel_g(g, ts[:, None], ts[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (n, n)
+    assert peak < 2.5 * 16 * n * n
 
 
 def test_warm_screw_data_keeps_equality_and_hash():
