@@ -12,12 +12,28 @@ The peel is also the J-inner certificate: a product of PSD elementary
 factors is J-inner and the factorization is unique, so W is J-inner exactly
 when the peel reaches I with every factor PSD.  All of it is exact rational
 arithmetic; nothing is sampled.
+
+The chain is carried as integer rows: a row (p, q) of W is two lists of
+integer coefficients over one positive common denominator den, shared by the
+rows carried together.  One segment step advances the rows by I + zX for a
+rational 2x2 X (for a segment I - z*delta*P*J, X = -delta*P*J; for a peel
+I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
+e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
+den*e, and all of them and den*e are divided by their gcd once per step.
+fundamental_solution, subspace_chain, solution_rows_affine and the peel all
+take this step, carrying only the rows they return.  A Fraction(c, den) is
+in lowest terms whatever den is, so the Polynomials built from the rows at
+the end equal, coefficient for coefficient and in type, the products of
+segment factors in ExactComplex arithmetic that they replace.  The peel
+converts W once, and checks det W = 1 as the integer identity
+a*d - b*c = den^2.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import MatrixPolynomial, Polynomial, solve_exact
 from .exact import ExactComplex
@@ -57,21 +73,154 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
+def _int_rows(W: MatrixPolynomial):
+    """W's rows as integer coefficient lists over one positive denominator.
+
+    ValueError unless every coefficient is a real rational.
+    """
+    polys = [e for row in W.entries for e in row]
+    if any(p.mode != "exact" for p in polys):
+        raise ValueError("not factorable: coefficients are not exact rationals")
+    if not all(p.is_real() for p in polys):
+        raise ValueError("not factorable: matrix is not real")
+    den = math.lcm(*(c.re.denominator for p in polys for c in p.coeffs))
+    rows = [
+        tuple([c.re.numerator * (den // c.re.denominator) for c in e.coeffs] for e in row)
+        for row in W.entries
+    ]
+    return rows, den
+
+
+def _polys(row, den) -> tuple[Polynomial, ...]:
+    return tuple(Polynomial([Fraction(c, den) for c in u]) for u in row)
+
+
+def _coeff(u: list[int], k: int) -> int:
+    return u[k] if k < len(u) else 0
+
+
+def _degree(rows) -> int:
+    return max(len(u) for row in rows for u in row) - 1
+
+
+def _cleared(X):
+    """(Y, e) with X = Y/e, Y an integer 2x2 matrix and e > 0, for a rational X."""
+    e = math.lcm(*(x.denominator for r in X for x in r))
+    return [[x.numerator * (e // x.denominator) for x in r] for r in X], e
+
+
+def _z_times(row, Y):
+    """z * (p, q) Y for an integer row (p, q) and an integer 2x2 Y."""
+    (y00, y01), (y10, y11) = Y
+    pairs = list(zip_longest(*row, fillvalue=0))
+    return ([0] + [y00 * a + y10 * b for a, b in pairs],
+            [0] + [y01 * a + y11 * b for a, b in pairs])
+
+
+def _lin(s: int, row, t: int, zrow):
+    """s * row + t * zrow, component by component."""
+    return tuple(
+        [s * a + t * b for a, b in zip_longest(u, v, fillvalue=0)] for u, v in zip(row, zrow)
+    )
+
+
+def _reduced(rows, den: int):
+    """The rows and den divided by their common gcd, trailing zeros dropped."""
+    g = math.gcd(den, *(c for row in rows for u in row for c in u))
+    out = []
+    for row in rows:
+        new = []
+        for u in row:
+            if g > 1:
+                u = [c // g for c in u]
+            while u and not u[-1]:
+                u.pop()
+            new.append(u)
+        out.append(tuple(new))
+    return out, den // g
+
+
+def _step(rows, den: int, X):
+    """One segment step: integer rows (p, q) over den times I + zX, X a rational 2x2."""
+    Y, e = _cleared(X)
+    return _reduced([_lin(e, row, 1, _z_times(row, Y)) for row in rows], den * e)
+
+
+def _segment_x(proj, delta):
+    """X with I + zX = I - z*delta*P*J for the projector P = [[pa, pb], [pb, pc]]."""
+    pa, pb, pc = proj
+    return [[-delta * pb, delta * pa], [-delta * pc, delta * pb]]
+
+
+def _det(rows) -> list[int]:
+    """a*d - b*c of integer rows [(a, b), (c, d)], trailing zeros dropped."""
+    (a, b), (c, d) = rows
+    out = [0] * max(len(a) + len(d), len(b) + len(c))
+    for u, v, sign in ((a, d, 1), (b, c, -1)):
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] += sign * x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _peel(rows, den: int):
+    """Strip the rightmost elementary factor off integer rows.
+
+    Returns (rows of V, its denominator, M) with W = V (I - zMJ), deg V = deg W - 1.
+    """
+    r = _degree(rows)
+    if r < 1:
+        raise ValueError("nothing to peel: degree must be >= 1")
+    # both coefficient matrices carry the factor den, which the equations cancel
+    Wr = [[_coeff(u, r) for u in row] for row in rows]
+    Wr1 = [[_coeff(u, r - 1) for u in row] for row in rows]
+    # unknowns (alpha, beta, gamma) through X = MJ = [[beta,-alpha],[gamma,-beta]]
+    eqs, rhs = [], []
+    for i in range(2):
+        # (Wk * X)[i][0] = Wk[i][0]*beta + Wk[i][1]*gamma
+        # (Wk * X)[i][1] = -Wk[i][0]*alpha - Wk[i][1]*beta
+        eqs.append([0, Wr1[i][0], Wr1[i][1]])
+        rhs.append(-Wr[i][0])
+        eqs.append([-Wr1[i][0], -Wr1[i][1], 0])
+        rhs.append(-Wr[i][1])
+        eqs.append([0, Wr[i][0], Wr[i][1]])
+        rhs.append(0)
+        eqs.append([-Wr[i][0], -Wr[i][1], 0])
+        rhs.append(0)
+    sol, status = solve_exact(eqs, rhs)
+    if status == "inconsistent":
+        raise ValueError("not factorable: matrix is not of canonical-product form")
+    if status == "underdetermined":
+        raise ValueError("not factorable: ambiguous elementary factor")
+    try:
+        M = ElementaryFactor(*sol)
+    except ValueError as exc:
+        raise ValueError(f"not factorable: {exc}") from exc
+    rows, den = _step(rows, den, M.matrix_j())  # V = W (I + zMJ)
+    if _degree(rows) != r - 1:
+        raise ValueError("not factorable: degree did not drop after peeling")
+    return rows, den, M
+
+
 def _peel_all(W: MatrixPolynomial) -> list[ElementaryFactor]:
     """W's PSD elementary factors, left to right; ValueError where W is not J-inner.
 
-    Each peel keeps the value at z = 0, so for W(0) = I the constant left is I.
+    W is converted to integer rows once.  Each peel keeps the value at
+    z = 0, so for W(0) = I the constant left is I.
     """
+    rows, den = _int_rows(W)
     failures = []
-    if W.coeff_matrix(0) != [[1, 0], [0, 1]]:
+    if [_coeff(u, 0) for row in rows for u in row] != [den, 0, 0, den]:
         failures.append("W(0) != I")
-    if W.det() != Polynomial.one():
+    if _det(rows) != [den * den]:
         failures.append("det W != 1")
     if failures:
         raise ValueError("; ".join(failures))
     factors = []
-    while W.degree >= 1:
-        W, M = peel_factor(W)
+    while _degree(rows) >= 1:
+        rows, den, M = _peel(rows, den)
         factors.append(M)
     return factors[::-1]
 
@@ -173,55 +322,13 @@ class ElementaryFactor:
         return [[self.beta, -self.alpha], [self.gamma, -self.beta]]
 
 
-def _real_fraction(x: ExactComplex) -> Fraction:
-    if not x.is_real():
-        raise ValueError("matrix is not real")
-    return x.re
-
-
 def peel_factor(W: MatrixPolynomial) -> tuple[MatrixPolynomial, ElementaryFactor]:
-    """Strip the rightmost elementary factor: W = V * (I - z M J), deg V = deg W - 1."""
-    r = W.degree
-    if r < 1:
-        raise ValueError("nothing to peel: degree must be >= 1")
-    try:
-        Wr = [[_real_fraction(x) for x in row] for row in W.coeff_matrix(r)]
-        Wr1 = [[_real_fraction(x) for x in row] for row in W.coeff_matrix(r - 1)]
-    except ValueError as exc:
-        raise ValueError(f"not factorable: {exc}") from exc
-    # unknowns (alpha, beta, gamma) through X = MJ = [[beta,-alpha],[gamma,-beta]]
-    rows, rhs = [], []
-    for i in range(2):
-        # (Wk * X)[i][0] = Wk[i][0]*beta + Wk[i][1]*gamma
-        # (Wk * X)[i][1] = -Wk[i][0]*alpha - Wk[i][1]*beta
-        rows.append([Fraction(0), Wr1[i][0], Wr1[i][1]])
-        rhs.append(-Wr[i][0])
-        rows.append([-Wr1[i][0], -Wr1[i][1], Fraction(0)])
-        rhs.append(-Wr[i][1])
-        rows.append([Fraction(0), Wr[i][0], Wr[i][1]])
-        rhs.append(Fraction(0))
-        rows.append([-Wr[i][0], -Wr[i][1], Fraction(0)])
-        rhs.append(Fraction(0))
-    sol, status = solve_exact(rows, rhs)
-    if status == "inconsistent":
-        raise ValueError("not factorable: matrix is not of canonical-product form")
-    if status == "underdetermined":
-        raise ValueError("not factorable: ambiguous elementary factor")
-    alpha, beta, gamma = sol
-    try:
-        M = ElementaryFactor(alpha, beta, gamma)
-    except ValueError as exc:
-        raise ValueError(f"not factorable: {exc}") from exc
-    inv = MatrixPolynomial(
-        [
-            [Polynomial([1, beta]), Polynomial([0, -alpha])],
-            [Polynomial([0, gamma]), Polynomial([1, -beta])],
-        ]
-    )
-    V = W * inv
-    if V.degree != r - 1:
-        raise ValueError("not factorable: degree did not drop after peeling")
-    return V, M
+    """Strip the rightmost elementary factor: W = V * (I - z M J), deg V = deg W - 1.
+
+    Every coefficient of W must be a real rational.
+    """
+    rows, den, M = _peel(*_int_rows(W))
+    return MatrixPolynomial([_polys(row, den) for row in rows]), M
 
 
 @dataclass(frozen=True)
@@ -328,33 +435,22 @@ def _as_time(t) -> Fraction:
     raise TypeError(f"unsupported time value {t!r}")
 
 
-def _segment_factor(seg: Segment, delta: Fraction) -> MatrixPolynomial:
-    """I - z*delta*P*J for the segment's normalized projector P."""
-    pa, pb, pc = seg.proj
-    return MatrixPolynomial(
-        [
-            [Polynomial([1, -delta * pb]), Polynomial([0, delta * pa])],
-            [Polynomial([0, -delta * pc]), Polynomial([1, delta * pb])],
-        ]
-    )
-
-
 def fundamental_solution(H: Hamiltonian, t, z=None):
     """W(t, z) with W(0, z) = I; symbolic in z when z is None.
 
-    Piecewise product of the segment factors; exact matrix polynomial for
-    exact t, coefficient-wise.
+    Piecewise product of the segment factors, one segment step each on both
+    integer rows; exact matrix polynomial for exact t, coefficient-wise.
     """
     tf = _as_time(t)
     if not 0 <= tf <= H.total_length:
         raise ValueError(f"t={t} outside [0, {H.total_length}]")
-    W = MatrixPolynomial.identity()
+    rows, den = [([1], []), ([], [1])], 1
     for k, seg in enumerate(H.segments):
         lo, hi = H.breakpoints[k], H.breakpoints[k + 1]
         if tf <= lo:
             break
-        delta = min(tf, hi) - lo
-        W = W * _segment_factor(seg, delta)
+        rows, den = _step(rows, den, _segment_x(seg.proj, min(tf, hi) - lo))
+    W = MatrixPolynomial([_polys(row, den) for row in rows])
     if z is None:
         return W
     if isinstance(z, (int, Fraction)):
@@ -371,20 +467,16 @@ def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
 
     R0 the row of W(t_{k-1}, z) and R1 = -z * R0 * P_k J.  The bottom row is
     the (C, D) pair used by the worked example's Weyl transform; "top" gives
-    (A, B).
+    (A, B).  Only that row is carried, and the next R0 is R0 + L_k * R1.
     """
-    idx = 0 if row == "top" else 1
+    r, den = (([1], []) if row == "top" else ([], [1])), 1
     out = []
-    W = MatrixPolynomial.identity()
-    zpoly = Polynomial.x()
     for seg in H.segments:
-        r0 = (W.entries[idx][0], W.entries[idx][1])
-        pa, pb, pc = seg.proj
-        # R1 = -z * (R0 . P J) with PJ = [[pb, -pa], [pc, -pb]]
-        r1_first = -(r0[0] * pb + r0[1] * pc) * zpoly
-        r1_second = (r0[0] * pa + r0[1] * pb) * zpoly
-        out.append((r0, (r1_first, r1_second)))
-        W = W * _segment_factor(seg, seg.length)
+        Y, e = _cleared(_segment_x(seg.proj, 1))
+        zr = _z_times(r, Y)  # R1 = zr / (den * e)
+        out.append((_polys(r, den), _polys(zr, den * e)))
+        n, d = seg.length.numerator, seg.length.denominator
+        (r,), den = _reduced([_lin(d * e, r, n, zr)], den * e * d)  # R0 + L_k * R1
     return out
 
 
@@ -403,15 +495,18 @@ class ChainEntry:
 def subspace_chain(H: Hamiltonian) -> list[ChainEntry]:
     """The de Branges subspace chain E(t, z) = C(t, z) - i D(t, z) at regular points.
 
-    W(t, z) is carried from one breakpoint to the next by one segment factor
-    per segment, the same product fundamental_solution forms at each t.
+    The bottom row (C, D) of W(t, z) is carried from one breakpoint to the
+    next by one segment step, the product fundamental_solution forms at each t.
     """
     out = []
-    W = MatrixPolynomial.identity()
+    r, den = ([], [1]), 1
     for k, t in enumerate(H.breakpoints):
         if k:
-            W = W * _segment_factor(H.segments[k - 1], H.segments[k - 1].length)
-        C, D = W.entries[1]
-        E = C - D * ExactComplex(0, 1)
+            seg = H.segments[k - 1]
+            (r,), den = _step([r], den, _segment_x(seg.proj, seg.length))
+        E = Polynomial([
+            ExactComplex(Fraction(c, den), Fraction(-d, den))
+            for c, d in zip_longest(*r, fillvalue=0)
+        ])
         out.append(ChainEntry(t, E, max(E.degree, 0)))
     return out

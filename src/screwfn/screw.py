@@ -239,7 +239,9 @@ def pd_check(g: ScrewFunctionData, grid, tol: float = 1e-9) -> PdReport:
     if len(np.unique(ts)) != len(ts):
         raise ValueError("grid points must be distinct")
     G = kernel_g(g, ts[:, None], ts[None, :])
-    H = (G + G.conj().T) / 2.0
+    H = G.conj().T  # the Hermitian part, formed in place: bit-identical to (G + G^H) / 2
+    H += G
+    H *= 0.5
     lam = float(np.linalg.eigvalsh(H).min())
     return PdReport(lam, lam >= -tol)
 

@@ -339,3 +339,128 @@ def test_factorize_rejects_invalid_matrix():
     with pytest.raises(ValueError, match="not a transfer matrix"):
         factorize(MatrixPolynomial([[Polynomial([1, 1]), Polynomial.zero()],
                                     [Polynomial.zero(), Polynomial([1])]]))
+
+
+def test_float_coefficients_fail_validation_without_crashing():
+    W0 = w0_matrix()
+    Wf = MatrixPolynomial([[Polynomial([complex(c) for c in e.coeffs]) for e in row]
+                           for row in W0.entries])
+    rep = validate_transfer(Wf)
+    assert not rep.ok and rep.failures == ("not factorable: coefficients are not exact rationals",)
+    with pytest.raises(ValueError, match="not factorable: coefficients are not exact rationals"):
+        peel_factor(Wf)
+    with pytest.raises(ValueError, match="not a transfer matrix: not factorable"):
+        factorize(Wf)
+
+
+def test_peel_rejects_a_nonreal_coefficient_below_the_top_two():
+    # 1 + iz - 2z^2: the z^3 and z^2 coefficient matrices are real, the z coefficient is not
+    W = MatrixPolynomial([[Polynomial([1, I, -2]), Polynomial([0, 4])], [C0, D0]])
+    with pytest.raises(ValueError, match="^not factorable: matrix is not real$"):
+        peel_factor(W)
+    rep = validate_transfer(W)
+    assert not rep.ok and rep.failures == ("not factorable: matrix is not real",)
+    with pytest.raises(ValueError, match="not a transfer matrix: not factorable: matrix is not real"):
+        factorize(W)
+
+
+@st.composite
+def pythagorean_hamiltonian(draw):
+    """1 to 12 segments: positive rational lengths, axis and Pythagorean directions.
+
+    The direction of (m, n) is (m^2 - n^2, 2mn) / (m^2 + n^2); (1, 0) and (1, 1)
+    give the two axes.  Equal neighbours are redrawn.
+    """
+    n = draw(st.integers(1, 12))
+    segments = []
+    while len(segments) < n:
+        length = draw(st.fractions(Fraction(1, 16), 5, max_denominator=16))
+        m, k = draw(st.tuples(st.integers(0, 4), st.integers(-4, 4)).filter(lambda d: d != (0, 0)))
+        r = m * m + k * k
+        c, s = Fraction(m * m - k * k, r), Fraction(2 * m * k, r)
+        proj = (c * c, c * s, s * s)
+        if not segments or segments[-1].proj != proj:
+            segments.append(Segment(length, proj))
+    return Hamiltonian(segments)
+
+
+def _segment_product(H: Hamiltonian, t: Fraction) -> MatrixPolynomial:
+    """W(t, z) as the MatrixPolynomial product of I - z delta_k P_k J over the segments before t."""
+    factors = []
+    for seg, lo in zip(H.segments, H.breakpoints):
+        if t <= lo:
+            break
+        delta = min(t, lo + seg.length) - lo
+        factors.append(tuple(delta * p for p in seg.proj))
+    return _factor_product(factors)
+
+
+def _exact_rational(polys) -> bool:
+    return all(type(c) is ExactComplex and type(c.re) is Fraction and type(c.im) is Fraction
+               for p in polys for c in p.coeffs)
+
+
+@settings(max_examples=30)
+@given(pythagorean_hamiltonian(), st.data())
+def test_integer_chain_equals_the_segment_product(H, data):
+    k = data.draw(st.integers(0, len(H) - 1))
+    lo, hi = H.breakpoints[k], H.breakpoints[k + 1]
+    u = data.draw(st.fractions(0, 1, max_denominator=7).filter(lambda x: 0 < x < 1))
+    z = Polynomial.x()
+    products = {}
+    for t in list(H.breakpoints) + [lo + u * (hi - lo)]:
+        W, ref = fundamental_solution(H, t), _segment_product(H, t)
+        products[t] = ref
+        assert W == ref
+        assert _exact_rational(e for row in W.entries for e in row)
+    chain = subspace_chain(H)
+    assert [e.t for e in chain] == list(H.breakpoints)
+    for entry in chain:
+        C, D = products[entry.t].entries[1]
+        assert entry.E == C - D * I and entry.dim == max(entry.E.degree, 0)
+        assert _exact_rational([entry.E])
+    for idx, row in ((0, "top"), (1, "bottom")):
+        rows = solution_rows_affine(H, row=row)
+        assert len(rows) == len(H)
+        for seg, t, (r0, r1) in zip(H.segments, H.breakpoints, rows):
+            pa, pb, pc = seg.proj
+            R0 = products[t].entries[idx]
+            assert r0 == R0
+            assert r1 == (-(R0[0] * pb + R0[1] * pc) * z, (R0[0] * pa + R0[1] * pb) * z)
+            assert _exact_rational(r0 + r1)
+    assert factorize(fundamental_solution(H, H.total_length)) == H
+
+
+def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
+    pairs = ((1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
+    segments = []
+    for k in range(32):
+        m, n = pairs[(3 * k) % len(pairs)]
+        r = m * m + n * n
+        c, s = Fraction(m * m - n * n, r), Fraction(2 * m * n, r)
+        segments.append(Segment(Fraction(k % 7 + 1, 4), (c * c, c * s, s * s)))
+    H = Hamiltonian(segments)
+    calls = []
+    mat_mul, poly_mul = MatrixPolynomial.__mul__, Polynomial.__mul__
+
+    def counted_mat(self, other):
+        calls.append("MatrixPolynomial")
+        return mat_mul(self, other)
+
+    def counted_poly(self, other):
+        if isinstance(other, Polynomial):
+            calls.append("Polynomial")
+        return poly_mul(self, other)
+
+    monkeypatch.setattr(MatrixPolynomial, "__mul__", counted_mat)
+    monkeypatch.setattr(MatrixPolynomial, "__rmul__", counted_mat)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_poly)
+    W = fundamental_solution(H, H.total_length)
+    chain = subspace_chain(H)
+    rows = solution_rows_affine(H), solution_rows_affine(H, row="top")
+    H2 = factorize(W)
+    assert calls == []
+    assert W.degree == 32 and len(chain) == 33 and len(rows[0]) == 32 and H2 == H
+    # the counters see the products the reference forms
+    _segment_product(H, Fraction(1))
+    assert calls and set(calls) == {"MatrixPolynomial", "Polynomial"}

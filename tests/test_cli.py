@@ -98,6 +98,19 @@ def test_cli_factorize_reports_a_failed_peel(tmp_path, capsys):
     assert err.startswith("validation failed: ") and "PSD" in err
 
 
+def test_cli_factorize_float_matrix_is_a_validation_failure(tmp_path, capsys):
+    # the float JSON of W0: the exact peel takes no float coefficients
+    W0 = w0_matrix()
+    Wf = MatrixPolynomial([[Polynomial([complex(c) for c in e.coeffs]) for e in row]
+                           for row in W0.entries])
+    win = tmp_path / "W0_float.json"
+    win.write_text(json.dumps(ser.matrix_to_json(Wf)))
+    assert json.loads(win.read_text())["entries"][0][1]["coeffs"] == [[0.0, 0.0], [4.0, 0.0]]
+    assert main(["factorize", str(win)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failed: ") and "exact rationals" in err
+
+
 def test_cli_string_q0(tmp_path):
     qin = tmp_path / "q0.json"
     sout = tmp_path / "string.json"

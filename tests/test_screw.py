@@ -332,6 +332,24 @@ def test_dense_kernel_makes_no_other_matrix_sized_temporaries():
     assert peak < 2.5 * 16 * n * n
 
 
+def test_pd_check_forms_the_hermitian_part_in_place():
+    # G, its conjugate transpose and eigvalsh's copy of it; (G + G^H) / 2 adds a third n^2 array
+    n = 1025
+    ts = np.linspace(-6.0, 6.0, n)
+    g = g0_data()
+    G = kernel_g(g, ts[:, None], ts[None, :])
+    expect = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0).min())
+    del G
+    tracemalloc.start()
+    try:
+        rep = pd_check(g, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.min_eigenvalue == expect
+    assert peak < 2.5 * 16 * n * n
+
+
 def test_warm_screw_data_keeps_equality_and_hash():
     warm, fresh = g0_data(), g0_data()
     eval_screw(warm, 0.5)
