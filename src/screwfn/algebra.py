@@ -409,7 +409,7 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     content = math.gcd(*ints)
     ints = [c // content for c in ints]  # primitive, and so is each quotient (Gauss's lemma)
     while len(ints) > 1:
-        # cur times the lcm of its denominators is this multiple of ints
+        # the remainder is ints * (lead / ints[-1]); clearing its denominators gives mult * ints
         mult = abs((lead / ints[-1]).numerator)
         if mult * max(abs(ints[0]), abs(ints[-1])) > 10**12:
             break
@@ -417,9 +417,8 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
         if hit is None:
             break
         found.append(hit)
-        cur = cur.divmod(Polynomial([-hit, 1]))[0]
         ints = _deflate(ints, hit.numerator, hit.denominator)
-    return found, cur
+    return found, Polynomial([c * (lead / ints[-1]) for c in ints])
 
 
 def _first_rational_root(a: list[int]) -> Fraction | None:

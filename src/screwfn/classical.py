@@ -29,7 +29,7 @@ from scipy import integrate
 
 from .algebra import Polynomial, RationalFunction
 from .exact import ExactComplex, PiScalar
-from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
+from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data, q0_function
 from .spectra import DiscreteMeasure
 
 __all__ = [
@@ -335,20 +335,8 @@ def mean_periodic_checks(grid=None) -> MeanPeriodicReport:
         rhs = math.sqrt(math.pi) * np.exp(-(z**2) / 4) * z**3 * (z**2 - 1)
         r_four = max(r_four, abs(lhs - rhs))
 
-    # (iii) one-sided convolution has the closed form -i(8t^2-3)exp(-t^2)
-    r_one = 0.0
-    for t in ts:
-        m = 4097
-        uu = np.linspace(-7.0, min(float(t), 7.0), m)
-        ww = _simpson_weights(m, uu[1] - uu[0])
-        val = np.sum(ww * eval_screw(g0, float(t) - uu) * _annihilator(uu))
-        target = -1j * (8 * t**2 - 3) * math.exp(-(t**2))
-        r_one = max(r_one, abs(val - target))
-
-    # (iv) Fourier-Carleman quotient at z = 2i against -(i/z^2) Q(z)
-    z = 2j
-
     def conv_plus(t: float) -> complex:
+        """The one-sided convolution of g0 with the annihilator: integral over u < t."""
         m = 4097
         hi = min(t, 7.0)
         if hi <= -7.0:
@@ -357,13 +345,20 @@ def mean_periodic_checks(grid=None) -> MeanPeriodicReport:
         ww = _simpson_weights(m, uu[1] - uu[0])
         return complex(np.sum(ww * eval_screw(g0, t - uu) * _annihilator(uu)))
 
+    # (iii) one-sided convolution has the closed form -i(8t^2-3)exp(-t^2)
+    r_one = 0.0
+    for t in ts:
+        target = -1j * (8 * t**2 - 3) * math.exp(-(t**2))
+        r_one = max(r_one, abs(conv_plus(float(t)) - target))
+
+    # (iv) Fourier-Carleman quotient at z = 2i against -(i/z^2) Q(z)
+    z = 2j
     re, _ = integrate.quad(lambda t: (conv_plus(t) * np.exp(1j * z * t)).real, -8, 8,
                            limit=300, epsabs=1e-12)
     im, _ = integrate.quad(lambda t: (conv_plus(t) * np.exp(1j * z * t)).imag, -8, 8,
                            limit=300, epsabs=1e-12)
     num_fc = complex(re, im)
     den_fc = np.sum(w * phi_u * np.exp(1j * z * us))
-    Q0 = RationalFunction(Polynomial([1, 0, -2]), Polynomial([0, -1, 0, 1]))
-    r_fc = abs(num_fc / den_fc - (-1j / z**2) * complex(Q0(z)))
+    r_fc = abs(num_fc / den_fc - (-1j / z**2) * complex(q0_function()(z)))
 
     return MeanPeriodicReport(r_conv, float(r_four), float(r_one), float(r_fc))

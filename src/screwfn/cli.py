@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import serialization as ser
-from .algebra import Polynomial, RationalFunction
+from .algebra import Polynomial
 from .canonical import factorize, fundamental_solution, w0_matrix
 from .classical import (
     idd_charfn_check,
@@ -59,7 +59,7 @@ from .paleywiener import (
     pw_weyl_is_fourier,
     tan_partial_fraction,
 )
-from .screw import ScrewFunctionData, g0_data, kernel_g, laplace_check, pd_check
+from .screw import ScrewFunctionData, g0_data, kernel_g, laplace_check, pd_check, q0_function
 from .spectra import (
     DiscreteMeasure,
     cayley_q_to_theta,
@@ -120,10 +120,6 @@ class VerificationReport:
         return {"checks": [asdict(c) for c in self.checks],
                 "constants": self.constants,
                 "pass": self.passed}
-
-
-def q0_function() -> RationalFunction:
-    return RationalFunction(Polynomial([1, 0, -2]), Polynomial([0, -1, 0, 1]))
 
 
 def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:

@@ -19,8 +19,9 @@ On a uniform grid t_i = lo + i h the kernel matrix is a Toeplitz matrix
 g(0), so inner_product_Hg applies it to a vector as one convolution with
 the 2n - 1 values g(k h), |k| < n, and needs g at O(n) points, not n^2.
 This is why both of its test functions must share one grid (same support
-and sample count).  pd_check and weyl.diagram_check still build the dense
-matrix, which they need whole.
+and sample count).  weyl.diagram_check takes its isometry legs from it;
+only pd_check builds the dense matrix, which it needs whole for its
+eigenvalues.
 
 eval_screw has two evaluation paths, and both return, bit for bit, what
 the plain numpy expression of the sum above returns: the per-atom loop that
@@ -64,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from .algebra import RationalFunction
+from .algebra import Polynomial, RationalFunction
 from .spectra import DiscreteMeasure
 
 __all__ = [
@@ -80,6 +81,7 @@ __all__ = [
     "InnerProductComparison",
     "laplace_check",
     "g0_data",
+    "q0_function",
     "random_test_function",
     "aligned_test_function",
 ]
@@ -136,6 +138,11 @@ def g0_data() -> ScrewFunctionData:
         [Fraction(1, 2), Fraction(1), Fraction(1, 2)],
     )
     return ScrewFunctionData(Fraction(0), Fraction(0), tau)
+
+
+def q0_function() -> RationalFunction:
+    """Q0(z) = (1 - 2z^2)/(z^3 - z), the Herglotz function of g0_data's measure."""
+    return RationalFunction(Polynomial([1, 0, -2]), Polynomial([0, -1, 0, 1]))
 
 
 def eval_screw(g: ScrewFunctionData, t):

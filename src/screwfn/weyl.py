@@ -3,14 +3,14 @@
 Elements of the space attached to a step Hamiltonian are per-segment pairs
 (f, g) of polynomials in the local coordinate, with the projection onto the
 segment direction constant on each indivisible interval.  The Weyl transform
-integrates a step vector against a solution row of the canonical system,
+integrates a step vector against the bottom (C, D) row of the solution of
+the canonical system,
 
-    (W F)(z) = (1/pi) * integral row(t, z) H(t) F(t) dt,
+    (W F)(z) = (1/pi) * integral [C(t, z) D(t, z)] H(t) F(t) dt,
 
 and is evaluated exactly: on each segment the row is affine in t with
 matrix-polynomial coefficients, so the integral is a finite moment sum.
-The worked example uses the bottom (C, D) row, whose kernel identity makes
-W unitary onto the de Branges space.
+The kernel identity of that row makes W unitary onto the de Branges space.
 
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
@@ -29,7 +29,14 @@ from .algebra import Polynomial, effective_degree, sharp
 from .canonical import Hamiltonian, solution_rows_affine
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import PiScalar, PI
-from .screw import ScrewFunctionData, TestFunction, phi1
+from .screw import (
+    ScrewFunctionData,
+    TestFunction,
+    aligned_test_function,
+    inner_product_Hg,
+    phi1,
+    random_test_function,
+)
 
 __all__ = [
     "StepVector",
@@ -100,9 +107,9 @@ class StepVector:
         return StepVector(H, comps)
 
     @staticmethod
-    def from_row_values(H: Hamiltonian, gamma, scale=1, row: str = "bottom") -> "StepVector":
-        """scale * [C(t, gamma); D(t, gamma)] (or the top row) as a step vector."""
-        return _step_from_rows(H, solution_rows_affine(H, row=row), gamma, scale)
+    def from_row_values(H: Hamiltonian, gamma, scale=1) -> "StepVector":
+        """scale * [C(t, gamma); D(t, gamma)] as a step vector."""
+        return _step_from_rows(H, solution_rows_affine(H), gamma, scale)
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -155,12 +162,9 @@ def l2h_norm(H: Hamiltonian, F: StepVector):
     return l2h_inner(H, F, F)
 
 
-def weyl_transform(H: Hamiltonian, F: StepVector, row: str = "bottom") -> Polynomial:
-    """(W F)(z) = (1/pi) integral row(t,z) H(t) F(t) dt, exact in z.
-
-    The worked example pairs step vectors with the bottom (C, D) row.
-    """
-    rows = solution_rows_affine(H, row=row)
+def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
+    """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z."""
+    rows = solution_rows_affine(H)
     acc = Polynomial.zero()
     for seg, ((r0c, r0d), (r1c, r1d)), (f, g) in zip(H.segments, rows, F.components):
         pa, pb, pc = seg.proj
@@ -295,14 +299,12 @@ def diagram_check(
 ) -> DiagramReport:
     """Verify the isometry chain and both commutative triangles on random data.
 
-    All comparisons are quadrature-limited.  The Gram matrix of the aligned
-    basis functions is measured and its diagonal constant reported rather
-    than asserted.
+    The kernel and measure legs of the isometry are the two sides of
+    inner_product_Hg(g, phi, phi): the kernel double integral, applied as a
+    Toeplitz convolution, and the measure-side sum.  All comparisons are
+    quadrature-limited.  The Gram matrix of the aligned basis functions is
+    measured and its diagonal constant reported rather than asserted.
     """
-    from .screw import random_test_function
-
-    from .screw import kernel_g
-
     model = _model_basis(frame)
     rng = np.random.default_rng(seed)
     r1 = r2 = r3 = r4 = r5 = 0.0
@@ -313,27 +315,10 @@ def diagram_check(
         for gam, m, F in model
     ]
 
-    # all samples share one grid, so the weighted kernel matrix is built once
-    probe = random_test_function(rng, support=support)
-    ts = probe.grid
-    weights = probe._weights
-    kernel_weighted = kernel_g(g, ts[:, None], ts[None, :])
-    kernel_weighted *= weights[:, None]
-    kernel_weighted *= weights[None, :]
-
-    def measure_norm(phi: TestFunction) -> float:
-        total = 0.0
-        for p, m in g.tau:
-            total += abs(phi1(phi, float(p))) ** 2 * float(m)
-        return total
-
-    first = True
-    while n_samples:
-        phi = probe if first else random_test_function(rng, support=support)
-        first = False
-        n_samples -= 1
-        norm_kernel = complex(np.conj(phi.samples) @ (kernel_weighted @ phi.samples)).real
-        norm_measure = measure_norm(phi)
+    for _ in range(n_samples):
+        phi = random_test_function(rng, support=support)
+        iso = inner_product_Hg(g, phi, phi)
+        norm_kernel, norm_measure = iso.via_kernel.real, iso.via_measure.real
         scale = max(1.0, abs(norm_measure))
 
         v = phat(frame, phi)
@@ -354,9 +339,7 @@ def diagram_check(
         r3 = max(r3, abs(norm_model - norm_restr) / scale)
         r4 = max(r4, restr_resid)
 
-        lhs = weyl_transform(H, L0_map(frame, H, phi))
-        rhs = E_times(frame, v)
-        diff = lhs - rhs
+        diff = weyl_transform(H, L0_map(frame, H, phi)) - P
         r5 = max(
             r5,
             max((abs(complex(c)) for c in diff.coeffs), default=0.0),
@@ -371,8 +354,6 @@ def diagram_check(
 
 def _aligned_basis_gram(g, frame, model, support):
     """Measured Gram of the aligned basis functions; constant reported, not asserted."""
-    from .screw import aligned_test_function
-
     if sorted(e for e, _, _ in model) != [-1.0, 0.0, 1.0]:
         return float("nan"), float("nan")
     aligned = []

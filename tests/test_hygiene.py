@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter.
 
-Every module-level import is used, every module-level definition is either
-exported or read somewhere in the package, and every name the benchmark's
-tracer wraps exists.
+Every module-level import is used, no function repeats a relative import
+from a module its file already imports from at module level, every
+module-level definition is either exported or read somewhere in the
+package, and every name the benchmark's tracer wraps exists.
 """
 import ast
 import importlib
@@ -54,6 +55,36 @@ def test_no_unused_module_imports(path):
 def test_guard_flags_an_unused_import():
     tree = ast.parse("import cmath\nimport math\nfrom .x import y\n__all__ = ['y']\nmath.pi\n")
     assert _unused_imports(tree) == ["cmath"]
+
+
+def _redundant_local_imports(tree: ast.Module) -> list[str]:
+    """Relative imports inside functions from a module the file imports from at module level.
+
+    A module-level import already loads the module, so no import cycle
+    forces the function-level one.
+    """
+    top = {(n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom) and n.level}
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top:
+                    found[node.lineno] = f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_redundant_function_level_imports(path):
+    assert _redundant_local_imports(ast.parse(path.read_text())) == []
+
+
+def test_guard_flags_a_redundant_local_import():
+    tree = ast.parse(
+        "from .a import x\n"
+        "def f():\n    from .a import y\n    from .b import z\n"
+        "    def g():\n        from .a import w\n"
+    )
+    assert _redundant_local_imports(tree) == ["line 3: from .a", "line 6: from .a"]
 
 
 def _defined_names(tree: ast.Module) -> list[str]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,20 @@ def test_diagram_check_passes():
 def test_diagram_zero_function_residuals():
     rep = diagram_check(G0, FR, H0, n_samples=1, seed=3)
     assert rep.passed
+
+
+def test_diagram_check_builds_no_dense_kernel():
+    # the isometry legs come from inner_product_Hg's Toeplitz form, so the peak stays
+    # below a sixteenth of one dense complex kernel (16 n^2 bytes) at the default n = 2049
+    n = 2049
+    tracemalloc.start()
+    try:
+        rep = diagram_check(G0, FR, H0, n_samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16 * n * n / 16
 
 
 def test_diagram_detects_perturbed_mass():
