@@ -12,7 +12,9 @@ stated here: real float input raises AttributeError rather than returning
 no roots, and a polynomial whose integer end coefficient exceeds 10^12 gets
 no search, so its rational zeros reach ``real_zeros`` callers as floats.
 ``hb_test`` locates no zero: it reads a Cauchy index off the signed
-remainder sequence that ``Polynomial.gcd`` also runs.
+remainder sequence that ``Polynomial.gcd`` also runs.  One long division
+serves every scalar type, complex included: ``Polynomial.divmod`` and the
+remainder sequence both run it.
 """
 from __future__ import annotations
 
@@ -232,12 +234,6 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.mode == "pi" or other.mode == "pi":
             raise TypeError("division not supported for pi-graded coefficients")
-        if self.mode == "float" or other.mode == "float":
-            q, r = np.polydiv(
-                np.array([complex(c) for c in reversed(self.coeffs)] or [0j]),
-                np.array([complex(c) for c in reversed(other.coeffs)]),
-            )
-            return Polynomial(list(q[::-1])), Polynomial(list(r[::-1]))
         quot, rem = _divmod_lists(self.coeffs, other.coeffs)
         return Polynomial(quot), Polynomial(rem)
 

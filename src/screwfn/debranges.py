@@ -18,6 +18,8 @@ one code path, written against the numeric protocol of ``exact``.  The
 scalar type follows ``HermiteBiehlerFrame.weights``: exact (pi-graded
 surds) when the level-set measure is exact, floating point otherwise.  The
 two reproducing kernel forms are evaluated in floating point.
+Gram-Schmidt reads the moment table: the Gram matrix of the monomials is
+the Hankel matrix of the moments, and ``hankel`` holds its leading minors.
 
 A frame builds its sampling weights, its moment table and its pi/2
 eigenbasis once, on first use, and keeps them; every reader gets the same
@@ -185,9 +187,9 @@ def kernel_moment(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex
 def gram_schmidt_basis(frame: HermiteBiehlerFrame) -> list[Polynomial]:
     """Orthonormal basis of H(E) by the determinant form of Gram-Schmidt."""
     n = frame.dim
-    monos = [Polynomial.monomial(k) for k in range(n)]
-    C = [[inner_product(frame, monos[i], monos[j]).real for j in range(n)] for i in range(n)]
-    dets = [1] + [_det([row[:k] for row in C[:k]]) for k in range(1, n + 1)]
+    table = frame.moment_table
+    C = [[table.moments[i + j].real for j in range(n)] for i in range(n)]
+    dets = [1, *table.hankel]
     if any(d <= 0 for d in dets):
         raise ValueError("Gram matrix is not positive definite")
     basis = []

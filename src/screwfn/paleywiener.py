@@ -10,6 +10,11 @@ Everything infinite is truncated at a configurable order N with recorded
 O(1/N) tails; the truncation-halving behavior (error ratio ~2 from N to 2N)
 is itself part of the checks, standing in for the infinite-dimensional
 statements that cannot be verified at desk scale.
+
+One helper computes the lattice nodes g_n and one evaluator the basis F_n
+on an array of points; the sampling matrix, the Gram and the norm defects
+all call it.  The Gram fills its sample matrix row by row and keeps two
+copies alive: the weighted one and, conjugated in place, the original.
 """
 from __future__ import annotations
 
@@ -64,11 +69,14 @@ def pw_kernel(r: float, z: complex, w: complex) -> complex:
     return cmath.sin(r * d) / (math.pi * d)
 
 
+def _lattice(r: float, n):
+    """The level-set node g_n = (pi/2r)(2n - 1); n an integer or an integer array."""
+    return (math.pi / (2 * r)) * (2 * n - 1)
+
+
 def pw_lattice(frame: PWFrame) -> np.ndarray:
-    """Symmetric truncated level set +-(pi/2r)(2k-1), k = 1..N."""
-    k = np.arange(1, frame.N + 1)
-    pos = (math.pi / (2 * frame.r)) * (2 * k - 1)
-    return np.concatenate([-pos[::-1], pos])
+    """Symmetric truncated level set g_n, n = -N+1..N, i.e. +-(pi/2r)(2k-1), k = 1..N."""
+    return _lattice(frame.r, np.arange(-frame.N + 1, frame.N + 1))
 
 
 def pw_measure(frame: PWFrame) -> DiscreteMeasure:
@@ -77,32 +85,33 @@ def pw_measure(frame: PWFrame) -> DiscreteMeasure:
     return DiscreteMeasure(list(pts), [math.pi / frame.r] * len(pts))
 
 
-def pw_basis_value(r: float, n: int, z: complex) -> complex:
-    """F_n(z) = i cos(rz) / (sqrt(pi r)(z - g_n)), g_n = (pi/2r)(2n-1)."""
-    g = (math.pi / (2 * r)) * (2 * n - 1)
-    z = complex(z)
+def pw_basis_value(r: float, n: int, z):
+    """F_n(z) = i cos(rz) / (sqrt(pi r)(z - g_n)), g_n = (pi/2r)(2n-1).
+
+    z may be an array; a scalar z gives a complex.
+    """
+    g, s = _lattice(r, n), math.sqrt(math.pi * r)
+    z = np.asarray(z)
     d = z - g
-    if abs(d) < 1e-9:
-        return -1j * r * math.sin(r * g) / math.sqrt(math.pi * r)
-    return 1j * cmath.cos(r * z) / (math.sqrt(math.pi * r) * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = 1j * (np.cos(r * z) / (s * d))
+    v = np.where(np.abs(d) < 1e-9, -1j * r * math.sin(r * g) / s, v)
+    return v if v.ndim else complex(v)
 
 
 def pw_sampling_matrix(frame: PWFrame) -> np.ndarray:
     """|F_n(g_m)/E_r(g_m)| over the truncated basis; sqrt(r/pi) times identity."""
-    ns = np.arange(-frame.N + 1, frame.N + 1)
-    pts = (math.pi / (2 * frame.r)) * (2 * ns - 1)
-    out = np.zeros((len(ns), len(ns)))
-    for i, n in enumerate(ns):
-        for j, x in enumerate(pts):
-            val = pw_basis_value(frame.r, int(n), x) * cmath.exp(1j * frame.r * x)
-            out[i, j] = abs(val)
-    return out
+    pts = pw_lattice(frame)
+    phase = np.exp(1j * frame.r * pts)
+    ns = range(-frame.N + 1, frame.N + 1)
+    return np.array([np.abs(pw_basis_value(frame.r, n, pts) * phase) for n in ns])
 
 
-def _osc_grid(T: float, r: float, min_points: int = 32769) -> tuple[np.ndarray, np.ndarray]:
-    n = max(min_points, int(40 * (2 * T) / (math.pi / r)) | 1)
-    if n % 2 == 0:
-        n += 1
+_OSC_POINTS = 32769  # fewest Simpson nodes on [-T, T]; odd, as Simpson's rule needs
+
+
+def _osc_grid(T: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    n = max(_OSC_POINTS, int(40 * (2 * T) / (math.pi / r)) | 1)
     xs = np.linspace(-T, T, n)
     return xs, _simpson_weights(n, xs[1] - xs[0])
 
@@ -114,29 +123,21 @@ def pw_basis_gram(frame: PWFrame, n_max: int, T: float | None = None) -> np.ndar
     the lattice), so the meaningful truncation check is the finite-range
     integral Gram, whose defect decays like 1/T.
     """
-    ns = np.arange(-n_max, n_max + 1)
-    gmax = (math.pi / (2 * frame.r)) * (2 * n_max + 1)
     if T is None:
-        T = 2 * gmax + 20
+        T = 2 * _lattice(frame.r, n_max + 1) + 20
     xs, w = _osc_grid(T, frame.r)
-    cosrx = np.cos(frame.r * xs)
-    vals = np.empty((len(ns), len(xs)), dtype=complex)
-    for i, n in enumerate(ns):
-        g = (math.pi / (2 * frame.r)) * (2 * int(n) - 1)
-        d = xs - g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = 1j * cosrx / (math.sqrt(math.pi * frame.r) * d)
-        hit = np.abs(d) < 1e-9
-        if hit.any():
-            v[hit] = -1j * frame.r * math.sin(frame.r * g) / math.sqrt(math.pi * frame.r)
-        vals[i] = v
-    return (vals * w) @ vals.conj().T
+    vals = np.empty((2 * n_max + 1, len(xs)), dtype=complex)
+    for i, n in enumerate(range(-n_max, n_max + 1)):
+        vals[i] = pw_basis_value(frame.r, n, xs)
+    weighted = vals * w
+    np.conjugate(vals, out=vals)
+    return weighted @ vals.T
 
 
 def pw_truncated_norm_defect(frame: PWFrame, n: int, T: float) -> float:
     """1 - integral_{-T}^{T} |F_n|^2, positive and O(1/T)."""
     xs, w = _osc_grid(T, frame.r)
-    v = np.array([pw_basis_value(frame.r, n, x) for x in xs])
+    v = pw_basis_value(frame.r, n, xs)
     return float(1.0 - np.sum(w * np.abs(v) ** 2))
 
 
@@ -167,8 +168,7 @@ def tan_partial_fraction(r: float, z: complex, N: int) -> complex:
 def g_r_eval(frame: PWFrame, t) -> float:
     """Truncated series (2/r) sum (cos(t g_n) - 1)/g_n^2 over the positive lattice."""
     t = np.asarray(t, dtype=float)
-    k = np.arange(1, frame.N + 1)
-    g = (math.pi / (2 * frame.r)) * (2 * k - 1)
+    g = _lattice(frame.r, np.arange(1, frame.N + 1))
     terms = (np.cos(np.multiply.outer(t, g)) - 1.0) / g**2
     val = (2.0 / frame.r) * terms.sum(axis=-1)
     return val if val.shape else float(val)
@@ -176,8 +176,8 @@ def g_r_eval(frame: PWFrame, t) -> float:
 
 def g_r_tail_bound(frame: PWFrame) -> float:
     """Bound on the absolute truncation error of g_r_eval, uniform in t."""
-    # |cos - 1| <= 2 and sum_{k>N} (2k-1)^{-2} <= 1/(2(2N-1))
-    return (16 * frame.r / math.pi**2) * (1.0 / (2 * (2 * frame.N - 1)))
+    # |cos - 1| <= 2 and sum_{k>N} g_k^{-2} <= (r/pi) / g_N
+    return 4 / (math.pi * _lattice(frame.r, frame.N))
 
 
 def g_r_laplace_check(frame: PWFrame, z: complex, T: float = 100.0) -> float:
@@ -189,8 +189,7 @@ def g_r_laplace_check(frame: PWFrame, z: complex, T: float = 100.0) -> float:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("g_r_laplace_check requires Im z > 0")
-    k = np.arange(1, frame.N + 1)
-    g = (math.pi / (2 * frame.r)) * (2 * k - 1)
+    g = _lattice(frame.r, np.arange(1, frame.N + 1))
 
     def eint(a: np.ndarray) -> np.ndarray:
         # integral_0^T e^{iat} dt for complex a (vectorized)

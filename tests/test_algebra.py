@@ -370,6 +370,35 @@ def test_polynomial_divmod_and_gcd():
     assert g == A0.monic()
 
 
+def _rel_close(a: Polynomial, b: Polynomial, rel: float) -> bool:
+    n = max(a.degree, b.degree) + 1
+    ca, cb = [complex(a.coeff(k)) for k in range(n)], [complex(b.coeff(k)) for k in range(n)]
+    scale = max(abs(c) for c in ca)
+    return all(abs(x - y) <= rel * scale for x, y in zip(ca, cb))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dividend", ["float", "exact"])
+def test_float_divmod_by_a_linear_factor(seed, dividend):
+    # float p by a float (z - g), and exact p by a float (z - g) as in the eigenbasis of
+    # a frame with a float level set; both checked against exact division of the same data
+    rng = random.Random(seed)
+    deg = rng.randint(1, 8)
+    coeffs = [ExactComplex(Fraction(rng.randint(-40, 40), rng.randint(1, 8)),
+                           Fraction(rng.randint(-5, 5), 4) if seed % 2 else 0)
+              for _ in range(deg)] + [ExactComplex(Fraction(rng.randint(1, 9), 2))]
+    g = Fraction(rng.randint(-30, 30), 8)
+    p_exact, d_exact = Polynomial(coeffs), Polynomial([-g, 1])
+    p = Polynomial([complex(c) for c in coeffs]) if dividend == "float" else p_exact
+    d = Polynomial([-float(g), 1])
+    q, r = p.divmod(d)
+    assert q.mode == r.mode == "float"
+    assert r.degree < d.degree
+    assert _rel_close(p, q * d + r, 1e-12)
+    q_exact, _ = p_exact.divmod(d_exact)
+    assert _rel_close(q_exact, q, 1e-12)
+
+
 def test_solve_exact_statuses():
     sol, status = solve_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],
                               [Fraction(3), Fraction(4)])

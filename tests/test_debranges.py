@@ -315,6 +315,21 @@ def test_g0_pipeline_builds_the_pi_half_eigenbasis_once(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_gram_schmidt_reads_the_moment_table(monkeypatch):
+    # the Gram of the monomials is the Hankel matrix of the frame's moments
+    calls = []
+    original = debranges.inner_product
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(debranges, "inner_product", counting)
+    basis = gram_schmidt_basis(e0_frame())
+    assert len(basis) == 3
+    assert calls == []
+
+
 def test_pi_half_eigenbasis_reuses_the_level_set_search(monkeypatch):
     # degree 5 with zeros in the lower half-plane, as in the hb-frames benchmark
     E = Polynomial.one()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,38 @@ def test_basis_value_at_own_node():
     for n in (-2, 0, 1, 4):
         g = (math.pi / (2 * r)) * (2 * n - 1)
         assert abs(pw_basis_value(r, n, g)) == pytest.approx(math.sqrt(r / math.pi))
+
+
+@pytest.mark.parametrize("r, N", [(1.0, 8), (1.3, 5)])
+def test_basis_value_on_an_array_matches_scalar_calls(r, N):
+    nodes = pw_lattice(PWFrame(r, N))
+    off = np.concatenate([nodes + 0.37, np.linspace(-20.0, 20.0, 41) + 0.01, nodes + 0.5j])
+    for n in (-N + 1, 0, 1, N):
+        at_nodes = pw_basis_value(r, n, nodes)
+        assert list(at_nodes) == [pw_basis_value(r, n, x) for x in nodes]
+        vals = pw_basis_value(r, n, off)
+        g = (math.pi / (2 * r)) * (2 * n - 1)
+        formula = [1j * cmath.cos(r * z) / (math.sqrt(math.pi * r) * (z - g)) for z in off]
+        for ref in ([pw_basis_value(r, n, x) for x in off], formula):
+            ref = np.array(ref)
+            assert np.all(np.abs(vals - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_basis_value_of_a_scalar_is_complex():
+    for z in (0.3, np.float64(0.3), 2, 0.3 + 0.1j, math.pi / 2):
+        assert type(pw_basis_value(1.0, 1, z)) is complex
+
+
+def test_basis_gram_holds_two_sample_matrices():
+    # n_max = 50 gives 101 rows of 32 769 complex samples; the weighted copy and the
+    # conjugated matrix are the two alive at once
+    tracemalloc.start()
+    try:
+        pw_basis_gram(PWFrame(1.0, 100), 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 16 * 101 * 32769
 
 
 def test_truncated_gram_near_identity():
