@@ -14,7 +14,9 @@ no search, so its rational zeros reach ``real_zeros`` callers as floats.
 ``hb_test`` locates no zero: it reads a Cauchy index off the signed
 remainder sequence that ``Polynomial.gcd`` also runs.  One long division
 serves every scalar type, complex included: ``Polynomial.divmod`` and the
-remainder sequence both run it.
+remainder sequence both run it.  ``solve_exact`` is fraction-free: it
+clears each row to integers, eliminates in integers with one gcd per
+updated row, and forms one Fraction per unknown at the end.
 """
 from __future__ import annotations
 
@@ -707,14 +709,30 @@ class MatrixPolynomial:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _integer_row(row) -> list[int]:
+    """A rational row times the lcm of its denominators, divided by its content."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Solve an (possibly overdetermined) rational linear system exactly.
 
     Returns (solution, status) with status one of "unique", "inconsistent",
     "underdetermined"; solution is None unless status == "unique".
+
+    Fraction-free Gauss-Jordan: each row of [A | b] is cleared to integers.
+    The pivot row, with entry p in column col, clears col from every other
+    row as p*row - a*pivot_row, and that row is divided by its content, one
+    gcd per row.  A unique solution leaves row i with its pivot p_i as its
+    only nonzero entry in A, so x = b_i / p_i is the one Fraction formed per
+    unknown.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [_integer_row([*row, rhs[i]]) for i, row in enumerate(rows)]
     pivots = []
     r = 0
     for col in range(n):
@@ -722,12 +740,13 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
+        prow, p = aug[r], aug[r][col]
         for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            a = aug[i][col]
+            if i != r and a:
+                new = [p * x - a * y for x, y in zip(aug[i], prow)]
+                g = math.gcd(*new)
+                aug[i] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         r += 1
         if r == m:
@@ -739,5 +758,5 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
         return None, "underdetermined"
     sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
+        sol[col] = Fraction(aug[i][n], aug[i][col])
     return sol, "unique"

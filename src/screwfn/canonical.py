@@ -21,12 +21,15 @@ I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
 e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
 den*e, and all of them and den*e are divided by their gcd once per step.
 fundamental_solution, subspace_chain, solution_rows_affine and the peel all
-take this step, carrying only the rows they return.  A Fraction(c, den) is
+take this step, carrying only the rows they return.  The Weyl layer reads
+the integer rows of solution_rows_affine too, through _affine_rows, and
+builds no row Polynomial.  A Fraction(c, den) is
 in lowest terms whatever den is, so the Polynomials built from the rows at
 the end equal, coefficient for coefficient and in type, the products of
 segment factors in ExactComplex arithmetic that they replace.  The peel
 converts W once, and checks det W = 1 as the integer identity
-a*d - b*c = den^2.
+a*d - b*c = den^2.  Its linear system for the factor goes to solve_exact,
+which eliminates in integers.
 """
 from __future__ import annotations
 
@@ -404,6 +407,9 @@ class Hamiltonian:
             return NotImplemented
         return self.segments == other.segments
 
+    def __hash__(self):
+        return hash(self.segments)
+
     def __repr__(self):
         body = ", ".join(f"({s.length}, theta={s.theta:.6g})" for s in self.segments)
         return f"Hamiltonian([{body}])"
@@ -458,6 +464,25 @@ def fundamental_solution(H: Hamiltonian, t, z=None):
     return W(z)
 
 
+def _affine_rows(H: Hamiltonian, row: str = "bottom"):
+    """Yield, per segment, (R0, den0, R1, den1): the affine row as integer rows.
+
+    On segment k the row is R0/den0 + (t - t_{k-1}) * R1/den1, component by
+    component, as in solution_rows_affine; den1 is den0 * e for the X = Y/e
+    of the segment.  No integer list carries a trailing zero.
+    """
+    r, den = (([1], []) if row == "top" else ([], [1])), 1
+    for seg in H.segments:
+        Y, e = _cleared(_segment_x(seg.proj, 1))
+        zr = _z_times(r, Y)
+        for u in zr:
+            while u and not u[-1]:
+                u.pop()
+        yield r, den, zr, den * e
+        n, d = seg.length.numerator, seg.length.denominator
+        (r,), den = _reduced([_lin(d * e, r, n, zr)], den * e * d)  # R0 + L_k * R1
+
+
 def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
     """Per-segment affine representation of a solution row.
 
@@ -467,17 +492,13 @@ def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
 
     R0 the row of W(t_{k-1}, z) and R1 = -z * R0 * P_k J.  The bottom row is
     the (C, D) pair used by the worked example's Weyl transform; "top" gives
-    (A, B).  Only that row is carried, and the next R0 is R0 + L_k * R1.
+    (A, B), and any other row is a ValueError.  Only that row is carried, and
+    the next R0 is R0 + L_k * R1.  These are the Polynomials of _affine_rows,
+    which the Weyl layer reads as integers.
     """
-    r, den = (([1], []) if row == "top" else ([], [1])), 1
-    out = []
-    for seg in H.segments:
-        Y, e = _cleared(_segment_x(seg.proj, 1))
-        zr = _z_times(r, Y)  # R1 = zr / (den * e)
-        out.append((_polys(r, den), _polys(zr, den * e)))
-        n, d = seg.length.numerator, seg.length.denominator
-        (r,), den = _reduced([_lin(d * e, r, n, zr)], den * e * d)  # R0 + L_k * R1
-    return out
+    if row not in ("top", "bottom"):
+        raise ValueError(f"row must be 'top' or 'bottom', not {row!r}")
+    return [(_polys(r0, den0), _polys(r1, den1)) for r0, den0, r1, den1 in _affine_rows(H, row)]
 
 
 def regular_points(H: Hamiltonian) -> list[Fraction]:

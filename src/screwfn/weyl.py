@@ -11,6 +11,10 @@ the canonical system,
 and is evaluated exactly: on each segment the row is affine in t with
 matrix-polynomial coefficients, so the integral is a finite moment sum.
 The kernel identity of that row makes W unitary onto the de Branges space.
+The sum, and the row values at a level point that L0_map, inverse_weyl
+and StepVector.from_row_values take, run over the integer rows of
+canonical's chain and build no row Polynomial; the results equal those of
+the Polynomial rows to the bit, signed zeros included.
 
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
@@ -25,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, effective_degree, sharp
-from .canonical import Hamiltonian, solution_rows_affine
+from .algebra import Polynomial, _is_zero_scalar, effective_degree, sharp
+from .canonical import Hamiltonian, _affine_rows
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
-from .exact import PiScalar, PI
+from .exact import ExactComplex, PiScalar, PI
 from .screw import (
     ScrewFunctionData,
     TestFunction,
@@ -109,7 +113,7 @@ class StepVector:
     @staticmethod
     def from_row_values(H: Hamiltonian, gamma, scale=1) -> "StepVector":
         """scale * [C(t, gamma); D(t, gamma)] as a step vector."""
-        return _step_from_rows(H, solution_rows_affine(H), gamma, scale)
+        return _step_from_rows(H, _affine_rows(H), gamma, scale)
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -120,8 +124,7 @@ class StepVector:
         return f(tau), g(tau)
 
     def __add__(self, other: "StepVector") -> "StepVector":
-        if self.H is not other.H and self.H != other.H:
-            raise ValueError("step vectors live on different Hamiltonians")
+        _check_on(self.H, other)
         return StepVector(
             self.H,
             [(f1 + f2, g1 + g2) for (f1, g1), (f2, g2) in zip(self.components, other.components)],
@@ -136,18 +139,45 @@ class StepVector:
         return self * (-1)
 
 
+def _check_on(H: Hamiltonian, F: StepVector) -> None:
+    """ValueError unless F is a step vector on H or on a Hamiltonian equal to it."""
+    if F.H is not H and F.H != H:
+        raise ValueError("step vectors live on different Hamiltonians")
+
+
+def _row_value(ints: list[int], den: int, z):
+    """Polynomial([Fraction(c, den) for c in ints])(z), to the bit, from the integers.
+
+    At a float z, Horner adds complex(c / den), the correctly rounded value
+    that complex(Fraction(c, den)) also gives.
+    """
+    if isinstance(z, (float, complex)):
+        zc, acc = complex(z), 0j
+        for c in reversed(ints):
+            acc = acc * zc + complex(c / den)
+        return acc
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * z + c
+    acc = Fraction(acc, den) if isinstance(acc, int) else acc / den
+    return ExactComplex(acc) if isinstance(acc, Fraction) else acc
+
+
 def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
-    """scale * rows(t, gamma) as a step vector, for rows from solution_rows_affine(H)."""
+    """scale * rows(t, gamma) as a step vector, for rows from canonical._affine_rows(H)."""
+    def at(ints, den):
+        return _row_value(ints, den, gamma) * scale
+
     comps = []
-    for (r0, r1) in rows:
-        f = Polynomial([r0[0](gamma) * scale, r1[0](gamma) * scale])
-        g = Polynomial([r0[1](gamma) * scale, r1[1](gamma) * scale])
-        comps.append((f, g))
+    for r0, den0, r1, den1 in rows:
+        comps.append(tuple(Polynomial([at(r0[k], den0), at(r1[k], den1)]) for k in (0, 1)))
     return StepVector(H, comps)
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
     """(1/pi) sum_k integral (F1 . P_k conj(F2)) over the segment; exact for exact data."""
+    _check_on(H, F1)
+    _check_on(H, F2)
     total = 0
     for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
         pa, pb, pc = seg.proj
@@ -162,31 +192,70 @@ def l2h_norm(H: Hamiltonian, F: StepVector):
     return l2h_inner(H, F, F)
 
 
+def _pad_zero(cs: list):
+    """The zero Polynomial(cs).coeff supplies past the end of cs, whose scalars share one type."""
+    if cs and isinstance(cs[0], complex):
+        return 0j
+    if cs and isinstance(cs[0], PiScalar):
+        return PiScalar(0)
+    return ExactComplex(0)
+
+
+def _add_scaled(acc: list, ints: list[int], den: int, s) -> list:
+    """The coefficients of Polynomial(acc) + Polynomial(ints / den) * s, to the bit.
+
+    Fraction(c, den) * s is ExactComplex(Fraction(c, den)) * s; for a complex
+    s both are complex(c / den) * s.  Each side is padded with its own zero
+    and the sum loses its trailing zeros, as in Polynomial.__add__.
+    """
+    if isinstance(s, complex):
+        term = [complex(c / den) * s for c in ints]
+    else:
+        term = [Fraction(c, den) * s for c in ints]
+    while term and _is_zero_scalar(term[-1]):
+        term.pop()
+    n = max(len(acc), len(term))
+    acc = acc + [_pad_zero(acc)] * (n - len(acc))
+    term += [_pad_zero(term)] * (n - len(term))
+    out = [a + b for a, b in zip(acc, term)]
+    while out and _is_zero_scalar(out[-1]):
+        out.pop()
+    return out
+
+
 def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
-    """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z."""
-    rows = solution_rows_affine(H)
-    acc = Polynomial.zero()
-    for seg, ((r0c, r0d), (r1c, r1d)), (f, g) in zip(H.segments, rows, F.components):
+    """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z.
+
+    Each moment term, a row coefficient times uc * I_j, goes into one
+    coefficient list in segment, j, u/v, R0/R1 order.  The rows stop at the
+    last segment where F is not zero.
+    """
+    _check_on(H, F)
+    comps = list(F.components)
+    while comps and comps[-1][0].is_zero() and comps[-1][1].is_zero():
+        comps.pop()
+    acc = []
+    for (f, g), seg, (r0, den0, r1, den1) in zip(comps, H.segments, _affine_rows(H)):
+        if f.is_zero() and g.is_zero():
+            continue
         pa, pb, pc = seg.proj
         u = f * pa + g * pb  # first component of P F
         v = f * pb + g * pc
         L = seg.length
-        deg = max(u.degree, v.degree)
-        for j in range(deg + 2):
-            Ij = Fraction(L ** (j + 1), j + 1)
-            uc, vc = u.coeff(j), v.coeff(j)
-            if uc:
-                acc = acc + r0c * (uc * Ij) + r1c * (uc * Fraction(L ** (j + 2), j + 2))
-            if vc:
-                acc = acc + r0d * (vc * Ij) + r1d * (vc * Fraction(L ** (j + 2), j + 2))
-    return acc * PiScalar(1, 1, -2)
+        for j in range(max(u.degree, v.degree) + 1):
+            Ij, Ij1 = Fraction(L ** (j + 1), j + 1), Fraction(L ** (j + 2), j + 2)
+            for k, c in enumerate((u.coeff(j), v.coeff(j))):
+                if c:
+                    acc = _add_scaled(acc, r0[k], den0, c * Ij)
+                    acc = _add_scaled(acc, r1[k], den1, c * Ij1)
+    return Polynomial(acc) * PiScalar(1, 1, -2)
 
 
 def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> StepVector:
     """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] mu(g), the measure form of the inverse."""
     if F.degree >= frame.dim:
         raise ValueError("not a member of H(E)")
-    rows = solution_rows_affine(H)
+    rows = list(_affine_rows(H))
     total = StepVector.zero(H)
     for g, m in frame.mu:
         total = total + _step_from_rows(H, rows, g, F(g) * m)
@@ -258,7 +327,7 @@ def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> Ste
     which for the worked example reduces to the familiar three-term display
     with coefficients (-phihat'(0), phihat(1)/2, -phihat(-1)/2).
     """
-    rows = solution_rows_affine(H)
+    rows = list(_affine_rows(H))
     total = StepVector.zero(H)
     for g, m, F in _model_basis(frame):
         Fg = complex(F(complex(g)))

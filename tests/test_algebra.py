@@ -408,3 +408,68 @@ def test_solve_exact_statuses():
     _, status = solve_exact([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]],
                             [Fraction(0), Fraction(1)])
     assert status == "inconsistent"
+
+
+def _fraction_gauss_jordan(rows, rhs):
+    """solve_exact's contract by Gauss-Jordan elimination in Fractions: (solution, status)."""
+    m, n = len(rows), len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][col] for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col]:
+                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] for i in range(r, m)):
+        return None, "inconsistent"
+    if len(pivots) < n:
+        return None, "underdetermined"
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol, "unique"
+
+
+SMALL_RATIONALS = st.one_of(st.just(Fraction(0)), st.integers(-3, 3),
+                            st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def rational_systems(draw):
+    """1-8 equations in 1-4 unknowns with small entries, zeros and integers among them.
+
+    The right-hand side is either A x for a rational x (consistent) or drawn
+    freely; rank deficiency comes from the zeros and from repeated rows.
+    """
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rows = [[draw(SMALL_RATIONALS) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.integers(0, 3)) == 0:
+            k, q = draw(st.integers(0, i - 1)), draw(SMALL_RATIONALS)
+            rows[i] = [q * x for x in rows[k]]
+    if draw(st.booleans()):
+        x = [draw(SMALL_RATIONALS) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = [draw(SMALL_RATIONALS) for _ in range(m)]
+    return rows, rhs
+
+
+@settings(max_examples=300)
+@given(rational_systems())
+@example(([[Fraction(1, 2), 3], [0, Fraction(-2, 3)], [1, 1]], [Fraction(13, 2), Fraction(-4, 3), 3]))
+@example(([[1, 2, 0], [2, 4, 0]], [Fraction(1, 3), Fraction(2, 3)]))
+@example(([[1, 2], [2, 4], [0, 1]], [1, 3, 0]))
+def test_fraction_free_solve_equals_fraction_gauss_jordan(system):
+    rows, rhs = system
+    sol, status = solve_exact(rows, rhs)
+    assert (sol, status) == _fraction_gauss_jordan(rows, rhs)
+    assert sol is None or all(type(x) is Fraction for x in sol)

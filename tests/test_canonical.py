@@ -464,3 +464,18 @@ def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
     # the counters see the products the reference forms
     _segment_product(H, Fraction(1))
     assert calls and set(calls) == {"MatrixPolynomial", "Polynomial"}
+
+
+def test_solution_rows_affine_rejects_an_unknown_row():
+    H = factorize(w0_matrix())
+    for row in ("middle", "Bottom", None):
+        with pytest.raises(ValueError, match="row must be 'top' or 'bottom'"):
+            solution_rows_affine(H, row=row)
+
+
+def test_equal_hamiltonians_hash_equal():
+    H1, H2 = factorize(w0_matrix()), factorize(w0_matrix())
+    assert H1 is not H2 and H1 == H2 and hash(H1) == hash(H2)
+    head = Hamiltonian(H1.segments[:2])
+    assert head != H1
+    assert len({H1, H2, head}) == 2 and {H1: "W0"}[H2] == "W0"

@@ -1,12 +1,18 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_canonical import _segment_product, pythagorean_hamiltonian
 
+from screwfn import canonical, weyl
 from screwfn.algebra import Polynomial
-from screwfn.canonical import factorize, w0_matrix
+from screwfn.canonical import Hamiltonian, Segment, factorize, w0_matrix
 from screwfn.debranges import e0_frame, extension_eigenbasis
 from screwfn.exact import ExactComplex, PiScalar
 from screwfn.screw import (
@@ -29,6 +35,7 @@ from screwfn.weyl import (
     screw_line_S,
     weyl_transform,
 )
+from screwfn.weyl import _add_scaled, _row_value
 
 FR = e0_frame()
 H0 = factorize(w0_matrix())
@@ -233,3 +240,233 @@ def test_diagram_detects_perturbed_mass():
     assert rep.isometry_kernel_vs_measure < 1e-8
     assert rep.isometry_model_vs_restriction < 1e-8
     assert rep.triangle_weyl_l0_vs_model < 1e-8
+
+
+def test_weyl_transform_and_l2h_inner_reject_a_vector_on_another_hamiltonian():
+    head = Hamiltonian(H0.segments[:2])
+    F = StepVector.basis_vector(H0, 1)
+    with pytest.raises(ValueError, match="different Hamiltonians"):
+        weyl_transform(head, F)
+    with pytest.raises(ValueError, match="different Hamiltonians"):
+        l2h_inner(head, F, F)
+    with pytest.raises(ValueError, match="different Hamiltonians"):
+        l2h_inner(H0, F, StepVector.zero(head))
+    # an equal Hamiltonian built apart carries the same vectors
+    again = factorize(w0_matrix())
+    assert weyl_transform(again, F) == weyl_transform(H0, F)
+    assert l2h_inner(again, F, F) == l2h_inner(H0, F, F)
+
+
+# -- the Polynomial-row formulas that the integer rows replace -------------------------------
+
+
+def _poly_weyl(H, F):
+    """The moment sum over the Polynomial rows of solution_rows_affine, term by term."""
+    acc = Polynomial.zero()
+    rows = canonical.solution_rows_affine(H)
+    for seg, ((r0c, r0d), (r1c, r1d)), (f, g) in zip(H.segments, rows, F.components):
+        pa, pb, pc = seg.proj
+        u, v = f * pa + g * pb, f * pb + g * pc
+        L = seg.length
+        for j in range(max(u.degree, v.degree) + 2):
+            Ij = Fraction(L ** (j + 1), j + 1)
+            uc, vc = u.coeff(j), v.coeff(j)
+            if uc:
+                acc = acc + r0c * (uc * Ij) + r1c * (uc * Fraction(L ** (j + 2), j + 2))
+            if vc:
+                acc = acc + r0d * (vc * Ij) + r1d * (vc * Fraction(L ** (j + 2), j + 2))
+    return acc * PiScalar(1, 1, -2)
+
+
+def _poly_row_vector(H, gamma, scale):
+    """scale * [C(t, gamma); D(t, gamma)], evaluating the Polynomial rows by Horner."""
+    return StepVector(H, [
+        (Polynomial([r0[0](gamma) * scale, r1[0](gamma) * scale]),
+         Polynomial([r0[1](gamma) * scale, r1[1](gamma) * scale]))
+        for r0, r1 in canonical.solution_rows_affine(H)
+    ])
+
+
+def _poly_inverse_weyl(frame, H, F):
+    total = StepVector.zero(H)
+    for g, m in frame.mu:
+        total = total + _poly_row_vector(H, g, F(g) * m)
+    return total
+
+
+def _direction(seg):
+    """(c, s) with P = [[c^2, cs], [cs, s^2]]; exact for a Pythagorean direction."""
+    pa, pb, pc = seg.proj
+    c = Fraction(math.isqrt(pa.numerator), math.isqrt(pa.denominator))
+    s = Fraction(math.isqrt(pc.numerator), math.isqrt(pc.denominator))
+    assert (c * c, c * s, s * s) == (pa, abs(pb), pc)
+    return c, (s if pb >= 0 else -s)
+
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-2, 2))  # signed zeros often
+RATIONALS = st.fractions(-3, 3, max_denominator=5)
+# 70-bit integers with every bit random, so c / den and float(c) / den often round apart
+WIDE = st.integers(0, 2**32).map(lambda k: random.Random(k).getrandbits(69) | 2**69)
+INTEGER_ROWS = st.lists(st.one_of(st.integers(-3, 3), WIDE, WIDE.map(lambda c: -c)), max_size=5).map(
+    lambda u: u[:max((k + 1 for k, c in enumerate(u) if c), default=0)])  # no trailing zero
+DENOMINATORS = st.one_of(st.integers(1, 6), WIDE)
+
+
+def _scalars(kind):
+    if kind == "exact":
+        return st.builds(ExactComplex, RATIONALS, RATIONALS)
+    if kind == "pi":
+        return st.builds(lambda q: PiScalar(q, 2, 1), RATIONALS)
+    return st.builds(complex, FLOATS, FLOATS)
+
+
+@st.composite
+def scaled_sums(draw):
+    """(acc, ints, den, s) for _add_scaled; acc may cancel the scaled row, wholly or at the top.
+
+    Exact and pi-graded scalars of different grade are never added: that raises in both.
+    """
+    kind_acc, kind_s = draw(st.sampled_from([
+        ("exact", "exact"), ("exact", "float"), ("float", "exact"), ("float", "float"),
+        ("pi", "pi"), ("pi", "float"), ("float", "pi"),
+    ]))
+    ints, den = draw(INTEGER_ROWS), draw(DENOMINATORS)
+    s = draw(_scalars(kind_s).filter(bool))
+    acc = draw(st.lists(_scalars(kind_acc), max_size=6))
+    minus = list((Polynomial([Fraction(c, den) for c in ints]) * -s).coeffs)
+    cut = draw(st.integers(0, len(minus)))
+    if draw(st.booleans()):
+        acc = acc[:cut] + minus[cut:]
+    return list(Polynomial(acc).coeffs), ints, den, s
+
+
+@settings(max_examples=300)
+@given(scaled_sums())
+# complex(1.0) * s has imaginary part -0.0 + -0.0, which the -0.0 of acc keeps
+@example(([complex(0.5, -0.0)], [1], 1, complex(-1.0, -0.0)))
+def test_add_scaled_is_polynomial_addition(case):
+    acc, ints, den, s = case
+    expect = Polynomial(acc) + Polynomial([Fraction(c, den) for c in ints]) * s
+    assert repr(_add_scaled(acc, ints, den, s)) == repr(list(expect.coeffs))
+
+
+@settings(max_examples=300)
+@given(INTEGER_ROWS, DENOMINATORS, st.one_of(
+    FLOATS, st.builds(complex, FLOATS, FLOATS), RATIONALS, st.integers(-3, 3),
+    st.builds(ExactComplex, RATIONALS, RATIONALS)))
+def test_row_value_is_polynomial_evaluation(ints, den, z):
+    assert repr(_row_value(ints, den, z)) == repr(Polynomial([Fraction(c, den) for c in ints])(z))
+
+
+@st.composite
+def step_vectors(draw, H):
+    """A step vector on H, zero on a random set of segments, of one kind.
+
+    On each segment (f, g) = a (c, s) + q(t) (-s, c) for the direction (c, s):
+    exact rationals, the same times a pi-graded scalar, complex floats with
+    the float direction that basis_vector uses (|a| >= 1/2 there, so the
+    rounding left in the constrained component stays below the 1e-9 check),
+    or exact and float segments mixed.
+    """
+    kind = draw(st.sampled_from(["exact", "pi", "float", "mixed"]))
+    comps = []
+    for seg in H.segments:
+        if draw(st.booleans()):
+            comps.append((Polynomial.zero(), Polynomial.zero()))
+            continue
+        n_free = draw(st.integers(0, 3))
+        if kind == "float" or kind == "mixed" and draw(st.booleans()):
+            pa, pb, pc = seg.proj
+            c, s = math.sqrt(float(pa)), math.copysign(math.sqrt(float(pc)), float(pb))
+            a = complex(draw(st.floats(0.5, 2)) * draw(st.sampled_from([1, -1])), draw(FLOATS))
+            q = [complex(draw(FLOATS), draw(FLOATS)) for _ in range(n_free)]
+            zero = 0j
+        else:
+            c, s = _direction(seg)
+            a = draw(st.fractions(-3, 3, max_denominator=5))
+            q = [draw(st.fractions(-3, 3, max_denominator=5)) for _ in range(n_free)]
+            zero = Fraction(0)
+        q += [zero] * (1 - len(q))
+        f = Polynomial([a * c - q[0] * s] + [-x * s for x in q[1:]])
+        g = Polynomial([a * s + q[0] * c] + [x * c for x in q[1:]])
+        comps.append((f, g))
+    F = StepVector(H, comps)
+    if kind == "pi":
+        F = F * PiScalar(draw(st.fractions(-3, 3, max_denominator=5)), draw(st.sampled_from([1, 2, 3])),
+                         draw(st.integers(-2, 2)))
+    if kind in ("float", "mixed") and draw(st.booleans()):
+        F = F + -StepVector.basis_vector(H, draw(st.integers(0, len(H) - 1)))
+    return F
+
+
+@st.composite
+def level_set_frames(draw):
+    """A stand-in for a frame: inverse_weyl reads only dim and the level-set measure mu.
+
+    Exact points with pi-graded masses, or float points with float masses.
+    """
+    points = draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=4,
+                           unique=True))
+    masses = [draw(st.fractions(Fraction(1, 8), 2, max_denominator=8)) for _ in points]
+    if draw(st.booleans()):
+        mu = DiscreteMeasure(points, [PiScalar(m, 1, 2) for m in masses])
+    else:
+        mu = DiscreteMeasure([float(p) for p in points], [float(m) for m in masses])
+    return SimpleNamespace(dim=len(points), mu=mu)
+
+
+@settings(max_examples=40)
+@given(pythagorean_hamiltonian(), st.data())
+def test_weyl_layer_equals_the_polynomial_row_formulas(H, data):
+    F = data.draw(step_vectors(H))
+    assert repr(weyl_transform(H, F)) == repr(_poly_weyl(H, F))
+    # L0_map evaluates the rows at a float point with a complex scale
+    gamma = data.draw(st.floats(-3, 3))
+    scale = complex(data.draw(FLOATS), data.draw(FLOATS))
+    got = StepVector.from_row_values(H, gamma, scale).components
+    assert repr(got) == repr(_poly_row_vector(H, gamma, scale).components)
+    # ... and at exact points with exact and pi-graded scales
+    gamma = data.draw(st.fractions(-3, 3, max_denominator=7))
+    for scale in (data.draw(st.fractions(-3, 3, max_denominator=5)), PiScalar(Fraction(1, 2), 2, 1)):
+        got = StepVector.from_row_values(H, gamma, scale).components
+        assert repr(got) == repr(_poly_row_vector(H, gamma, scale).components)
+    frame = data.draw(level_set_frames())
+    P = Polynomial([data.draw(st.fractions(-3, 3, max_denominator=5)) for _ in range(frame.dim)])
+    V = inverse_weyl(frame, H, P)
+    assert repr(V.components) == repr(_poly_inverse_weyl(frame, H, P).components)
+    assert repr(weyl_transform(H, V)) == repr(_poly_weyl(H, V))
+
+
+def test_weyl_transform_reads_the_integer_rows(monkeypatch):
+    pairs = ((1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
+    segments = []
+    for k in range(32):
+        m, n = pairs[(3 * k) % len(pairs)]
+        r = m * m + n * n
+        c, s = Fraction(m * m - n * n, r), Fraction(2 * m * n, r)
+        segments.append(Segment(Fraction(k % 7 + 1, 4), (c * c, c * s, s * s)))
+    H = Hamiltonian(segments)
+    vectors = [StepVector.basis_vector(H, k) for k in (0, 1, 17, 31)]
+    vectors.append(sum(vectors[1:], vectors[0]))
+    calls = []
+    rows, poly_mul = canonical.solution_rows_affine, Polynomial.__mul__
+
+    def counted_rows(*args, **kwargs):
+        calls.append("solution_rows_affine")
+        return rows(*args, **kwargs)
+
+    def counted_poly(self, other):
+        if isinstance(other, Polynomial):
+            calls.append("Polynomial")
+        return poly_mul(self, other)
+
+    # both bindings: a module that imports the name holds its own
+    monkeypatch.setattr(canonical, "solution_rows_affine", counted_rows)
+    monkeypatch.setattr(weyl, "solution_rows_affine", counted_rows, raising=False)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_poly)
+    images = [weyl_transform(H, F) for F in vectors]
+    assert calls == []
+    # the counters see the rows and the products of the Polynomial formulas
+    assert [repr(_poly_weyl(H, F)) for F in vectors] == [repr(img) for img in images]
+    _segment_product(H, Fraction(1))
+    assert "solution_rows_affine" in calls and "Polynomial" in calls
