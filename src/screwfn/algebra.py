@@ -21,7 +21,6 @@ updated row, and forms one Fraction per unknown at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "MatrixPolynomial",
-    "PartialFractions",
     "effective_degree",
     "sharp",
     "ab_split",
@@ -40,7 +38,6 @@ __all__ = [
     "rational_roots",
     "real_zeros",
     "hb_test",
-    "partial_fractions",
     "solve_exact",
 ]
 
@@ -598,30 +595,6 @@ class RationalFunction:
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    poles: list[complex]
-    residues: list[complex]
-    polynomial_part: Polynomial
-
-
-def partial_fractions(r: RationalFunction) -> PartialFractions:
-    """Decompose r = polynomial_part + sum residue_k/(z - pole_k), simple poles only."""
-    quot, rem = r.num.divmod(r.den)
-    if r.den.degree < 1:
-        return PartialFractions([], [], quot)
-    if r.mode == "exact" and r.den.gcd(r.den.derivative()).degree >= 1:
-        raise ValueError("unsupported multiplicity: poles must be simple")
-    poles = roots(r.den)
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) < 1e-6:
-                raise ValueError("unsupported multiplicity: poles must be simple")
-    dden = r.den.derivative()
-    residues = [complex(rem(a)) / complex(dden(a)) for a in poles]
-    return PartialFractions(poles, residues, quot)
 
 
 # ---------------------------------------------------------------------------

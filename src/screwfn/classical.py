@@ -8,11 +8,26 @@ Three classical faces of the same discrete spectral data:
   q as the ratio of terminal slopes;
 * the integral representation of a screw function g with g(0) = 0 is, after
   exponentiation, a Levy-Khintchine formula, so g yields a triplet
-  (gaussian variance, drift, jump measure) and an explicit density as a
-  gaussian-smoothed double Poisson series;
-* a screw function with finite discrete spectrum is annihilated by an
-  explicit convolution kernel, and the ratio of one-sided transforms (the
-  Fourier-Carleman quotient) reproduces -i Q(z)/z^2.
+  (gaussian variance, drift, jump measure) and an explicit density: a
+  Gaussian smoothing of the compound Poisson law of the jumps;
+* a screw function with finite discrete spectrum is annihilated by a
+  convolution kernel (Kahane, Lectures on Mean Periodic Functions, 1959),
+  and the ratio of one-sided transforms (the Fourier-Carleman quotient)
+  reproduces -i Q(z)/z^2.
+
+The kernel phi = sum p_k (-i)^k H_k(u) exp(-u^2), H_k the physicists'
+Hermite polynomials, has transform sqrt(pi) exp(-z^2/4) P(z) with
+P(z) = z^3 prod (z + gamma) = sum p_k z^k over the nonzero atoms: z^3 kills
+the polynomial part of g, and z + gamma its exp(+i t gamma) term, the sign
+eval_screw uses (P = z^3 prod (z - gamma) for a symmetric spectrum).  As
+H_k exp(-u^2) = -(H_{k-1} exp(-u^2))', k integrations by parts, with the
+remainder P(i d/dt) g = 0, give the one-sided convolution in closed form:
+
+    integral_{u < t} g(t - u) phi(u) du
+        = -exp(-t^2) sum_k p_k (-i)^k sum_{j < k} (-1)^j g^(j)(0) H_{k-1-j}(t),
+
+g'(0) = i (c + sum m gamma/(1 + gamma^2)), g''(0) = -tau(R) and
+g^(j)(0) = i^j sum m gamma^(j-2) for j >= 3; -i (8t^2 - 3) exp(-t^2) for g0.
 
 Continued fractions run in exact rational arithmetic; convolution and
 Fourier checks use composite Simpson on super-exponentially decaying
@@ -25,12 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import hermite, polynomial
 
 from .algebra import Polynomial, RationalFunction
 from .exact import ExactComplex, PiScalar
-from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data, q0_function
-from .spectra import DiscreteMeasure
+from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
+from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
 
 __all__ = [
     "KreinString",
@@ -238,35 +253,32 @@ def screw_from_triplet(t: LevyTriplet) -> ScrewFunctionData:
     return ScrewFunctionData(Fraction(0), t.b, DiscreteMeasure(pts, ms))
 
 
-def _two_atom_rate(t: LevyTriplet) -> float:
-    pts = [float(p) for p in t.nu.points]
-    ms = [float(m) for m in t.nu.masses]
-    if pts != [-1.0, 1.0] or abs(ms[0] - ms[1]) > 1e-15:
-        raise ValueError("density implemented for equal masses at +-1 only")
-    return ms[0]
-
-
 def idd_density(t: LevyTriplet, x, K: int = 40):
     """Density of the law with characteristic function exp of the triplet exponent.
 
-    Gaussian of variance a convolved with the difference of two independent
-    Poisson(lam) jumps at +-1: a double series truncated at K terms per index,
-    with Poisson-tail error below 1e-15 for K >= 40 at lam <= 1.
+    The law is N(b - sum nu(g) g/(1 + g^2), a) plus sum g N_g, N_g ~ Poisson(nu(g)),
+    on the lattice (1/d)Z of the points' common denominator d: np.convolve
+    combines the pmfs, truncated at K (a tail below 1e-15 for K >= 40 at
+    nu(g) <= 1), and one Gaussian sum over the lattice follows.
     """
-    lam = _two_atom_rate(t)
     a = float(t.a)
     if a <= 0:
         raise ValueError("density requires positive gaussian variance")
-    # symmetric nu makes the centering drift and the raw drift coincide
-    b0 = float(t.b)
+    d = math.lcm(*(Fraction(p).denominator for p in t.nu.points))
+    pmf, lo = np.ones(1), 0  # pmf[j] is the mass at (lo + j)/d
+    for p, m in t.nu:
+        lam, step = float(m), int(p * d)
+        jumps = np.zeros(K * abs(step) + 1)
+        jumps[:: abs(step)] = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(K + 1)]
+        if step < 0:
+            jumps, lo = jumps[::-1], lo + K * step
+        pmf = np.convolve(pmf, jumps)
+    center = float(t.b) - sum(float(m) * float(p) / (1 + float(p) ** 2) for p, m in t.nu)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    kfac = [math.factorial(k) for k in range(K + 1)]
-    for k in range(K + 1):
-        for l in range(K + 1):
-            w = lam ** (k + l) / (kfac[k] * kfac[l])
-            out = out + w * np.exp(-((x - b0 - k + l) ** 2) / (2 * a))
-    out *= math.exp(-2 * lam) / math.sqrt(2 * math.pi * a)
+    for j in np.flatnonzero(pmf):
+        out += pmf[j] * np.exp(-((x - center - (lo + j) / d) ** 2) / (2 * a))
+    out /= math.sqrt(2 * math.pi * a)
     return out if out.shape else float(out)
 
 
@@ -288,11 +300,6 @@ def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
 # mean periodicity
 # ---------------------------------------------------------------------------
 
-def _annihilator(u: np.ndarray) -> np.ndarray:
-    """The convolution kernel -4it(8t^4 - 38t^2 + 27)exp(-t^2)."""
-    return -4j * u * (8 * u**4 - 38 * u**2 + 27) * np.exp(-(u**2))
-
-
 @dataclass(frozen=True)
 class MeanPeriodicReport:
     convolution_residual: float
@@ -309,22 +316,47 @@ class MeanPeriodicReport:
         )
 
 
-def mean_periodic_checks(grid=None) -> MeanPeriodicReport:
-    """Annihilation, kernel transform, one-sided convolution and the
-    Fourier-Carleman quotient, all for the three-point screw function.
+def _kernel_and_convolution(g: ScrewFunctionData):
+    """The closed forms of the module docstring: (p, phi, one_sided).
 
-    Quadratures run on [-7, 7] against the exp(-t^2) factor; tails are below
-    1e-10 so the 1e-8 tolerances in the report are honest.
+    p holds P's coefficients in ascending powers; phi(u) and one_sided(t)
+    evaluate the kernel and the one-sided convolution on float arrays.
     """
-    g0 = g0_data()
+    atoms = [(gam, m) for gam, m in g.float_atoms if gam]
+    p = np.concatenate([[0.0] * 3, polynomial.polyfromroots([-gam for gam, _ in atoms])])
+    c = p * np.array([(-1j) ** k for k in range(len(p))])
+    derivs = [  # g(0), g'(0), ..., g^(deg P - 1)(0)
+        complex(float(g.g0)),
+        1j * (float(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)),
+        complex(-sum(m for _, m in g.float_atoms)),
+    ] + [1j**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
+    h = np.zeros(len(p) - 1, dtype=complex)
+    for k in range(1, len(p)):
+        for j in range(k):
+            h[k - 1 - j] -= c[k] * (-1) ** j * derivs[j]
+    return (p, lambda u: hermite.hermval(u, c) * np.exp(-(u**2)),
+            lambda t: hermite.hermval(t, h) * np.exp(-(t**2)))
+
+
+def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanPeriodicReport:
+    """Annihilation, kernel transform, one-sided convolution and the
+    Fourier-Carleman quotient of g (the three-point screw function by default).
+
+    The kernel and the one-sided convolution are the closed forms of the
+    module docstring.  Quadratures are composite Simpson on [-7, 7] against
+    the exp(-t^2) factor ([-8, 8] for the quotient's numerator); tails are
+    below 1e-10 so the 1e-8 tolerances in the report are honest.
+    """
+    g = g if g is not None else g0_data()
     ts = np.asarray(grid if grid is not None else np.linspace(-3.0, 3.0, 25), dtype=float)
     n = 16385
     us = np.linspace(-7.0, 7.0, n)
     w = _simpson_weights(n, us[1] - us[0])
-    phi_u = _annihilator(us)
+    p, phi, one_sided = _kernel_and_convolution(g)
+    phi_u = phi(us)
 
     # (i) full convolution vanishes
-    conv_vals = (eval_screw(g0, ts[:, None] - us[None, :]) * (w * phi_u)[None, :]).sum(axis=1)
+    conv_vals = (eval_screw(g, ts[:, None] - us[None, :]) * (w * phi_u)[None, :]).sum(axis=1)
     r_conv = float(np.max(np.abs(conv_vals)))
 
     # (ii) Fourier transform of the kernel
@@ -332,33 +364,25 @@ def mean_periodic_checks(grid=None) -> MeanPeriodicReport:
     for z in (0.0, 0.7, -1.3, 2j, 1 + 0.5j):
         z = complex(z)
         lhs = np.sum(w * phi_u * np.exp(1j * z * us))
-        rhs = math.sqrt(math.pi) * np.exp(-(z**2) / 4) * z**3 * (z**2 - 1)
+        rhs = math.sqrt(math.pi) * np.exp(-(z**2) / 4) * polynomial.polyval(z, p)
         r_four = max(r_four, abs(lhs - rhs))
 
-    def conv_plus(t: float) -> complex:
-        """The one-sided convolution of g0 with the annihilator: integral over u < t."""
-        m = 4097
-        hi = min(t, 7.0)
-        if hi <= -7.0:
-            return 0j
-        uu = np.linspace(-7.0, hi, m)
-        ww = _simpson_weights(m, uu[1] - uu[0])
-        return complex(np.sum(ww * eval_screw(g0, t - uu) * _annihilator(uu)))
-
-    # (iii) one-sided convolution has the closed form -i(8t^2-3)exp(-t^2)
+    # (iii) the one-sided convolution, integral over u < t, against its closed form
+    m = 4097
     r_one = 0.0
     for t in ts:
-        target = -1j * (8 * t**2 - 3) * math.exp(-(t**2))
-        r_one = max(r_one, abs(conv_plus(float(t)) - target))
+        conv_plus, hi = 0j, min(t, 7.0)
+        if hi > -7.0:
+            uu = np.linspace(-7.0, hi, m)
+            conv_plus = np.sum(_simpson_weights(m, uu[1] - uu[0]) * eval_screw(g, t - uu) * phi(uu))
+        r_one = max(r_one, abs(conv_plus - one_sided(t)))
 
-    # (iv) Fourier-Carleman quotient at z = 2i against -(i/z^2) Q(z)
+    # (iv) Fourier-Carleman quotient at z = 2i against -(i/z^2) Q(z), Q of (-g(0), c, tau)
     z = 2j
-    re, _ = integrate.quad(lambda t: (conv_plus(t) * np.exp(1j * z * t)).real, -8, 8,
-                           limit=300, epsabs=1e-12)
-    im, _ = integrate.quad(lambda t: (conv_plus(t) * np.exp(1j * z * t)).imag, -8, 8,
-                           limit=300, epsabs=1e-12)
-    num_fc = complex(re, im)
+    tt = np.linspace(-8.0, 8.0, m)
+    num_fc = np.sum(_simpson_weights(m, tt[1] - tt[0]) * one_sided(tt) * np.exp(1j * z * tt))
     den_fc = np.sum(w * phi_u * np.exp(1j * z * us))
-    r_fc = abs(num_fc / den_fc - (-1j / z**2) * complex(q0_function()(z)))
+    Q = q_from_measure(NevanlinnaData(-g.g0, g.c, g.tau))
+    r_fc = abs(num_fc / den_fc - (-1j / z**2) * complex(Q(z)))
 
     return MeanPeriodicReport(r_conv, float(r_four), float(r_one), float(r_fc))

@@ -2,9 +2,10 @@
 
 Subcommands:
 
-* ``pipeline --example {g0,pw}`` runs the full correspondence chain for the
-  three-point example or the truncated Paley-Wiener family and emits a
-  machine-readable verification report (exit 0 pass / 1 fail / 2 bad input);
+* ``pipeline --example {g0,pw}`` emits a machine-readable verification
+  report (exit 0 pass / 1 fail / 2 bad input): ``g0`` runs the generic chain
+  of run_spectral_pipeline on the three-point example's measure tau_0, and
+  ``pw`` the truncated Paley-Wiener family;
 * ``factorize W.json`` turns a transfer matrix into its step Hamiltonian;
 * ``string q.json`` expands a Herglotz function into a Krein string;
 * ``pd-check`` builds the kernel Gram matrix on a grid and reports its
@@ -13,10 +14,15 @@ Subcommands:
 
 One global --seed drives every randomized probe, so reports are
 deterministic.
+
+run_spectral_pipeline serves exact symmetric measures with an atom at 0
+(A odd and B even for bezout_complete, Q odd for q_substitute, tau({0}) > 0
+for the Levy density); on other measures the checks that need these fail.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,20 +32,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import serialization as ser
-from .algebra import Polynomial
-from .canonical import factorize, fundamental_solution, w0_matrix
+from .algebra import MatrixPolynomial, Polynomial, ab_split
+from .canonical import bezout_complete, factorize, fundamental_solution, subspace_chain
 from .classical import (
     idd_charfn_check,
     levy_triplet,
     mean_periodic_checks,
     q_substitute,
+    screw_from_triplet,
     stieltjes_string,
-    string_solve,
     titchmarsh_weyl,
 )
 from .debranges import (
+    HermiteBiehlerFrame,
     boundary_value,
-    e0_frame,
     extension_eigenbasis,
     gram_schmidt_basis,
     inner_product,
@@ -48,7 +54,6 @@ from .debranges import (
     moments,
     s_theta_in_space,
 )
-from .exact import ExactComplex, PI, PiScalar
 from .paleywiener import (
     PWFrame,
     g_r_laplace_check,
@@ -59,16 +64,18 @@ from .paleywiener import (
     pw_weyl_is_fourier,
     tan_partial_fraction,
 )
-from .screw import ScrewFunctionData, g0_data, kernel_g, laplace_check, pd_check, q0_function
+from .screw import ScrewFunctionData, g0_data, kernel_g, laplace_check, pd_check
 from .spectra import (
     DiscreteMeasure,
+    NevanlinnaData,
     cayley_q_to_theta,
     level_set_masses,
     measure_from_q,
+    q_from_measure,
     tau_from_mu,
     theta_to_e,
 )
-from .weyl import StepVector, diagram_check, inverse_weyl, l2h_inner, screw_line_S, weyl_transform
+from .weyl import diagram_check, inverse_weyl, l2h_inner, screw_line_S, weyl_transform
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
@@ -122,156 +129,118 @@ class VerificationReport:
                 "pass": self.passed}
 
 
-def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
-    """Every closed-form identity of the three-point example, end to end."""
+def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
+                          tol: float = 1e-6) -> VerificationReport:
+    """Every identity of the chain built from one exact spectral measure tau.
+
+    g = (0, 0, tau), Q = q_from_measure(0, 0, tau), E = A - iB from the
+    Cayley transform of Q divided by the real B(0) so that E(0) = -i,
+    W = [bezout_complete(A, B); A, B] and H = factorize(W), whose peel
+    certifies W as J-inner.  Each check compares two of these; they are built
+    on first use, so a check that cannot build one fails with the message.
+    """
     rep = VerificationReport()
-    Q0 = q0_function()
-    fr = e0_frame()
-    g0 = g0_data()
-    tau0 = g0.tau
+    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
+
+    @functools.cache
+    def Q():
+        return q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
+
+    @functools.cache
+    def frame():
+        E = theta_to_e(cayley_q_to_theta(Q()))
+        return HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
+
+    @functools.cache
+    def transfer():
+        fr = frame()
+        W = MatrixPolynomial([bezout_complete(fr.A, fr.B, validate=False), (fr.A, fr.B)])
+        return W, factorize(W)
 
     def spectral_measure() -> bool:
-        d = measure_from_q(Q0)
-        return d.a == 0 and d.b == 0 and d.measure == tau0
+        d = measure_from_q(Q())
+        return d.a == 0 and d.b == 0 and d.measure == tau
 
     rep.run("spectral-measure-inversion", "herglotz-representation", spectral_measure)
-
-    def cayley_chain() -> bool:
-        theta = cayley_q_to_theta(Q0)
-        E = theta_to_e(theta)
-        mu = level_set_masses(E)
-        ok = E == fr.E
-        ok &= mu.mass_at(0) == PI and mu.mass_at(1) == PI / 2 and mu.mass_at(-1) == PI / 2
-        ok &= tau_from_mu(mu) == tau0
-        return ok
-
-    rep.run("level-set-masses", "inner-function-level-set", cayley_chain)
+    rep.run("level-set-masses", "inner-function-level-set",
+            lambda: tau_from_mu(level_set_masses(frame().E)) == tau)
 
     def debranges_tables() -> bool:
-        monos = [Polynomial.monomial(k) for k in range(3)]
-        expect = [[2, 0, 1], [0, 1, 0], [1, 0, 1]]
-        ok = all(
-            inner_product(fr, monos[i], monos[j]) == PI * expect[i][j]
-            for i in range(3)
-            for j in range(3)
-        )
-        mt = moments(fr)
-        ok &= mt.moments[0] == PI * 2 and mt.hankel[2] == PiScalar(1, 1, 6)
+        fr = frame()
+        n, m = fr.dim, moments(fr).moments
+        monos = [Polynomial.monomial(k) for k in range(n)]
         basis = gram_schmidt_basis(fr)
-        ok &= basis[0] == Polynomial([PiScalar(Fraction(1, 2), 2, -1)])
-        ok &= basis[1] == Polynomial([PiScalar(0), PiScalar(1, 1, -1)])
-        ok &= basis[2] == Polynomial(
-            [PiScalar(Fraction(-1, 2), 2, -1), PiScalar(0), PiScalar(1, 2, -1)]
+        return all(
+            inner_product(fr, monos[i], monos[j]) == m[i + j]
+            and inner_product(fr, basis[i], basis[j]) == int(i == j)
+            for i in range(n)
+            for j in range(n)
         )
-        ok &= all(
-            inner_product(fr, basis[i], basis[j]) == (PiScalar(1) if i == j else PiScalar(0))
-            for i in range(3)
-            for j in range(3)
-        )
-        return ok
 
     rep.run("polynomial-space-tables", "sampling-inner-products", debranges_tables)
 
     def kernel_agreement():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(20):
-            z = complex(rng.normal(), rng.normal())
-            w = complex(rng.normal(), rng.normal())
-            worst = max(worst, abs(kernel_ab(fr, z, w) - kernel_moment(fr, z, w)))
-        return worst, 1e-10
+        fr, rng = frame(), np.random.default_rng(seed)
+        pairs = [[complex(rng.normal(), rng.normal()) for _ in range(2)] for _ in range(20)]
+        return max(abs(kernel_ab(fr, z, w) - kernel_moment(fr, z, w)) for z, w in pairs), 1e-10
 
     rep.run("reproducing-kernel-two-forms", "bordered-determinant-kernel", kernel_agreement)
 
     def multiplication_domain() -> bool:
+        fr = frame()
         hits = [th for th in np.linspace(0, math.pi, 180, endpoint=False)
                 if s_theta_in_space(fr, th)]
-        ok = hits == [0.0]
         eb = extension_eigenbasis(fr, math.pi / 2)
-        ok &= list(eb.eigenvalues) == [Fraction(-1), Fraction(0), Fraction(1)]
-        ok &= all(inner_product(fr, F, F) == PiScalar(1) for F in eb.normalized)
-        Fm1, F0, F1 = eb.normalized
-        ok &= boundary_value(fr, F0, 0) == PiScalar(ExactComplex(0, -1), 1, -1)
-        ok &= boundary_value(fr, F1, 1) == PiScalar(ExactComplex(0, -1), 2, -1)
-        ok &= boundary_value(fr, Fm1, -1) == PiScalar(ExactComplex(0, -1), 2, -1)
-        return ok
+        return (
+            hits == [0.0]
+            and list(eb.eigenvalues) == list(tau.points)
+            and all(boundary_value(fr, F, x).abs2() * fr.mu.mass_at(x) == 1
+                    for x, F in zip(eb.eigenvalues, eb.normalized))
+        )
 
     rep.run("multiplication-operator-extensions", "eigenbasis-boundary-values",
             multiplication_domain)
 
-    W0 = w0_matrix()
-    H0 = factorize(W0)
-
     def factorization() -> bool:
-        ok = list(H0.breakpoints) == [0, Fraction(1, 2), Fraction(9, 2), 5]
-        ok &= [s.theta for s in H0.segments] == [math.pi / 2, 0.0, math.pi / 2]
-        ok &= fundamental_solution(H0, 5) == W0
-        Wq = fundamental_solution(H0, Fraction(1, 4))
-        ok &= Wq.entries[1][0] == Polynomial([0, Fraction(-1, 4)])
-        W2 = fundamental_solution(H0, 2)
-        ok &= W2.entries[1][1] == Polynomial([1, 0, Fraction(-3, 4)])
-        W475 = fundamental_solution(H0, Fraction(19, 4))
-        ok &= W475.entries[1][0] == Polynomial([0, Fraction(-3, 4), 0, Fraction(1, 2)])
-        ok &= W475.entries[0][0] == Polynomial([1, 0, -1])
-        return ok
+        W, H = transfer()
+        return (fundamental_solution(H, H.total_length) == W
+                and subspace_chain(H)[-1].E == frame().E)
 
     rep.run("hamiltonian-factorization", "rank-one-transfer-factors", factorization)
 
     def weyl_images() -> bool:
-        half = PiScalar(Fraction(1, 2), 1, -2)
-        imgs = [weyl_transform(H0, StepVector.basis_vector(H0, k)) for k in range(3)]
-        ok = imgs[0] == Polynomial([half])
-        ok &= imgs[1] == Polynomial([PiScalar(0), PiScalar(-2, 1, -2)])
-        ok &= imgs[2] == Polynomial([half, PiScalar(0), PiScalar(-1, 1, -2)])
-        eb = extension_eigenbasis(fr, math.pi / 2)
-        invs = [inverse_weyl(fr, H0, F) for F in eb.normalized]
-        ok &= all(
-            l2h_inner(H0, invs[i], invs[j]) == (PiScalar(1) if i == j else PiScalar(0))
-            for i in range(3)
-            for j in range(3)
-        )
-        ok &= all(
-            weyl_transform(H0, inv) == Polynomial(list(F.coeffs))
-            for inv, F in zip(invs, eb.normalized)
-        )
-        return ok
+        fr, (_, H) = frame(), transfer()
+        basis = extension_eigenbasis(fr, math.pi / 2).normalized
+        invs = [inverse_weyl(fr, H, F) for F in basis]
+        orthonormal = all(l2h_inner(H, u, v) == int(i == j)
+                          for i, u in enumerate(invs) for j, v in enumerate(invs))
+        return orthonormal and all(weyl_transform(H, v) == F for v, F in zip(invs, basis))
 
     rep.run("weyl-transform-images", "canonical-system-transform", weyl_images)
 
     def screw_gram():
         ts = np.linspace(-5, 5, 20)
-        lines = [screw_line_S(fr, t) for t in ts]
-        worst = 0.0
-        for t, St in zip(ts, lines):
-            for s, Ss in zip(ts, lines):
-                worst = max(worst, abs(St.inner(Ss) - math.pi * kernel_g(g0, t, s)))
-        return worst, 1e-12
+        lines = [screw_line_S(frame(), t) for t in ts]
+        return max(abs(St.inner(Ss) - math.pi * kernel_g(g, t, s))
+                   for t, St in zip(ts, lines) for s, Ss in zip(ts, lines)), 1e-12
 
     rep.run("model-space-screw-line", "screw-line-gram-identity", screw_gram)
 
     def positivity():
-        out = pd_check(g0, np.linspace(-6, 6, 50))
+        out = pd_check(g, np.linspace(-6, 6, 50))
         rep.constants["pd_min_eigenvalue"] = out.min_eigenvalue
         return -out.min_eigenvalue, 1e-9
 
     rep.run("kernel-nonnegativity", "gram-matrix-eigenvalues", positivity)
-
-    def laplace():
-        worst = 0.0
-        for z in (2j, 1 + 1j, -1 + 2j):
-            worst = max(worst, laplace_check(g0, Q0, z, T=80.0))
-        return worst, 1e-8
-
-    rep.run("laplace-transform-identity", "one-sided-transform", laplace)
+    rep.run("laplace-transform-identity", "one-sided-transform",
+            lambda: (max(laplace_check(g, Q(), z, T=80.0) for z in (2j, 1 + 1j, -1 + 2j)), 1e-8))
 
     def diagram():
-        out = diagram_check(g0, fr, H0, n_samples=20, seed=seed, tol=tol)
+        out = diagram_check(g, frame(), transfer()[1], n_samples=20, seed=seed, tol=tol)
         rep.constants["basis_gram_constant"] = out.basis_gram_constant
         rep.constants["basis_gram_offdiag"] = out.basis_gram_offdiag
-        rep.constants["square_phase_constant"] = [
-            out.square_phase_constant.real,
-            out.square_phase_constant.imag,
-        ]
+        phase = out.square_phase_constant
+        rep.constants["square_phase_constant"] = [phase.real, phase.imag]
         worst = max(
             out.isometry_kernel_vs_measure,
             out.isometry_measure_vs_model,
@@ -284,37 +253,26 @@ def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
     rep.run("isometry-diagram-closure", "commuting-transform-square", diagram)
 
     def krein_string() -> bool:
-        q0 = q_substitute(Q0)
-        s = stieltjes_string(q0)
-        ok = s.L == math.inf
-        ok &= s.masses == ((Fraction(0), Fraction(1, 2)), (Fraction(4), Fraction(1, 2)))
-        phi4, psi4 = string_solve(s, None, 4)
-        ok &= phi4 == Polynomial([1, -2]) and psi4 == Polynomial([4])
-        ok &= titchmarsh_weyl(s) == q0
-        return ok
+        q = q_substitute(Q())
+        s = stieltjes_string(q)
+        return s.L == math.inf and titchmarsh_weyl(s) == q
 
     rep.run("krein-string-correspondence", "stieltjes-continued-fraction", krein_string)
 
     def levy():
-        trip = levy_triplet(g0)
-        ok = trip.a == 1 and trip.b == 0
-        ok = ok and trip.nu == DiscreteMeasure(
-            [Fraction(-1), Fraction(1)], [Fraction(1, 2), Fraction(1, 2)]
-        )
-        if not ok:
+        if screw_from_triplet(levy_triplet(g)) != g:
             return 1.0, 0.0
-        resid = max(idd_charfn_check(g0, [0.0, 1.0, 2.0]))
-        return resid, 1e-6
+        return max(idd_charfn_check(g, [0.0, 1.0, 2.0])), 1e-6
 
     rep.run("levy-khintchine-triplet", "infinitely-divisible-density", levy)
-
-    def mean_periodic():
-        out = mean_periodic_checks()
-        return out.max_residual(), 1e-8
-
-    rep.run("mean-periodicity", "annihilating-convolution", mean_periodic)
-
+    rep.run("mean-periodicity", "annihilating-convolution",
+            lambda: (mean_periodic_checks(g).max_residual(), 1e-8))
     return rep
+
+
+def run_g0_pipeline(seed: int = 0, tol: float = 1e-6) -> VerificationReport:
+    """The spectral pipeline on the three-point example's measure."""
+    return run_spectral_pipeline(g0_data().tau, seed=seed, tol=tol)
 
 
 def run_pw_pipeline(r: float = 1.0, trunc: int = 100, tol: float = 1e-4,

@@ -307,9 +307,6 @@ class TestFunction:
         """phi-hat(z) = integral phi(t) exp(izt) dt."""
         return self.quad(self.samples * np.exp(1j * complex(z) * self.grid))
 
-    def fourier_derivative_at_zero(self) -> complex:
-        return self.quad(self.samples * 1j * self.grid)
-
     def zero_mean(self) -> "TestFunction":
         """Project onto vanishing integral by subtracting a fixed bump multiple."""
         total = self.integral()
@@ -344,7 +341,7 @@ def phi1(phi: TestFunction, z: complex) -> complex:
     """Phi1(phi, z) = integral phi(t) (exp(izt) - 1)/z dt; the z=0 limit is i t."""
     z = complex(z)
     if z == 0:
-        return phi.fourier_derivative_at_zero()
+        return phi.quad(phi.samples * 1j * phi.grid)
     return phi.quad(phi.samples * (np.exp(1j * z * phi.grid) - 1.0) / z)
 
 
@@ -362,30 +359,19 @@ def random_test_function(rng: np.random.Generator, support=(-3.0, 3.0), n: int =
     return TestFunction(vals * window, support).zero_mean()
 
 
-def aligned_test_function(d0, v1, vm1, support=(-3.0, 3.0), n: int = 4097) -> TestFunction:
-    """Zero-mean test function with prescribed (phi-hat'(0), phi-hat(1), phi-hat(-1)).
+def aligned_test_function(points, targets, support=(-3.0, 3.0), n: int = 4097) -> TestFunction:
+    """Zero-mean test function with Phi1(phi, points[k]) = targets[k] for each k.
 
-    Solves a 4x4 linear system over the windowed monomial family w(t)*t^j.
+    Solves the square linear system of the functionals integral(phi) and
+    Phi1(phi, gamma) over the windowed monomials w(t) t^j, j <= len(points).
     """
     lo, hi = support
     ts = np.linspace(lo, hi, n)
     window = _bump(ts, lo, hi)
-    basis = [window * ts**j for j in range(4)]
-
-    def functionals(vals):
-        f = TestFunction(vals.astype(complex), support)
-        return [
-            f.integral(),
-            f.fourier_derivative_at_zero(),
-            f.fourier(1.0),
-            f.fourier(-1.0),
-        ]
-
-    M = np.array([functionals(b) for b in basis], dtype=complex).T
-    rhs = np.array([0.0, d0, v1, vm1], dtype=complex)
-    coef = np.linalg.solve(M, rhs)
-    vals = sum(c * b for c, b in zip(coef, basis))
-    return TestFunction(vals, support)
+    basis = [TestFunction(window * ts**j, support) for j in range(len(points) + 1)]
+    M = np.array([[f.integral(), *(phi1(f, p) for p in points)] for f in basis]).T
+    coef = np.linalg.solve(M, np.array([0, *targets], dtype=complex))
+    return TestFunction(sum(c * f.samples for c, f in zip(coef, basis)), support)
 
 
 @dataclass(frozen=True)

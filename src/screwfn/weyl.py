@@ -16,6 +16,9 @@ and StepVector.from_row_values take, run over the integer rows of
 canonical's chain and build no row Polynomial; the results equal those of
 the Polynomial rows to the bit, signed zeros included.
 
+inverse_weyl and L0_map weight each level point g by de Branges' sampling
+weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
+
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
 pi/2 (limit i*t at g = 0); its Gram matrix reproduces pi * G(t, s) exactly.
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, _is_zero_scalar, effective_degree, sharp
+from .algebra import Polynomial, _is_zero_scalar, sharp
 from .canonical import Hamiltonian, _affine_rows
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import ExactComplex, PiScalar, PI
@@ -63,7 +66,8 @@ class StepVector:
 
     On a segment with normalized projector (pa, pb, pc) the component along
     the segment direction must be constant; this is checked exactly for
-    exact coefficients and to 1e-9 relative tolerance for floats.
+    exact coefficients and, for floats, to 1e-9 of the largest coefficient
+    of f and g, the scale of the rounding the component carries.
     """
 
     __slots__ = ("H", "components")
@@ -78,7 +82,11 @@ class StepVector:
             pa, pb, pc = seg.proj
             row = (pa, pb) if pa else (pb, pc)
             constrained = f * row[0] + g * row[1]
-            if effective_degree(constrained, 1e-9) > 0:
+            varies = constrained.degree > 0
+            if varies and constrained.mode == "float":
+                scale = max(abs(complex(c)) for c in f.coeffs + g.coeffs)
+                varies = any(abs(c) > 1e-9 * scale for c in constrained.coeffs[1:])
+            if varies:
                 raise ValueError("not in L-hat: constrained component varies on an indivisible interval")
             comps.append((f, g))
         object.__setattr__(self, "H", H)
@@ -252,13 +260,13 @@ def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
 
 
 def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> StepVector:
-    """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] mu(g), the measure form of the inverse."""
+    """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] w(g), w = mu/|E|^2 from frame.weights."""
     if F.degree >= frame.dim:
         raise ValueError("not a member of H(E)")
     rows = list(_affine_rows(H))
     total = StepVector.zero(H)
-    for g, m in frame.mu:
-        total = total + _step_from_rows(H, rows, g, F(g) * m)
+    for g, w in frame.weights:
+        total = total + _step_from_rows(H, rows, g, F(g) * w)
     return total
 
 
@@ -322,16 +330,15 @@ def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
 def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> StepVector:
     """Map a test function to a step vector through the level-set kernel.
 
-    (L0 phi)(t) = sum_g mu({g}) sqrt(mu({g})) F_g(g) Phi1(phi, g) [C(t,g); D(t,g)],
+    (L0 phi)(t) = sum_g w(g) sqrt(mu({g})) F_g(g) Phi1(phi, g) [C(t,g); D(t,g)],
 
-    which for the worked example reduces to the familiar three-term display
-    with coefficients (-phihat'(0), phihat(1)/2, -phihat(-1)/2).
+    with w = mu/|E|^2 the sampling weight: inverse_weyl of E * phat(phi).
     """
     rows = list(_affine_rows(H))
     total = StepVector.zero(H)
-    for g, m, F in _model_basis(frame):
+    for (g, m, F), (_, w) in zip(_model_basis(frame), frame.weights):
         Fg = complex(F(complex(g)))
-        coef = m * math.sqrt(m) * Fg * phi1(phi, g)
+        coef = float(w) * math.sqrt(m) * Fg * phi1(phi, g)
         total = total + _step_from_rows(H, rows, g, coef)
     return total
 
@@ -423,23 +430,14 @@ def diagram_check(
 
 def _aligned_basis_gram(g, frame, model, support):
     """Measured Gram of the aligned basis functions; constant reported, not asserted."""
-    if sorted(e for e, _, _ in model) != [-1.0, 0.0, 1.0]:
-        return float("nan"), float("nan")
+    points = [gam for gam, _, _ in model]
     aligned = []
-    for gam, _, F in model:
-        target = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        targets = {e: 0j for e, _, _ in model}
-        targets[gam] = target
-        # Phi1 profile -> functionals (phihat'(0), phihat(1), phihat(-1))
-        aligned.append(
-            aligned_test_function(
-                targets[0.0], targets[1.0], -targets[-1.0], support=support
-            )
-        )
-    pts = [float(p) for p in g.tau.points]
-    ms = [float(m) for m in g.tau.masses]
-    profiles = np.array([[phi1(phi, p) for p in pts] for phi in aligned])
-    gram = (profiles * ms) @ profiles.conj().T
+    for k, (gam, _, F) in enumerate(model):
+        targets = [0j] * len(model)
+        targets[k] = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
+        aligned.append(aligned_test_function(points, targets, support=support))
+    profiles = np.array([[phi1(phi, p) for p, _ in g.float_atoms] for phi in aligned])
+    gram = (profiles * [m for _, m in g.float_atoms]) @ profiles.conj().T
     diag = float(np.mean(np.abs(np.diag(gram))))
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     return diag, off

@@ -17,7 +17,6 @@ from screwfn.algebra import (
     RationalFunction,
     ab_split,
     hb_test,
-    partial_fractions,
     rational_roots,
     real_zeros,
     roots,
@@ -290,46 +289,6 @@ def test_hb_implies_contractive_quotient():
     for _ in range(100):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.01, 3))
         assert abs(complex(Es(z)) / complex(E0(z))) < 1.0
-
-
-def test_partial_fractions_q0():
-    Q0 = RationalFunction(B0, A0)
-    pf = partial_fractions(Q0)
-    assert pf.polynomial_part.is_zero()
-    got = sorted(zip([p.real for p in pf.poles], pf.residues))
-    assert got[0][0] == pytest.approx(-1) and got[0][1] == pytest.approx(-0.5)
-    assert got[1][0] == pytest.approx(0, abs=1e-12) and got[1][1] == pytest.approx(-1)
-    assert got[2][0] == pytest.approx(1) and got[2][1] == pytest.approx(-0.5)
-
-
-def test_partial_fractions_residue_sum_from_degree_gap():
-    r = RationalFunction(Polynomial([-1, 0, 1]), E0)
-    pf = partial_fractions(r)
-    # leading behavior z^2/z^3 = 1/z forces the residues to sum to 1
-    assert sum(pf.residues) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_partial_fractions_polynomial_input():
-    p = Polynomial([2, 0, 5])
-    pf = partial_fractions(RationalFunction(p, Polynomial.one()))
-    assert pf.poles == [] and pf.polynomial_part == p
-
-
-def test_partial_fractions_rejects_multiple_poles():
-    with pytest.raises(ValueError, match="multiplicity"):
-        partial_fractions(RationalFunction(Polynomial.one(), Polynomial([1, 2, 1]), reduce=False))
-
-
-def test_partial_fractions_reconstruction():
-    rng = np.random.default_rng(3)
-    Q0 = RationalFunction(B0, A0)
-    pf = partial_fractions(Q0)
-    for _ in range(20):
-        z = complex(rng.normal(), rng.normal() + 2)
-        rebuilt = complex(pf.polynomial_part(z)) + sum(
-            res / (z - pole) for pole, res in zip(pf.poles, pf.residues)
-        )
-        assert abs(rebuilt - complex(Q0(z))) < 1e-10
 
 
 def w0():

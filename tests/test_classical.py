@@ -7,6 +7,8 @@ import pytest
 from screwfn.algebra import Polynomial, RationalFunction
 from screwfn.classical import (
     KreinString,
+    LevyTriplet,
+    _kernel_and_convolution,
     idd_charfn_check,
     idd_density,
     levy_triplet,
@@ -174,13 +176,37 @@ def test_charfn_matches_exp_of_screw():
     assert all(r < 1e-6 for r in res)
 
 
-def test_density_requires_symmetric_two_atoms():
+@pytest.mark.parametrize("nu", [
+    {-1: Fraction(1, 2), 1: Fraction(1, 2)},
+    {-1: Fraction(1, 3), 1: Fraction(3, 4)},
+])
+def test_density_equals_the_double_poisson_series(nu):
+    # jumps at +-1 with rates l+, l-: a Gaussian at c + k - l with weight Poisson(k) Poisson(l)
+    t = LevyTriplet(Fraction(1), Fraction(0), DiscreteMeasure(list(nu), list(nu.values())))
+    lp, lm = float(nu[1]), float(nu[-1])
+    c = -(lp - lm) / 2  # b - sum nu(g) g/(1 + g^2)
+    xs = np.linspace(-12, 12, 4097)
+    ref = sum(
+        lp**k * lm**l / (math.factorial(k) * math.factorial(l)) * np.exp(-((xs - c - k + l) ** 2) / 2)
+        for k in range(41) for l in range(41)
+    ) * math.exp(-lp - lm) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(idd_density(t, xs) - ref)) < 1e-15
+
+
+def test_density_of_an_asymmetric_jump_measure():
+    # nu = {2: 1/4}: Poisson(1/4) jumps of size 2, which put 2.5e-7 of the
+    # mass past x = 12, so the quadrature runs to 30
     data = ScrewFunctionData(
         Fraction(0), Fraction(0),
         DiscreteMeasure([Fraction(0), Fraction(2)], [Fraction(1), Fraction(1)]),
     )
-    with pytest.raises(ValueError, match="equal masses"):
-        idd_density(levy_triplet(data), 0.0)
+    xs = np.linspace(-30, 30, 8193)
+    dens = idd_density(levy_triplet(data), xs)
+    w = np.ones(len(xs))
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= (xs[1] - xs[0]) / 3
+    assert abs(float(np.sum(w * dens)) - 1.0) < 1e-12
+    assert max(idd_charfn_check(data, [0.0, 1.0, 2.0], x_range=30.0, n=8193)) < 1e-12
 
 
 def test_mean_periodic_checks():
@@ -189,6 +215,24 @@ def test_mean_periodic_checks():
     assert rep.fourier_kernel_residual < 1e-8
     assert rep.one_sided_residual < 1e-8
     assert rep.fourier_carleman_residual < 1e-8
+
+
+@pytest.mark.parametrize("points, masses", [
+    ([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2], [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)]),
+    ([Fraction(-3, 2), 0, Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)]),
+])
+def test_mean_periodic_checks_on_other_symmetric_measures(points, masses):
+    g = ScrewFunctionData(Fraction(0), Fraction(0), DiscreteMeasure(points, masses))
+    assert mean_periodic_checks(g).max_residual() < 1e-8
+
+
+def test_closed_forms_of_the_three_point_example():
+    p, phi, one_sided = _kernel_and_convolution(G0)
+    assert list(p) == [0, 0, 0, -1, 0, 1]  # P(z) = z^3 (z^2 - 1)
+    ts = np.linspace(-8, 8, 4097)
+    assert (one_sided(ts) == -1j * (8 * ts**2 - 3) * np.exp(-(ts**2))).all()
+    literal = -4j * ts * (8 * ts**4 - 38 * ts**2 + 27) * np.exp(-(ts**2))
+    assert np.max(np.abs(phi(ts) - literal)) < 1e-13
 
 
 def test_annihilator_fourier_vanishes_at_zero():

@@ -8,8 +8,9 @@ from screwfn import serialization as ser
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction
 from screwfn.canonical import factorize, w0_matrix
 from screwfn.classical import KreinString, q_substitute
-from screwfn.cli import main, q0_function, run_g0_pipeline, run_pw_pipeline
+from screwfn.cli import main, run_g0_pipeline, run_pw_pipeline, run_spectral_pipeline
 from screwfn.exact import ExactComplex, PI, PiScalar
+from screwfn.screw import q0_function
 from screwfn.spectra import DiscreteMeasure, level_set_masses
 
 
@@ -172,3 +173,23 @@ def test_pw_report_deterministic_under_seed():
 def test_g0_report_deterministic_within_one_process():
     # a second run reuses nothing from the first: no derived data outlives its frame
     assert run_g0_pipeline(seed=1).to_json() == run_g0_pipeline(seed=1).to_json()
+
+
+@pytest.mark.parametrize("points, masses", [
+    # B(0) = -1 here: without the division by it, bezout_complete fails with "W(0) != I"
+    ([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2], [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)]),
+    ([Fraction(-3, 2), 0, Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)]),
+])
+def test_spectral_pipeline_passes_on_other_symmetric_measures(points, masses):
+    rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
+    assert [c.name for c in rep.checks] == [c.name for c in run_g0_pipeline(seed=1).checks]
+    assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
+
+
+def test_spectral_pipeline_reports_a_measure_outside_its_class():
+    # no atom at 0: B(0) = 0, so every check that needs E fails with the message
+    rep = run_spectral_pipeline(DiscreteMeasure([-1, 1], [1, 1]))
+    assert len(rep.checks) == 14 and not rep.passed
+    status = {c.name: (c.status, c.message) for c in rep.checks}
+    assert status["spectral-measure-inversion"] == ("pass", "")
+    assert status["hamiltonian-factorization"][0] == "fail" and status["hamiltonian-factorization"][1]

@@ -169,7 +169,7 @@ def test_inner_product_zero():
 
 
 def test_inner_product_aligned_unit():
-    phi = aligned_test_function(1.0, 0.0, 0.0)
+    phi = aligned_test_function([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     out = inner_product_Hg(G0, phi, phi)
     assert abs(out.via_measure - 1.0) < 1e-10
     assert abs(out.via_kernel - 1.0) < 1e-6

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from test_canonical import _segment_product, pythagorean_hamiltonian
 
 from screwfn import canonical, weyl
-from screwfn.algebra import Polynomial
-from screwfn.canonical import Hamiltonian, Segment, factorize, w0_matrix
-from screwfn.debranges import e0_frame, extension_eigenbasis
+from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split
+from screwfn.canonical import Hamiltonian, Segment, bezout_complete, factorize, w0_matrix
+from screwfn.debranges import HermiteBiehlerFrame, e0_frame, extension_eigenbasis
 from screwfn.exact import ExactComplex, PiScalar
 from screwfn.screw import (
     ScrewFunctionData,
@@ -22,7 +22,13 @@ from screwfn.screw import (
     g0_data,
     kernel_g,
 )
-from screwfn.spectra import DiscreteMeasure
+from screwfn.spectra import (
+    DiscreteMeasure,
+    NevanlinnaData,
+    cayley_q_to_theta,
+    q_from_measure,
+    theta_to_e,
+)
 from screwfn.weyl import (
     E_times,
     L0_map,
@@ -65,6 +71,23 @@ def test_l2h_norm_of_inverse_basis_images():
     eb = eigenbasis()
     for F in eb.normalized:
         assert l2h_norm(H0, inverse_weyl(FR, H0, F)) == PiScalar(1)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (1, 3), (4, 1)])
+def test_step_vector_measures_float_rounding_against_the_pair(m, n):
+    # (f, g) = q(t) (-s, c) has constrained component zero, up to rounding
+    r = m * m + n * n
+    c, s = Fraction(m * m - n * n, r), Fraction(2 * m * n, r)
+    H = Hamiltonian([Segment(Fraction(1), (c * c, c * s, s * s))])
+    cf, sf = math.sqrt(float(c * c)), math.copysign(math.sqrt(float(s * s)), float(c * s))
+    rng = np.random.default_rng(10 * m + n)
+    for _ in range(200):
+        q = rng.normal(size=3) + 1j * rng.normal(size=3)
+        StepVector(H, [(Polynomial(list(-sf * q)), Polynomial(list(cf * q)))])
+        # a constrained component that varies, even by 1e-6 of the scale, is rejected
+        with pytest.raises(ValueError, match="L-hat"):
+            StepVector(H, [(Polynomial(list(-sf * q + [0, 1e-6 * cf, 0])),
+                            Polynomial(list(cf * q + [0, 1e-6 * sf, 0])))])
 
 
 def test_l2h_norm_zero_vector():
@@ -152,7 +175,7 @@ def test_screw_line_at_zero():
 
 
 def test_phat_basis_aligned():
-    phi = aligned_test_function(1.0, 0.0, 0.0)
+    phi = aligned_test_function([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     v = phat(FR, phi)
     # eigenvalue order is (-1, 0, 1): expect (0, sqrt(pi), 0)
     assert abs(v.coeffs[0]) < 1e-10
@@ -168,7 +191,7 @@ def test_phat_zero():
 
 
 def test_e_times_expands_eigenbasis():
-    phi = aligned_test_function(-1 / math.sqrt(math.pi), 0.0, 0.0)
+    phi = aligned_test_function([-1.0, 0.0, 1.0], [0.0, -1 / math.sqrt(math.pi), 0.0])
     P = E_times(FR, phat(FR, phi))
     # expect -F0 = (1 - z^2)/sqrt(pi)
     expect = [1 / math.sqrt(math.pi), 0.0, -1 / math.sqrt(math.pi)]
@@ -177,8 +200,8 @@ def test_e_times_expands_eigenbasis():
 
 
 def test_l0_map_on_aligned_basis():
-    # phihat'(0) = -1/sqrt(pi), phihat(+-1) = 0 maps to sqrt(pi) [C(t,0); D(t,0)]
-    phi = aligned_test_function(-1 / math.sqrt(math.pi), 0.0, 0.0)
+    # Phi1 = -1/sqrt(pi) at 0 and 0 at +-1 maps to sqrt(pi) [C(t,0); D(t,0)]
+    phi = aligned_test_function([-1.0, 0.0, 1.0], [0.0, -1 / math.sqrt(math.pi), 0.0])
     v = L0_map(FR, H0, phi)
     for f, g in v.components:
         assert max(abs(complex(c)) for c in g.coeffs) == pytest.approx(math.sqrt(math.pi), abs=1e-9)
@@ -206,6 +229,25 @@ def test_diagram_check_passes():
     # the measured Gram constant of the aligned basis is 1, not 1/pi
     assert rep.basis_gram_constant == pytest.approx(1.0, abs=1e-9)
     assert rep.basis_gram_offdiag < 1e-9
+
+
+def test_inverse_weyl_weights_by_mu_over_abs_e_squared():
+    # tau = {+-2: 1/4, +-1/2: 1/2, 0: 1}, where |E(+-2)|^2 = 225/4, not 1
+    tau = DiscreteMeasure([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2],
+                          [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)])
+    E = theta_to_e(cayley_q_to_theta(q_from_measure(NevanlinnaData(0, 0, tau))))
+    fr = HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
+    assert fr.E(ExactComplex(2)).abs2() == Fraction(225, 4)
+    H = factorize(MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)]))
+    basis = extension_eigenbasis(fr, math.pi / 2).normalized
+    invs = [inverse_weyl(fr, H, F) for F in basis]
+    for i, u in enumerate(invs):
+        assert weyl_transform(H, u) == basis[i]
+        for j, v in enumerate(invs):
+            assert l2h_inner(H, u, v) == (1 if i == j else 0)
+    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
+    rep = diagram_check(g, fr, H, n_samples=3, seed=0)
+    assert rep.triangle_weyl_l0_vs_model < 1e-12 and rep.passed
 
 
 def test_diagram_zero_function_residuals():
@@ -289,8 +331,8 @@ def _poly_row_vector(H, gamma, scale):
 
 def _poly_inverse_weyl(frame, H, F):
     total = StepVector.zero(H)
-    for g, m in frame.mu:
-        total = total + _poly_row_vector(H, g, F(g) * m)
+    for g, w in frame.weights:
+        total = total + _poly_row_vector(H, g, F(g) * w)
     return total
 
 
@@ -401,18 +443,19 @@ def step_vectors(draw, H):
 
 @st.composite
 def level_set_frames(draw):
-    """A stand-in for a frame: inverse_weyl reads only dim and the level-set measure mu.
+    """A stand-in for a frame: inverse_weyl reads only dim and the sampling weights.
 
-    Exact points with pi-graded masses, or float points with float masses.
+    Exact points with pi-graded weights, the scalar types of an exact frame's
+    weights, or float points with float weights.
     """
     points = draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=4,
                            unique=True))
-    masses = [draw(st.fractions(Fraction(1, 8), 2, max_denominator=8)) for _ in points]
+    weights = [draw(st.fractions(Fraction(1, 8), 2, max_denominator=8)) for _ in points]
     if draw(st.booleans()):
-        mu = DiscreteMeasure(points, [PiScalar(m, 1, 2) for m in masses])
+        pairs = [(ExactComplex(p), PiScalar(w, 1, 2)) for p, w in zip(points, weights)]
     else:
-        mu = DiscreteMeasure([float(p) for p in points], [float(m) for m in masses])
-    return SimpleNamespace(dim=len(points), mu=mu)
+        pairs = [(float(p), float(w)) for p, w in zip(points, weights)]
+    return SimpleNamespace(dim=len(points), weights=tuple(pairs))
 
 
 @settings(max_examples=40)
