@@ -149,7 +149,9 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     @functools.cache
     def frame():
         E = theta_to_e(cayley_q_to_theta(Q()))
-        return HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
+        if (b0 := ab_split(E)[1](0)) == 0:
+            raise ValueError("outside the class served: tau has no atom at 0, so B(0) = 0")
+        return HermiteBiehlerFrame.from_e(E / b0)
 
     @functools.cache
     def transfer():

@@ -11,10 +11,11 @@ O(1/N) tails; the truncation-halving behavior (error ratio ~2 from N to 2N)
 is itself part of the checks, standing in for the infinite-dimensional
 statements that cannot be verified at desk scale.
 
-One helper computes the lattice nodes g_n and one evaluator the basis F_n
-on an array of points; the sampling matrix, the Gram and the norm defects
-all call it.  The Gram fills its sample matrix row by row and keeps two
-copies alive: the weighted one and, conjugated in place, the original.
+The Gram over [-T, T] and the norm defects are closed forms.  As
+cos(r g_k) = 0, cos^2(rx) = sin^2(ru) with u = x - g_k; partial fractions
+leave sin^2(ru)/u, whose antiderivative is L(u) = (ln|u| - Ci(2r|u|))/2, and
+sin^2(ru)/u^2, whose antiderivative is D(u) = r Si(2ru) - sin^2(ru)/u.  At
+u = 0, where T falls on a node, L and D take their limits -(gamma_E + ln 2r)/2 and 0.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sici
 
 from .screw import _simpson_weights
 from .spectra import DiscreteMeasure
@@ -107,38 +109,34 @@ def pw_sampling_matrix(frame: PWFrame) -> np.ndarray:
     return np.array([np.abs(pw_basis_value(frame.r, n, pts) * phase) for n in ns])
 
 
-_OSC_POINTS = 32769  # fewest Simpson nodes on [-T, T]; odd, as Simpson's rule needs
-
-
-def _osc_grid(T: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    n = max(_OSC_POINTS, int(40 * (2 * T) / (math.pi / r)) | 1)
-    xs = np.linspace(-T, T, n)
-    return xs, _simpson_weights(n, xs[1] - xs[0])
+def _lattice_integrals(r: float, g, T: float):
+    """P_k = L(T - g_k) - L(-T - g_k) and G_kk = (D(T - g_k) - D(-T - g_k))/(pi r), g_k in g."""
+    u = np.array([T - g, -T - g])
+    a = np.where(u == 0, 1.0, np.abs(u))  # D vanishes at u = 0 through sign(u); L takes its limit
+    si, ci = sici(2 * r * a)
+    L = np.where(u == 0, -0.5 * (np.euler_gamma + math.log(2 * r)), 0.5 * (np.log(a) - ci))
+    D = np.sign(u) * (r * si - np.sin(r * a) ** 2 / a)
+    return L[0] - L[1], (D[0] - D[1]) / (math.pi * r)
 
 
 def pw_basis_gram(frame: PWFrame, n_max: int, T: float | None = None) -> np.ndarray:
-    """Quadrature Gram of {F_n : |n| <= n_max} over [-T, T].
+    """Closed-form Gram of {F_n : |n| <= n_max} over [-T, T]; real and symmetric.
 
-    The lattice-sampled Gram is the identity exactly (each F_n interpolates
-    the lattice), so the meaningful truncation check is the finite-range
-    integral Gram, whose defect decays like 1/T.
+    Its defect decays like 1/T (sampled on the lattice, the Gram is exactly the
+    identity); off the diagonal G_mn = (P_m - P_n)/(pi r (g_m - g_n)).
     """
     if T is None:
         T = 2 * _lattice(frame.r, n_max + 1) + 20
-    xs, w = _osc_grid(T, frame.r)
-    vals = np.empty((2 * n_max + 1, len(xs)), dtype=complex)
-    for i, n in enumerate(range(-n_max, n_max + 1)):
-        vals[i] = pw_basis_value(frame.r, n, xs)
-    weighted = vals * w
-    np.conjugate(vals, out=vals)
-    return weighted @ vals.T
+    r, g = frame.r, _lattice(frame.r, np.arange(-n_max, n_max + 1))
+    P, diag = _lattice_integrals(r, g, T)
+    G = np.subtract.outer(P, P) / (math.pi * r * (np.subtract.outer(g, g) + np.eye(len(g))))
+    np.fill_diagonal(G, diag)
+    return G
 
 
 def pw_truncated_norm_defect(frame: PWFrame, n: int, T: float) -> float:
     """1 - integral_{-T}^{T} |F_n|^2, positive and O(1/T)."""
-    xs, w = _osc_grid(T, frame.r)
-    v = pw_basis_value(frame.r, n, xs)
-    return float(1.0 - np.sum(w * np.abs(v) ** 2))
+    return float(1.0 - _lattice_integrals(frame.r, _lattice(frame.r, n), T)[1])
 
 
 def pw_fundamental(r: float, t: float, z: complex) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -192,4 +193,21 @@ def test_spectral_pipeline_reports_a_measure_outside_its_class():
     assert len(rep.checks) == 14 and not rep.passed
     status = {c.name: (c.status, c.message) for c in rep.checks}
     assert status["spectral-measure-inversion"] == ("pass", "")
-    assert status["hamiltonian-factorization"][0] == "fail" and status["hamiltonian-factorization"][1]
+    cause = "outside the class served: tau has no atom at 0, so B(0) = 0"
+    needs_e = ["level-set-masses", "polynomial-space-tables", "reproducing-kernel-two-forms",
+               "multiplication-operator-extensions", "hamiltonian-factorization",
+               "weyl-transform-images", "model-space-screw-line", "isometry-diagram-closure"]
+    assert [name for name, (_, message) in status.items() if message == cause] == needs_e
+    assert all(status[name][0] == "fail" for name in needs_e)
+
+
+def test_pw_pipeline_holds_no_sample_grid():
+    # the closed-form Gram peaks below 1 MB; sampling the report's 101 basis functions on a
+    # 32 769-node grid would hold over 100 MB
+    tracemalloc.start()
+    try:
+        run_pw_pipeline(seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -2,8 +2,11 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwfn.paleywiener import (
     PWFrame,
@@ -91,16 +94,71 @@ def test_basis_value_of_a_scalar_is_complex():
         assert type(pw_basis_value(1.0, 1, z)) is complex
 
 
-def test_basis_gram_holds_two_sample_matrices():
-    # n_max = 50 gives 101 rows of 32 769 complex samples; the weighted copy and the
-    # conjugated matrix are the two alive at once
+def test_basis_gram_needs_no_sample_grid():
+    # the closed form holds a few (2 n_max + 1)^2 arrays, 82 kB each at n_max = 50;
+    # two 101 x 32 769 complex sample matrices would be 106 MB
     tracemalloc.start()
     try:
         pw_basis_gram(PWFrame(1.0, 100), 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 16 * 101 * 32769
+    assert peak < 1_000_000
+
+
+def _mp_gram_entry(r: float, m: int, n: int, T: float) -> float:
+    """integral_{-T}^{T} F_m conj(F_n) by mpmath at 30 digits, split at the zeros of cos(rx)."""
+    with mpmath.workdps(30):
+        r, T = mpmath.mpf(r), mpmath.mpf(T)
+        h = mpmath.pi / (2 * r)
+        gm, gn = h * (2 * m - 1), h * (2 * n - 1)
+        k = int(T / (2 * h)) + 2
+        zeros = [h * (2 * j - 1) for j in range(-k, k + 2)]
+        cuts = [-T] + [x for x in zeros if -T < x < T] + [T]
+        return float(mpmath.quad(
+            lambda x: mpmath.cos(r * x) ** 2 / (mpmath.pi * r * (x - gm) * (x - gn)), cuts))
+
+
+# each T leaves the node g_{-2} = -(pi/2r) 5 outside [-T, T]
+@pytest.mark.parametrize("r, T", [(0.5, 12.0), (1.0, 6.0), (2.5, 2.5)])
+def test_basis_gram_matches_mpmath(r, T):
+    G = pw_basis_gram(PWFrame(r, 10), 2, T)
+    assert (math.pi / (2 * r)) * 5 > T  # |g_{-2}|
+    for i, m in enumerate(range(-2, 3)):
+        for j, n in enumerate(range(m, 3), start=i):
+            assert G[i, j] == pytest.approx(_mp_gram_entry(r, m, n, T), rel=1e-13)
+
+
+def test_norm_defect_matches_mpmath():
+    for r, n, T in [(1.0, 0, 60.0), (2.5, -3, 7.0)]:
+        ref = 1.0 - _mp_gram_entry(r, n, n, T)
+        assert pw_truncated_norm_defect(PWFrame(r, 10), n, T) == pytest.approx(ref, rel=1e-13)
+
+
+def test_basis_gram_with_T_on_a_lattice_node():
+    # T = g_2 = -g_{-1}: u = 0 at an end, where ln|u| and Ci(2r|u|) are each -inf;
+    # the RuntimeWarning a naive form emits there is an error under pytest's filters
+    frame, T = PWFrame(1.0, 10), (math.pi / 2) * 3
+    G = pw_basis_gram(frame, 3, T)
+    defect = pw_truncated_norm_defect(frame, 2, T)
+    assert np.all(np.isfinite(G)) and math.isfinite(defect)
+    for i, m in enumerate(range(-3, 4)):
+        for j, n in enumerate(range(m, 4), start=i):
+            assert G[i, j] == pytest.approx(_mp_gram_entry(1.0, m, n, T), rel=1e-13)
+    assert defect == pytest.approx(1.0 - _mp_gram_entry(1.0, 2, 2, T), rel=1e-13)
+
+
+@settings(max_examples=25)
+@given(r=st.floats(0.2, 3.0), n_max=st.integers(0, 6), T=st.floats(0.5, 50.0),
+       dT=st.floats(0.5, 50.0), data=st.data())
+def test_basis_gram_properties(r, n_max, T, dT, data):
+    frame = PWFrame(r, n_max + 1)
+    G = pw_basis_gram(frame, n_max, T)
+    assert G.dtype == np.float64 and np.array_equal(G, G.T)
+    assert np.all((0 < np.diag(G)) & (np.diag(G) < 1))
+    n = data.draw(st.integers(-n_max, n_max))
+    near, far = (pw_truncated_norm_defect(frame, n, t) for t in (T, T + dT))
+    assert near > far > 0
 
 
 def test_truncated_gram_near_identity():
