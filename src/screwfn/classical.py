@@ -282,10 +282,42 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
     return out if out.shape else float(out)
 
 
+def _law_range(g: ScrewFunctionData, eps: float = 1e-13) -> float:
+    """|mean| + x, x >= 12, with Bennett's bound on P(|X - mean| >= x) below eps.
+
+    X is the law with characteristic function exp g: a Gaussian of variance
+    a plus jumps of size at most M = max|gamma|, with mean c + sum m gamma/(1
+    + gamma^2) and variance v = a + sum nu(gamma) gamma^2 = tau(R).  Bennett's
+    inequality bounds the tail by 2 exp(-(v/M^2) h(M x/v)), h(u) = (1 + u)
+    log(1 + u) - u, the Gaussian 2 exp(-x^2/(2v)) in the limit M -> 0.  A
+    multiple of the standard deviation alone misses a rare large jump.
+    """
+    mean = float(g.c) + sum(float(m) * float(p) / (1 + float(p) ** 2) for p, m in g.tau)
+    v = sum(float(m) for _, m in g.tau)
+    M = max((abs(float(p)) for p, _ in g.tau), default=0.0)
+
+    def log_tail(x):
+        if M == 0.0:
+            return -x * x / (2.0 * v)
+        u = M * x / v
+        return -(v / M**2) * ((1.0 + u) * math.log1p(u) - u)
+
+    x = 12.0
+    while v > 0 and math.log(2.0) + log_tail(x) > math.log(eps):
+        x *= 1.25
+    return abs(mean) + x
+
+
 def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
-                     x_range: float = 12.0, n: int = 4097) -> list[float]:
-    """|charfn of the density - exp(g(t))| at each requested t."""
+                     x_range: float | None = None, n: int = 4097) -> list[float]:
+    """|charfn of the density - exp(g(t))| at each requested t.
+
+    The density is integrated by Simpson over [-x_range, x_range], by
+    default the law's range from _law_range.
+    """
     trip = levy_triplet(g)
+    if x_range is None:
+        x_range = _law_range(g)
     xs = np.linspace(-x_range, x_range, n)
     dens = idd_density(trip, xs, K=K)
     w = _simpson_weights(n, xs[1] - xs[0])

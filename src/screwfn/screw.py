@@ -18,10 +18,22 @@ On a uniform grid t_i = lo + i h the kernel matrix is a Toeplitz matrix
 [g((i-j) h)] plus the rank-two terms -g(t_i) - g(-t_j) and the constant
 g(0), so inner_product_Hg applies it to a vector as one convolution with
 the 2n - 1 values g(k h), |k| < n, and needs g at O(n) points, not n^2.
-This is why both of its test functions must share one grid (same support
-and sample count).  weyl.diagram_check takes its isometry legs from it;
-only pd_check builds the dense matrix, which it needs whole for its
-eigenvalues.
+The convolution runs in numpy's valid mode, which forms only the n
+outputs it keeps.  This is why both of its test functions must share one
+grid (same support and sample count).  weyl.diagram_check takes its
+isometry legs from it; only pd_check builds the dense matrix, which it
+needs whole for its eigenvalues.  There kernel_g evaluates g once per
+distinct lag t_i - s_j (1 981 on the 300-point linspace grid of [-6, 6],
+not 90 000) and looks each entry up by searchsorted.  The result is bit
+for bit the one of evaluating every entry, because eval_screw is
+pointwise: each point takes the same IEEE operations whatever else is in
+the array.
+
+laplace_check integrates g(t) e^{izt} over [0, T] by one composite
+Gauss-Legendre rule: 16 nodes on each of P equal panels, with P the least
+count for which omega h <= 2, where omega = max|gamma| + |z| and h = T/P.
+g is evaluated once, on all the nodes.  Its docstring gives the error
+bound.
 
 eval_screw has two evaluation paths, and both return, bit for bit, what
 the plain numpy expression of the sum above returns: the per-atom loop that
@@ -63,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import legendre
 
 from .algebra import Polynomial, RationalFunction
 from .spectra import DiscreteMeasure
@@ -89,6 +101,8 @@ __all__ = [
 MIN_GRID = 513  # composite Simpson needs an odd point count; >= 512 samples
 _BLOCK = 8192  # points per block of eval_screw's array path: 128 KB per complex temporary
 _MAX_KEPT = 64  # exponentials held at once for mirror atoms: 8 MB at full blocks
+_GL_POINTS = 16  # Gauss-Legendre nodes per panel of laplace_check's rule
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(_GL_POINTS)
 
 
 @dataclass(frozen=True)
@@ -212,14 +226,23 @@ def _eval_blocks(g: ScrewFunctionData, t: np.ndarray, out: np.ndarray) -> None:
 def kernel_g(g: ScrewFunctionData, t, s):
     """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting.
 
-    The n x n kernel allocates its result and t - s, and nothing else of
-    that size: g(t) and g(-s) are subtracted and g(0) added in place.
+    An array kernel evaluates g once per distinct lag t - s and fills the
+    result from those values by searchsorted, _BLOCK entries at a time
+    (module docstring).  The n x n kernel allocates its result, t - s and
+    np.unique's sorted copy of it, and nothing else of that size: g(t) and
+    g(-s) are subtracted and g(0) added in place.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    val = eval_screw(g, t - s)
-    if not np.ndim(val):
-        return val - eval_screw(g, t) - eval_screw(g, -s) + complex(float(g.g0))
+    lag = t - s
+    if not lag.ndim:
+        return eval_screw(g, lag) - eval_screw(g, t) - eval_screw(g, -s) + complex(float(g.g0))
+    lags = np.unique(lag)
+    at_lags = eval_screw(g, lags)
+    val = np.empty(lag.shape, dtype=complex)
+    flat_lag, flat_val = lag.reshape(-1), val.reshape(-1)
+    for lo in range(0, len(flat_lag), _BLOCK):
+        flat_val[lo : lo + _BLOCK] = at_lags[np.searchsorted(lags, flat_lag[lo : lo + _BLOCK])]
     val -= eval_screw(g, t)
     val -= eval_screw(g, -s)
     val += complex(float(g.g0))
@@ -401,7 +424,7 @@ def inner_product_Hg(
     lags = np.arange(1 - n, n) * ((hi - lo) / (n - 1))
     total = np.sum(v)
     inner_s = (
-        np.convolve(eval_screw(g, lags), v)[n - 1 : 2 * n - 1]
+        np.convolve(eval_screw(g, lags), v, mode="valid")
         - eval_screw(g, ts) * total
         - np.sum(eval_screw(g, -ts) * v)
         + complex(float(g.g0)) * total
@@ -419,6 +442,18 @@ def laplace_check(
 ) -> float:
     """| integral_0^T g(t) e^{izt} dt + (i/z^2) Q(z) |, valid for Im z > 0.
 
+    The integral is the composite Gauss-Legendre rule of the module
+    docstring: _GL_POINTS nodes on each of P panels of width h = T/P, with
+    omega h <= 2 for omega = max|gamma| + |z|.  The integrand is entire.
+    Map a panel to [-1, 1]; on the Bernstein ellipse E_rho, whose points lie
+    within rho of the real segment, each exponential exp(i (gamma + z) t)
+    exceeds its size on the panel by at most e^{omega h rho/2} <= e^rho.
+    Gauss's error on [-1, 1] is at most 64 M/(15 (1 - rho^-2) rho^(2 _GL_POINTS))
+    for M the integrand's bound on E_rho (Trefethen, "Is Gauss quadrature
+    better than Clenshaw-Curtis?", SIAM Review 2008, Thm 4.5).  At rho = 4
+    that is below 2e-17 times the integrand's size near the panel, so the
+    rule is exact to rounding.
+
     T must be large enough that the tail (polynomial growth of g against
     e^{-Im z * t}) is below the target tolerance; T = 80 covers Im z >= 1/2
     at 1e-8 for the data used here.
@@ -426,22 +461,12 @@ def laplace_check(
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("laplace_check requires Im z > 0")
-
-    values = {}  # the two passes share most of their nodes
-
-    def integrand(t):
-        if t not in values:
-            values[t] = eval_screw(g, t) * np.exp(1j * z * t)
-        return values[t]
-
-    def integrand_re(t):
-        return integrand(t).real
-
-    def integrand_im(t):
-        return integrand(t).imag
-
-    re, _ = integrate.quad(integrand_re, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)
-    im, _ = integrate.quad(integrand_im, 0.0, T, limit=400, epsabs=1e-12, epsrel=1e-12)
-    lhs = complex(re, im)
+    omega = max((abs(gamma) for gamma, _ in g.float_atoms), default=0.0) + abs(z)
+    panels = max(1, math.ceil(T * omega / 2.0))
+    h = T / panels
+    mid = (np.arange(panels) + 0.5) * h
+    ts = (mid[:, None] + (h / 2.0) * _GL_NODES[None, :]).reshape(-1)
+    ws = np.tile((h / 2.0) * _GL_WEIGHTS, panels)
+    lhs = complex(np.sum(ws * eval_screw(g, ts) * np.exp(1j * z * ts)))
     rhs = -(1j / z**2) * complex(Q(z))
     return abs(lhs - rhs)

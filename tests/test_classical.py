@@ -209,6 +209,17 @@ def test_density_of_an_asymmetric_jump_measure():
     assert max(idd_charfn_check(data, [0.0, 1.0, 2.0], x_range=30.0, n=8193)) < 1e-12
 
 
+@pytest.mark.parametrize("points, masses", [
+    ([-3, -1, 0, 1, 3], [1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), 1]),  # 7e-6 past 12
+    ([0, 2], [1, 1]),  # Poisson(1/4) jumps of 2: 2.5e-7 past 12
+    ([-20, 0, 20], [1, 1, 1]),  # rare jumps of 20, which 12 standard deviations (20.8) miss
+], ids=["jumps-3", "jumps-2", "jumps-20"])
+def test_charfn_check_integrates_over_the_whole_law(points, masses):
+    data = ScrewFunctionData(Fraction(0), Fraction(0), DiscreteMeasure(points, masses))
+    assert max(idd_charfn_check(data, [0.0, 1.0, 2.0])) < 1e-10
+    assert max(idd_charfn_check(data, [0.0, 1.0, 2.0], x_range=12.0)) > 1e-7
+
+
 def test_mean_periodic_checks():
     rep = mean_periodic_checks()
     assert rep.convolution_residual < 1e-8

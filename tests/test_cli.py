@@ -187,6 +187,13 @@ def test_spectral_pipeline_passes_on_other_symmetric_measures(points, masses):
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
 
 
+def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():
+    # jumps of +-3 put 7e-6 of the law's mass past |x| = 12, more than the check's 1e-6
+    tau = DiscreteMeasure([-3, -1, 0, 1, 3], [1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), 1])
+    levy = {c.name: c for c in run_spectral_pipeline(tau, seed=1).checks}["levy-khintchine-triplet"]
+    assert levy.status == "pass" and levy.residual < 1e-10
+
+
 def test_spectral_pipeline_reports_a_measure_outside_its_class():
     # no atom at 0: B(0) = 0, so every check that needs E fails with the message
     rep = run_spectral_pipeline(DiscreteMeasure([-1, 1], [1, 1]))

@@ -3,10 +3,14 @@
 Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
-package, and every name the benchmark's tracer wraps exists.
+package, every name the benchmark's tracer wraps exists, and importing
+the command line loads no scipy.integrate.
 """
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +164,12 @@ def test_traced_names_resolve():
             if not found:
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # scipy.integrate pulls in some 290 more scipy modules: about a quarter of a second and
+    # 25 MB of resident memory in every process that imports screwfn.cli
+    probe = "import sys, screwfn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
