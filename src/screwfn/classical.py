@@ -292,9 +292,10 @@ def _law_range(g: ScrewFunctionData, eps: float = 1e-13) -> float:
     log(1 + u) - u, the Gaussian 2 exp(-x^2/(2v)) in the limit M -> 0.  A
     multiple of the standard deviation alone misses a rare large jump.
     """
-    mean = float(g.c) + sum(float(m) * float(p) / (1 + float(p) ** 2) for p, m in g.tau)
-    v = sum(float(m) for _, m in g.tau)
-    M = max((abs(float(p)) for p, _ in g.tau), default=0.0)
+    atoms = g.float_atoms
+    mean = float(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)
+    v = sum(m for _, m in atoms)
+    M = max((abs(gam) for gam, _ in atoms), default=0.0)
 
     def log_tail(x):
         if M == 0.0:
