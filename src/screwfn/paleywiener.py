@@ -16,6 +16,13 @@ cos(r g_k) = 0, cos^2(rx) = sin^2(ru) with u = x - g_k; partial fractions
 leave sin^2(ru)/u, whose antiderivative is L(u) = (ln|u| - Ci(2r|u|))/2, and
 sin^2(ru)/u^2, whose antiderivative is D(u) = r Si(2ru) - sin^2(ru)/u.  At
 u = 0, where T falls on a node, L and D take their limits -(gamma_E + ln 2r)/2 and 0.
+
+Si and Ci are evaluated in numpy alone.  Below the switch point x = 4 they are
+the power series of Abramowitz & Stegun 5.2.14 and 5.2.16, 20 terms in x^2;
+from 4 up, E_1(ix) = -Ci(x) + i(Si(x) - pi/2) is the continued fraction of
+Numerical Recipes 6.8 (cisi), run by modified Lentz until every point has
+converged.  Against 30-digit mpmath on 6 116 points of [1e-8, 1e5] the worst
+errors, in units of max(1, |value|), are 3.1e-16 for Si and 7.2e-16 for Ci.
 """
 from __future__ import annotations
 
@@ -24,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .screw import _simpson_weights
 from .spectra import DiscreteMeasure
@@ -109,11 +115,44 @@ def pw_sampling_matrix(frame: PWFrame) -> np.ndarray:
     return np.array([np.abs(pw_basis_value(frame.r, n, pts) * phase) for n in ns])
 
 
+_SICI_SWITCH = 4.0
+# Horner coefficients in t = x^2, highest power first: Si(x) = x sum_n (-t)^n/((2n+1)(2n+1)!)
+# and Ci(x) = gamma_E + ln x + sum_{n>=1} (-t)^n/(2n (2n)!); the tail past n = 19 is below 1e-25 at x = 4
+_SI_SERIES = [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(19, -1, -1)]
+_CI_SERIES = [(-1) ** n / (2 * n * math.factorial(2 * n)) for n in range(19, 0, -1)] + [0.0]
+
+
+def _sici(x):
+    """(Si(x), Ci(x)) as float64 arrays of x's shape, for finite x > 0."""
+    si, ci = np.empty_like(x), np.empty_like(x)
+    lo = x < _SICI_SWITCH
+    xs = x[lo]
+    si[lo] = xs * np.polyval(_SI_SERIES, xs * xs)
+    ci[lo] = np.euler_gamma + np.log(xs) + np.polyval(_CI_SERIES, xs * xs)
+    # E_1(z) = e^{-z} / (1 + z - 1^2/(3 + z - 2^2/(5 + z - ...))) at z = ix by modified Lentz,
+    # with c = inf for its c = 1/tiny; a NaN ends the loop as if converged
+    xl = x[~lo]
+    b = 1 + 1j * xl
+    h = d = 1 / b
+    c, delta, n = math.inf, 0, 0
+    while np.any(np.abs(delta - 1) >= 4 * np.finfo(float).eps):
+        n += 1
+        b = b + 2
+        d = 1 / (b - n * n * d)
+        c = b - n * n / c
+        delta = c * d
+        h = h * delta
+    e1 = h * np.exp(-1j * xl)
+    si[~lo] = math.pi / 2 + e1.imag
+    ci[~lo] = -e1.real
+    return si, ci
+
+
 def _lattice_integrals(r: float, g, T: float):
     """P_k = L(T - g_k) - L(-T - g_k) and G_kk = (D(T - g_k) - D(-T - g_k))/(pi r), g_k in g."""
     u = np.array([T - g, -T - g])
     a = np.where(u == 0, 1.0, np.abs(u))  # D vanishes at u = 0 through sign(u); L takes its limit
-    si, ci = sici(2 * r * a)
+    si, ci = _sici(2 * r * a)
     L = np.where(u == 0, -0.5 * (np.euler_gamma + math.log(2 * r)), 0.5 * (np.log(a) - ci))
     D = np.sign(u) * (r * si - np.sin(r * a) ** 2 / a)
     return L[0] - L[1], (D[0] - D[1]) / (math.pi * r)

@@ -4,7 +4,7 @@ Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
 package, every name the benchmark's tracer wraps exists, and importing
-the command line loads no scipy.integrate.
+the command line and every module of the package loads no scipy.
 """
 import ast
 import importlib
@@ -166,10 +166,13 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_cli_import_loads_no_scipy_integrate():
-    # scipy.integrate pulls in some 290 more scipy modules: about a quarter of a second and
-    # 25 MB of resident memory in every process that imports screwfn.cli
-    probe = "import sys, screwfn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+def test_package_imports_no_scipy():
+    # scipy.special alone costs a fresh interpreter about 0.2 s of CPU and 20 MB of resident
+    # memory, and scipy.integrate some 290 modules more; numpy is the one runtime dependency
+    probe = ("import importlib, sys\n"
+             "for name in sys.argv[1:]: importlib.import_module(name)\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    names = [f"screwfn.{p.stem}" for p in SOURCES if p.stem != "__init__"]  # cli among them
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe, *names], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

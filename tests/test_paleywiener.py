@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 
 from screwfn.paleywiener import (
+    _SICI_SWITCH,
     PWFrame,
+    _sici,
     g_r_eval,
     g_r_laplace_check,
     g_r_tail_bound,
@@ -104,6 +107,34 @@ def test_basis_gram_needs_no_sample_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _assert_sici_close(x, si, ci, ref_si, ref_ci):
+    """Each of Si and Ci within 4e-15 max(1, |reference|) at every x."""
+    for got, ref in ((si, ref_si), (ci, ref_ci)):
+        bad = np.abs(got - ref) > 4e-15 * np.maximum(1.0, np.abs(ref))
+        assert not bad.any(), x[bad]
+
+
+def test_sici_matches_mpmath():
+    # a log grid over both branches, 1 ulp either side of the switch from the power series to
+    # the continued fraction, and points around Ci's first zero, where only the absolute error is small
+    s, ci_zero = _SICI_SWITCH, 0.6165054856207162
+    x = np.concatenate([np.geomspace(1e-8, 1e5, 1001), [np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)],
+                        ci_zero + np.arange(-4, 5) * 1e-10])
+    with mpmath.workdps(30):
+        ref_si = np.array([float(mpmath.si(v)) for v in x])
+        ref_ci = np.array([float(mpmath.ci(v)) for v in x])
+    si, ci = _sici(x.reshape(-1, 1))
+    assert si.shape == ci.shape == (len(x), 1) and si.dtype == ci.dtype == np.float64
+    _assert_sici_close(x, si.ravel(), ci.ravel(), ref_si, ref_ci)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(1e-8, 1e5), min_size=1, max_size=20))
+def test_sici_matches_scipy(xs):
+    x = np.array(xs)
+    _assert_sici_close(x, *_sici(x), *sici(x))
 
 
 def _mp_gram_entry(r: float, m: int, n: int, T: float) -> float:
