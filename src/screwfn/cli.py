@@ -458,6 +458,8 @@ def main(argv=None) -> int:
 
     if args.command == "pd-check":
         lo, hi = args.range
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # linspace would warn first
+            return _input_error("grid points must be finite")
         if args.tau:
             obj = _load_json(args.tau)
             try:
@@ -467,7 +469,10 @@ def main(argv=None) -> int:
             data = ScrewFunctionData(Fraction(0), Fraction(0), tau)
         else:
             data = g0_data()
-        out = pd_check(data, np.linspace(lo, hi, args.grid), tol=args.tol)
+        try:
+            out = pd_check(data, np.linspace(lo, hi, args.grid), tol=args.tol)
+        except ValueError as exc:
+            return _input_error(str(exc))
         _write_json({"min_eigenvalue": out.min_eigenvalue, "pass": out.passed}, args.out)
         return EXIT_PASS if out.passed else EXIT_FAIL
 

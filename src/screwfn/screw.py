@@ -29,11 +29,21 @@ for bit the one of evaluating every entry, because eval_screw is
 pointwise: each point takes the same IEEE operations whatever else is in
 the array.
 
+pd_check solves a real symmetric eigenproblem when the grid is symmetric
+about 0 (t_{n-1-i} = -t_i).  Real data make g(-x) = conj g(x), so
+G(-t, -s) = conj G(t, s), and the Hermitian part H = A + iB satisfies
+J H J = conj H for the reversal matrix J: H is centro-Hermitian.  With
+the unitary U = (I + iJ)/sqrt 2, U^H H U = A - BJ, a real symmetric
+matrix (A. Lee, "Centrohermitian and skew-centrohermitian matrices",
+Linear Algebra Appl. 29, 1980).  So H and A - B[:, ::-1] have one
+spectrum, and the real eigvalsh costs about a third of the complex one.
+Any other grid keeps the complex eigvalsh of H.
+
 laplace_check integrates g(t) e^{izt} over [0, T] by one composite
 Gauss-Legendre rule: 16 nodes on each of P equal panels, with P the least
-count for which omega h <= 2, where omega = max|gamma| + |z| and h = T/P.
+count for which omega h <= 6, where omega = max|gamma| + |z| and h = T/P.
 g is evaluated once, on all the nodes.  Its docstring gives the error
-bound.
+bound: below 2e-18 of the integrand's size near a panel.
 
 eval_screw has two evaluation paths, and both return, bit for bit, what
 the plain numpy expression of the sum above returns: the per-atom loop that
@@ -102,6 +112,7 @@ MIN_GRID = 513  # composite Simpson needs an odd point count; >= 512 samples
 _BLOCK = 8192  # points per block of eval_screw's array path: 128 KB per complex temporary
 _MAX_KEPT = 64  # exponentials held at once for mirror atoms: 8 MB at full blocks
 _GL_POINTS = 16  # Gauss-Legendre nodes per panel of laplace_check's rule
+_GL_PHASE = 6.0  # the bound on omega h for each panel of that rule (laplace_check)
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(_GL_POINTS)
 
 
@@ -264,13 +275,33 @@ class PdReport:
 
 
 def pd_check(g: ScrewFunctionData, grid, tol: float = 1e-9) -> PdReport:
-    """Minimum eigenvalue of the Hermitian part of [G(t_i, t_j)] on the grid."""
+    """Minimum eigenvalue of the Hermitian part H of [G(t_i, t_j)] on the grid.
+
+    On a grid symmetric about 0 (ts equal to -ts[::-1] within 4 ulps of
+    max|t|) H is centro-Hermitian, and its eigenvalues are those of the
+    real symmetric A - B[:, ::-1], A = Re H and B = Im H (module docstring;
+    Lee, Linear Algebra Appl. 29, 1980).  That matrix is formed in place
+    of H.  Any other grid takes the complex eigvalsh of H.  Either way G is
+    dropped before eigvalsh copies H, so at most two n x n arrays are held
+    at once.  ValueError for an empty grid and for points that are not
+    finite or not distinct.
+    """
     ts = np.asarray(list(grid), dtype=float)
+    if not len(ts):
+        raise ValueError("grid must hold at least one point")
+    if not np.isfinite(ts).all():
+        raise ValueError("grid points must be finite")
     if len(np.unique(ts)) != len(ts):
         raise ValueError("grid points must be distinct")
     G = kernel_g(g, ts[:, None], ts[None, :])
-    H = G.conj().T  # the Hermitian part, formed in place: bit-identical to (G + G^H) / 2
-    H += G
+    if np.abs(ts + ts[::-1]).max() <= 4 * np.spacing(np.abs(ts).max()):
+        H = G.real + G.real.T  # 2 (A - B J), with 2 B J = (Im G - Im G^T)[:, ::-1]
+        H -= G.imag[:, ::-1]
+        H += G.imag.T[:, ::-1]
+    else:
+        H = G.conj().T  # formed in place: bit-identical to (G + G^H) / 2
+        H += G
+    del G
     H *= 0.5
     lam = float(np.linalg.eigvalsh(H).min())
     return PdReport(lam, lam >= -tol)
@@ -444,15 +475,16 @@ def laplace_check(
 
     The integral is the composite Gauss-Legendre rule of the module
     docstring: _GL_POINTS nodes on each of P panels of width h = T/P, with
-    omega h <= 2 for omega = max|gamma| + |z|.  The integrand is entire.
-    Map a panel to [-1, 1]; on the Bernstein ellipse E_rho, whose points lie
-    within rho of the real segment, each exponential exp(i (gamma + z) t)
-    exceeds its size on the panel by at most e^{omega h rho/2} <= e^rho.
-    Gauss's error on [-1, 1] is at most 64 M/(15 (1 - rho^-2) rho^(2 _GL_POINTS))
-    for M the integrand's bound on E_rho (Trefethen, "Is Gauss quadrature
-    better than Clenshaw-Curtis?", SIAM Review 2008, Thm 4.5).  At rho = 4
-    that is below 2e-17 times the integrand's size near the panel, so the
-    rule is exact to rounding.
+    omega h <= _GL_PHASE = 6 for omega = max|gamma| + |z|.  The integrand
+    is entire.  Map a panel to [-1, 1]; on the Bernstein ellipse E_rho,
+    whose points lie within rho of the real segment, each exponential
+    exp(i (gamma + z) t) exceeds its size on the panel by at most
+    e^{omega h rho/2} <= e^{3 rho}.  Gauss's error on [-1, 1] is at most
+    64 M/(15 (1 - rho^-2) rho^(2 _GL_POINTS)) for M the integrand's bound
+    on E_rho (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+    SIAM Review 2008, Thm 4.5).  At rho = 8 that is
+    64 e^24/(15 (1 - 8^-2) 8^32) < 2e-18 times the integrand's size near
+    the panel, so the rule is exact to rounding.
 
     T must be large enough that the tail (polynomial growth of g against
     e^{-Im z * t}) is below the target tolerance; T = 80 covers Im z >= 1/2
@@ -462,7 +494,7 @@ def laplace_check(
     if z.imag <= 0:
         raise ValueError("laplace_check requires Im z > 0")
     omega = max((abs(gamma) for gamma, _ in g.float_atoms), default=0.0) + abs(z)
-    panels = max(1, math.ceil(T * omega / 2.0))
+    panels = max(1, math.ceil(T * omega / _GL_PHASE))
     h = T / panels
     mid = (np.arange(panels) + 0.5) * h
     ts = (mid[:, None] + (h / 2.0) * _GL_NODES[None, :]).reshape(-1)

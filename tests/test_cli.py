@@ -154,6 +154,16 @@ def test_cli_pd_check(tmp_path, capsys):
     assert obj["pass"] and obj["min_eigenvalue"] > -1e-9
 
 
+@pytest.mark.parametrize("args, message", [(["--grid", "0"], "at least one point"),
+                                           (["--range", "nan", "6"], "finite"),
+                                           (["--range", "0", "inf"], "finite")],
+                         ids=["empty", "nan", "inf"])
+def test_cli_pd_check_bad_grid_is_input_error(capsys, args, message):
+    assert main(["pd-check", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid") and message in err
+
+
 def test_cli_pw_pipeline(tmp_path):
     out = tmp_path / "pw.json"
     assert main(["pw", "--r", "1", "--trunc", "100", "--tol", "1e-4", "--out", str(out)]) == 0

@@ -107,16 +107,22 @@ def test_pd_check_single_point():
     assert rep.passed and rep.min_eigenvalue == pytest.approx(kernel_g(G0, 1.3, 1.3).real)
 
 
-def test_pd_check_detects_non_screw_data():
-    # g(t) = +t^2 is not a screw function; build its kernel by hand on {1, 2}
-    def bad_kernel(t, s):
-        return (t - s) ** 2 - t * t - s * s
+def test_pd_check_detects_non_screw_data(monkeypatch):
+    # g(t) = +t^2 is not a screw function: its kernel (t - s)^2 - t^2 - s^2 = -2ts has the
+    # one nonzero eigenvalue -2 sum t^2; the first grid takes the real path, the second not
+    monkeypatch.setattr(screw, "kernel_g", lambda g, t, s: -2.0 * t * s + 0j)
+    for grid in ([-2.0, -1.0, 1.0, 2.0], [1.0, 2.0]):
+        rep = pd_check(G0, grid)
+        assert not rep.passed
+        assert rep.min_eigenvalue == pytest.approx(-2.0 * sum(t * t for t in grid), rel=1e-12)
 
-    G = np.array([[bad_kernel(t, s) for s in (1.0, 2.0)] for t in (1.0, 2.0)])
-    lam = np.linalg.eigvalsh((G + G.T) / 2).min()
-    assert lam < -1e-9
-    # 2x2 determinant oracle: eigenvalue signs follow det and trace
-    assert np.linalg.det(G) < 0 or np.trace(G) < 0
+
+@pytest.mark.parametrize("grid, message", [([], "at least one point"), ([0.0, math.nan], "finite"),
+                                           ([-1.0, math.inf], "finite")],
+                         ids=["empty", "nan", "inf"])
+def test_pd_check_rejects_bad_grids(grid, message):
+    with pytest.raises(ValueError, match=message):
+        pd_check(G0, grid)
 
 
 def test_pd_check_random_valid_measures():
@@ -318,7 +324,7 @@ def _mp_laplace_integral(g, z, T):
             return val * mpmath.exp(iz * t)
 
         omega = max((abs(gamma) for gamma, _ in g.float_atoms), default=0.0) + abs(z)
-        ends = mpmath.linspace(0, T, max(1, math.ceil(T * omega / 2)) + 1)
+        ends = mpmath.linspace(0, T, max(1, math.ceil(T * omega / screw._GL_PHASE)) + 1)
         return complex(mpmath.quad(f, ends, method="gauss-legendre"))
 
 
@@ -407,22 +413,84 @@ def test_kernel_g_is_bit_identical_to_the_per_atom_reference(tau):
             assert np.array_equal(_bits(kernel_g(g, t, s)), _bits(_kernel_per_atom(g, t, s)))
 
 
+def _hermitian_part_eigenvalues(g, ts):
+    """The complex reference: eigvalsh of (G + G^H) / 2."""
+    G = kernel_g(g, ts[:, None], ts[None, :])
+    return np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+
+
 def test_pd_check_forms_the_hermitian_part_in_place():
-    # G, its conjugate transpose and eigvalsh's copy of it; (G + G^H) / 2 adds a third n^2 array
+    # G and the real A - BJ while it is formed, then that matrix and eigvalsh's copy of it
     n = 1025
     ts = np.linspace(-6.0, 6.0, n)
     g = g0_data()
-    G = kernel_g(g, ts[:, None], ts[None, :])
-    expect = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0).min())
-    del G
     tracemalloc.start()
     try:
-        rep = pd_check(g, ts)
+        pd_check(g, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.min_eigenvalue == expect
     assert peak < 2.5 * 16 * n * n
+
+
+def test_pd_check_on_an_asymmetric_grid_is_the_complex_eigvalsh():
+    g = ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), _ASYMMETRIC)
+    for ts in (np.linspace(0.0, 6.0, 200), np.linspace(-6.0, 5.0, 150), np.array([1.3])):
+        assert pd_check(g, ts).min_eigenvalue == float(_hermitian_part_eigenvalues(g, ts).min())
+
+
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+
+
+@st.composite
+def _screw_data(draw):
+    """Nonzero g(0) and c, and a measure that is symmetric or not, on rational atoms."""
+    g0 = draw(_small_rationals.filter(bool))
+    c = draw(_small_rationals.filter(bool))
+    points = draw(st.lists(_small_rationals.filter(bool), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        points = sorted({p for q in points for p in (q, -q)})
+    if draw(st.booleans()):
+        points = sorted({Fraction(0), *points})
+    masses = [draw(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8))
+              for _ in points]
+    return ScrewFunctionData(g0, c, DiscreteMeasure(points, masses))
+
+
+@settings(max_examples=40)
+@given(g=_screw_data(), n=st.integers(2, 300), half_width=st.sampled_from([1.0, 4.0, 6.0, 7.3]))
+def test_pd_check_on_a_symmetric_grid_matches_the_complex_spectrum(g, n, half_width):
+    ts = np.linspace(-half_width, half_width, n)
+    expect = _hermitian_part_eigenvalues(g, ts)
+    scale = np.abs(expect).max()
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def keeping(a):
+        solved.append(a.copy())
+        return eigvalsh(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screw.np.linalg, "eigvalsh", keeping)
+        lam = pd_check(g, ts).min_eigenvalue
+    assert abs(lam - expect.min()) <= 1e-13 * scale
+    (S,) = solved
+    assert S.dtype == np.float64
+    assert np.abs(np.linalg.eigvalsh(S) - expect).max() <= 1e-14 * scale
+
+
+def test_pd_check_solves_a_real_problem_on_a_symmetric_grid(monkeypatch):
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(screw.np.linalg, "eigvalsh", recording)
+    pd_check(G0, np.linspace(-6.0, 6.0, 300))
+    pd_check(G0, [1.3])
+    assert dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
 
 
 def test_warm_screw_data_keeps_equality_and_hash():
