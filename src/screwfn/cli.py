@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -186,7 +187,7 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
         pairs = [[complex(rng.normal(), rng.normal()) for _ in range(2)] for _ in range(20)]
         return max(abs(kernel_ab(fr, z, w) - kernel_moment(fr, z, w)) for z, w in pairs), 1e-10
 
-    rep.run("reproducing-kernel-two-forms", "bordered-determinant-kernel", kernel_agreement)
+    rep.run("reproducing-kernel-two-forms", "christoffel-darboux-kernel", kernel_agreement)
 
     def multiplication_domain() -> bool:
         fr = frame()
@@ -404,6 +405,9 @@ def main(argv=None) -> int:
     p_str.add_argument("--out", default=None)
 
     p_pd = sub.add_parser("pd-check", help="kernel Gram positivity on a grid")
+    # _negative_number_matcher is argparse's one hook for telling a negative number from a
+    # flag; its default takes -1 and -.5 but not -1e-3 or -inf, which it reads as flags
+    p_pd._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$", re.I)
     p_pd.add_argument("--grid", type=int, default=50)
     p_pd.add_argument("--range", nargs=2, type=float, default=(-6.0, 6.0), metavar=("LO", "HI"))
     p_pd.add_argument("--tol", type=float, default=1e-9)

@@ -12,14 +12,16 @@ masses; in general the |E|^2 weight is what makes the reproducing-kernel
 identities below hold, and the moment table is built from w for the same
 reason.
 
-Inner products, moments, Hankel determinants, Gram-Schmidt bases and the
-eigenbases of the self-adjoint extensions of multiplication by z each have
-one code path, written against the numeric protocol of ``exact``.  The
-scalar type follows ``HermiteBiehlerFrame.weights``: exact (pi-graded
-surds) when the level-set measure is exact, floating point otherwise.  The
-two reproducing kernel forms are evaluated in floating point.
-Gram-Schmidt reads the moment table: the Gram matrix of the monomials is
-the Hankel matrix of the moments, and ``hankel`` holds its leading minors.
+Inner products, moments, the orthogonal polynomials and the eigenbases of
+the self-adjoint extensions of multiplication by z each have one code path,
+written against the numeric protocol of ``exact``.  The scalar type follows
+``HermiteBiehlerFrame.weights``: exact (pi-graded surds) when the level-set
+measure is exact, floating point otherwise.  The moment table runs the
+discretized Stieltjes procedure (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, 2004) on the weights.  Its monic p_k and
+h_k = <p_k, p_k> give hankel[k] = h_0 ... h_k, the orthonormal basis
+p_k / sqrt(h_k) and the Christoffel-Darboux kernel (Szego, *Orthogonal
+Polynomials*) sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
 
 A frame builds its sampling weights, its moment table and its pi/2
 eigenbasis once, on first use, and keeps them; every reader gets the same
@@ -28,12 +30,12 @@ object built from it, is immutable.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .algebra import Polynomial, ab_split, effective_degree, rational_roots, roots, sharp
 from .exact import ExactComplex, is_real, sqrt
@@ -98,11 +100,32 @@ class HermiteBiehlerFrame:
 
     @cached_property
     def moment_table(self) -> "MomentTable":
-        """Moments of the sampling weights and the leading Hankel determinants."""
+        """Moments of the sampling weights and one Stieltjes recurrence on them.
+
+        p_{k+1} = (z - a_k) p_k - b_k p_{k-1}, a_k = <z p_k, p_k> / h_k and
+        b_k = h_k / h_{k-1}, run on values at the n level points: on exact data
+        a_k and b_k are rational and only h_k carries pi.  An h_k <= 0, which
+        positive weights at n distinct points never give, raises ValueError.
+        """
         n = self.dim
         ms = [sum(w * g**k for g, w in self.weights) for k in range(2 * n - 1)]
-        hankels = [_det([ms[i : i + k + 1] for i in range(k + 1)]) for k in range(n)]
-        return MomentTable(tuple(ms), tuple(hankels))
+        gs, ws = zip(*self.weights)
+        polys, norms = [], []
+        p, p_prev, b = Polynomial.one(), Polynomial.zero(), 0
+        v, v_prev = [1] * n, [0] * n  # p and p_prev at the level points
+        for _ in range(n):
+            h = sum(w * x * x for w, x in zip(ws, v))
+            if h <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            if norms:
+                b = h / norms[-1]
+            polys.append(p)
+            norms.append(h)
+            a = sum(w * g * x * x for g, w, x in zip(gs, ws, v)) / h
+            v, v_prev = [(g - a) * x - b * y for g, x, y in zip(gs, v, v_prev)], v
+            p, p_prev = Polynomial.x() * p - p * a - p_prev * b, p
+        hankel = tuple(itertools.accumulate(norms, operator.mul))
+        return MomentTable(tuple(ms), hankel, tuple(polys), tuple(norms))
 
     @cached_property
     def pi_half_eigenbasis(self) -> "Eigenbasis":
@@ -127,30 +150,13 @@ def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments m_0..m_{2n-2} of the sampling weights and leading Hankel determinants."""
+    """Moments m_0..m_{2n-2}, monic orthogonal polys p_k with norms h_k = <p_k, p_k>,
+    and the leading Hankel determinants hankel[k] = h_0 ... h_k."""
 
     moments: tuple
     hankel: tuple
-
-
-def _det(M: list[list]):
-    """Determinant by elimination with largest-|x| pivots, over any field of scalars."""
-    n = len(M)
-    M = [row[:] for row in M]
-    det = 1
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(complex(M[r][c])))
-        if not M[piv][c]:
-            return M[piv][c]
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c]
-        for r in range(c + 1, n):
-            f = M[r][c] / M[c][c]
-            if f:
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return det
+    polys: tuple
+    norms: tuple
 
 
 def moments(frame: HermiteBiehlerFrame) -> MomentTable:
@@ -166,41 +172,23 @@ def kernel_ab(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex:
     denom = w - z.conjugate()
     if abs(denom) < 1e-13:
         dA, dB = A.derivative(), B.derivative()
-        return (np.conj(az) * complex(dB(w)) - complex(dA(w)) * np.conj(bz)) / math.pi
-    return (np.conj(az) * complex(B(w)) - complex(A(w)) * np.conj(bz)) / (math.pi * denom)
+        return (az.conjugate() * complex(dB(w)) - complex(dA(w)) * bz.conjugate()) / math.pi
+    return (az.conjugate() * complex(B(w)) - complex(A(w)) * bz.conjugate()) / (math.pi * denom)
 
 
-def kernel_moment(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex:
-    """Bordered-determinant form of the reproducing kernel from the moment table."""
-    n = frame.dim
+def kernel_moment(frame: HermiteBiehlerFrame, z, w):
+    """Christoffel-Darboux form of the reproducing kernel, sum_k p_k(w) conj(p_k(z)) / h_k.
+
+    Exact when the frame and z, w are exact, complex when z or w is a float.
+    """
     table = moments(frame)
-    ms = [float(m) for m in table.moments]
-    hn1 = float(table.hankel[n - 1])
-    M = np.zeros((n + 1, n + 1), dtype=complex)
-    M[0, 1:] = [complex(w) ** j for j in range(n)]
-    for i in range(1, n + 1):
-        M[i, 0] = np.conj(complex(z)) ** (i - 1)
-        M[i, 1:] = ms[i - 1 : i - 1 + n]
-    return complex(-np.linalg.det(M) / hn1)
+    return sum(p(w) * p(z).conjugate() / h for p, h in zip(table.polys, table.norms))
 
 
 def gram_schmidt_basis(frame: HermiteBiehlerFrame) -> list[Polynomial]:
-    """Orthonormal basis of H(E) by the determinant form of Gram-Schmidt."""
-    n = frame.dim
+    """Orthonormal basis p_k / sqrt(h_k) of H(E), read off the moment table."""
     table = frame.moment_table
-    C = [[table.moments[i + j].real for j in range(n)] for i in range(n)]
-    dets = [1, *table.hankel]
-    if any(d <= 0 for d in dets):
-        raise ValueError("Gram matrix is not positive definite")
-    basis = []
-    for k in range(n):
-        coeffs = [
-            (-1) ** (k + j) * _det([[C[r][c] for c in range(k + 1) if c != j] for r in range(k)])
-            for j in range(k + 1)
-        ]
-        norm = sqrt(dets[k] * dets[k + 1])
-        basis.append(Polynomial([c / norm for c in coeffs]))
-    return basis
+    return [p / sqrt(h) for p, h in zip(table.polys, table.norms)]
 
 
 def _snap_trig(x: float):

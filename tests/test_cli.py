@@ -156,12 +156,18 @@ def test_cli_pd_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, message", [(["--grid", "0"], "at least one point"),
                                            (["--range", "nan", "6"], "finite"),
-                                           (["--range", "0", "inf"], "finite")],
-                         ids=["empty", "nan", "inf"])
+                                           (["--range", "0", "inf"], "finite"),
+                                           (["--range", "-inf", "1"], "finite")],
+                         ids=["empty", "nan", "inf", "minus-inf"])
 def test_cli_pd_check_bad_grid_is_input_error(capsys, args, message):
     assert main(["pd-check", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid") and message in err
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e-3", "1"), ("-.5", "-2E-1")])
+def test_cli_pd_check_reads_a_negative_end_in_any_float_notation(lo, hi):
+    assert main(["pd-check", "--range", lo, hi, "--grid", "3"]) in (0, 1)
 
 
 def test_cli_pw_pipeline(tmp_path):
@@ -195,6 +201,23 @@ def test_spectral_pipeline_passes_on_other_symmetric_measures(points, masses):
     rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
     assert [c.name for c in rep.checks] == [c.name for c in run_g0_pipeline(seed=1).checks]
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
+
+
+def test_spectral_pipeline_kernel_forms_agree_on_seven_odd_quarter_atoms():
+    # {0: 1} and {+-(2k-1)/4: (2(k mod 3)+1)/8}: the Hankel matrix of these moments is so
+    # ill-conditioned that a float determinant form of the kernel misses the tolerance 1e-10
+    points, masses = [0], [Fraction(1)]
+    for k in (1, 2, 3):
+        x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
+        points += [-x, x]
+        masses += [m, m]
+    rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["reproducing-kernel-two-forms"].status == "pass"
+    exact = [c for c in checks.values() if c.tolerance == 0]
+    assert len(exact) == 7 and all(c.status == "pass" for c in exact)
+    # mean-periodicity fails here (8.2e-7 against 1e-8): its residual at z = 2i is absolute
+    # and grows with the degree of the annihilator, which is not this layer's to mend
 
 
 def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():

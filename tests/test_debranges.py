@@ -316,7 +316,7 @@ def test_g0_pipeline_builds_the_pi_half_eigenbasis_once(monkeypatch):
 
 
 def test_gram_schmidt_reads_the_moment_table(monkeypatch):
-    # the Gram of the monomials is the Hankel matrix of the frame's moments
+    # the basis is p_k / sqrt(h_k), both kept by the moment table's recurrence
     calls = []
     original = debranges.inner_product
 
@@ -413,3 +413,41 @@ def test_one_path_serves_exact_and_float_frames(E):
     assert eb.eigenvalues == eb_f.eigenvalues
     for F, F_f in zip(eb.normalized, eb_f.normalized, strict=True):
         assert _close(_coeffs(F, n), _coeffs(F_f, n))
+
+
+def _bareiss_det(M: list[list[Fraction]]) -> Fraction:
+    """Fraction-free (Bareiss) determinant, without pivoting: every leading minor is nonzero."""
+    M = [row[:] for row in M]
+    prev = Fraction(1)
+    for k in range(len(M) - 1):
+        for i in range(k + 1, len(M)):
+            for j in range(k + 1, len(M)):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
+        prev = M[k][k]
+    return M[-1][-1]
+
+
+_DYADIC = st.builds(lambda n: Fraction(n, 8), st.integers(-24, 24))
+
+
+@settings(max_examples=30)
+@given(rational_level_set_e(), _DYADIC, _DYADIC, _DYADIC, _DYADIC)
+def test_stieltjes_recurrence_is_exact(E, x, y, u, v):
+    frame = HermiteBiehlerFrame.from_e(E)
+    table = moments(frame)
+    n = frame.dim
+    assert len(table.polys) == len(table.norms) == n
+    for i, (p, h) in enumerate(zip(table.polys, table.norms)):
+        assert p.degree == i and p.leading() == 1
+        for j, q in enumerate(table.polys):
+            assert inner_product(frame, p, q) == (h if i == j else 0)
+    # every moment is a rational multiple of pi, so the k+1 minor is pi^(k+1) times a rational
+    ms = [(m / PI).as_fraction() for m in table.moments]
+    for k in range(n):
+        minor = [[ms[i + j] for j in range(k + 1)] for i in range(k + 1)]
+        assert table.hankel[k] == PiScalar(_bareiss_det(minor), 1, 2 * (k + 1))
+    z, w = ExactComplex(x, y), ExactComplex(u, v)
+    if w != z.conjugate():
+        A, B = frame.A, frame.B
+        closed = (A(z).conjugate() * B(w) - A(w) * B(z).conjugate()) / (PI * (w - z.conjugate()))
+        assert kernel_moment(frame, z, w) == closed
