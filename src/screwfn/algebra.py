@@ -4,23 +4,29 @@ Coefficients are ExactComplex (exact mode), PiScalar (pi-graded exact mode)
 or plain complex (float mode); the mode is inferred on construction and
 mixed inputs degrade exactly once, never silently per-operation.  Floats
 are used only to locate zeros: companion-matrix eigenvalues polished by
-Newton iteration.  ``real_zeros`` is the one routine for real, simple zeros:
+Newton iteration, on coefficients converted to complex once per call.
+``real_zeros`` is the one routine for real, simple zeros:
 it returns exact Fractions where ``rational_roots`` finds them and floats for
 the rest, and it is where float input skips the exact extraction.  Two
 degradations of ``rational_roots`` are not flagged at run time, so they are
 stated here: real float input raises AttributeError rather than returning
 no roots, and a polynomial whose integer end coefficient exceeds 10^12 gets
 no search, so its rational zeros reach ``real_zeros`` callers as floats.
-``hb_test`` locates no zero: it reads a Cauchy index off the signed
-remainder sequence that ``Polynomial.gcd`` also runs.  One long division
-serves every scalar type, complex included: ``Polynomial.divmod`` and the
-remainder sequence both run it.  ``solve_exact`` is fraction-free: it
+``ab_split`` reads A and B off the real and imaginary parts of each
+coefficient, with no division.  ``hb_test`` locates no zero: it reads a
+Cauchy index off the primitive remainder sequence of A and B in integers
+(Brown & Traub, J. ACM 18, 1971), whose degrees and leading signs are those
+of the signed remainder sequence over the field.  ``Polynomial.divmod`` and
+``Polynomial.gcd`` run the field sequence: one long division, for every
+field scalar, complex included, which with exact integer division also
+serves the integer sequence.  ``solve_exact`` is fraction-free: it
 clears each row to integers, eliminates in integers with one gcd per
 updated row, and forms one Fraction per unknown at the end.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -280,16 +286,17 @@ def _as_poly(x) -> Polynomial:
     return Polynomial([x])
 
 
-def _divmod_lists(f, g) -> tuple[list, list]:
-    """Quotient and remainder of ascending coefficient lists over a field, g nonzero.
+def _divmod_lists(f, g, div=operator.truediv) -> tuple[list, list]:
+    """Quotient and remainder of ascending coefficient lists, g nonzero.
 
-    Any field scalar will do; the lists carry no trailing zeros, and the
-    empty list is the zero polynomial.
+    Any field scalar will do with the default ``div``; integer lists whose
+    quotient is known to be integral divide by ``operator.floordiv``.  The
+    lists carry no trailing zeros, and the empty list is the zero polynomial.
     """
     rem, dg = list(f), len(g) - 1
     quot = [0] * max(len(rem) - dg, 0)
     while len(rem) > dg:
-        c, k = rem[-1] / g[-1], len(rem) - 1 - dg
+        c, k = div(rem[-1], g[-1]), len(rem) - 1 - dg
         quot[k] = c
         for j in range(dg):
             rem[k + j] -= c * g[j]
@@ -305,6 +312,24 @@ def _signed_remainders(f: list, g: list):
     while g:
         yield g
         f, g = g, [-c for c in _divmod_lists(f, g)[1]]
+
+
+def _primitive_remainders(f: list[int], g: list[int]):
+    """_signed_remainders of integer lists with deg f >= deg g, each term a positive multiple.
+
+    The primitive polynomial remainder sequence (Brown & Traub, J. ACM 18,
+    1971): |lc g|^(d+1) f, d = deg f - deg g, divides by g exactly in
+    integers, and the negated remainder is divided by its positive content.
+    Both factors are positive, so every term has the degree and the leading
+    sign of the field sequence's term.
+    """
+    yield f
+    while g:
+        yield g
+        scale = abs(g[-1]) ** (len(f) - len(g) + 1)
+        r = _divmod_lists([c * scale for c in f], g, operator.floordiv)[1]
+        content = math.gcd(*r)
+        f, g = g, [-c // content for c in r]
 
 
 def effective_degree(p: Polynomial, rel: float) -> int:
@@ -326,11 +351,16 @@ def sharp(p: Polynomial) -> Polynomial:
 
 
 def ab_split(E: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Split E = A - iB into real polynomials A = (E+E#)/2, B = i(E-E#)/2."""
-    Es = sharp(E)
-    A = (E + Es) / ExactComplex(2)
-    B = (E - Es) / ExactComplex(2) * ExactComplex(0, 1)
-    return A, B
+    """Split E = A - iB into the real polynomials A = (E+E#)/2 and B = i(E-E#)/2.
+
+    Read off each coefficient c rather than divided out: A_k = Re c and
+    B_k = -Im c = (c - Re c) i, in the numeric protocol of ``exact``, so one
+    path serves exact, pi-graded and float coefficients.  A float c gives a
+    B_k with imaginary part +0.0.
+    """
+    i = ExactComplex(0, 1)
+    return (Polynomial([c.real for c in E.coeffs]),
+            Polynomial([(c - c.real) * i for c in E.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +372,18 @@ _POLISH_TOL = 1e-12
 
 
 def roots(p: Polynomial) -> list[complex]:
-    """All roots with multiplicity: companion-matrix eigenvalues + Newton polish."""
+    """All roots with multiplicity: companion-matrix eigenvalues + Newton polish.
+
+    p and its exact derivative are converted to complex once, and both
+    ``np.roots`` and the Newton steps read those floats; raises RuntimeError
+    where a polished zero leaves |p| >= _POLISH_TOL * max|c|.
+    """
     if p.degree < 1:
         raise ValueError("no roots: polynomial must have degree >= 1")
-    desc = np.array([complex(c) for c in reversed(p.coeffs)])
-    raw = np.roots(desc)
-    dp = p.derivative()
-    scale = max(abs(complex(c)) for c in p.coeffs)
+    dp = Polynomial([complex(c) for c in p.derivative().coeffs])
+    p = Polynomial([complex(c) for c in p.coeffs])
+    raw = np.roots(np.array(p.coeffs[::-1]))
+    scale = max(abs(c) for c in p.coeffs)
     polished = []
     for a in raw:
         a = complex(a)
@@ -491,16 +526,18 @@ def hb_test(E: Polynomial) -> bool:
     V(-inf) - V(+inf) of the signed remainder sequence sums, over each pair of
     neighbours whose degrees differ by an odd number, +1 where their leading
     coefficients agree in sign and -1 where they do not (Gantmacher, The Theory
-    of Matrices vol. 2, ch. XV).  It runs on Fraction(c.real), exact for exact
-    and for float coefficients alike.
+    of Matrices vol. 2, ch. XV).  Only those degrees and signs are read, so the
+    sequence runs as the primitive remainder sequence of A and B cleared to
+    primitive integer lists (Brown & Traub, J. ACM 18, 1971): no field
+    division, exact for exact and for float coefficients alike.
     """
     if E.degree < 1:
         raise ValueError("hb_test requires degree >= 1")
-    a, b = ([Fraction(c.real) for c in P.coeffs] for P in ab_split(E))
+    a, b = (_integer_row([c.real for c in P.coeffs]) for P in ab_split(E))
     if not a or not b:
         return False
     f0, f1, target = (a, b, -E.degree) if len(a) >= len(b) else (b, a, E.degree)
-    seq = list(_signed_remainders(f0, f1))
+    seq = list(_primitive_remainders(f0, f1))
     index = sum(1 if (f[-1] > 0) == (g[-1] > 0) else -1
                 for f, g in zip(seq, seq[1:]) if (len(f) - len(g)) % 2)
     return index == target

@@ -123,7 +123,7 @@ class HermiteBiehlerFrame:
             norms.append(h)
             a = sum(w * g * x * x for g, w, x in zip(gs, ws, v)) / h
             v, v_prev = [(g - a) * x - b * y for g, x, y in zip(gs, v, v_prev)], v
-            p, p_prev = Polynomial.x() * p - p * a - p_prev * b, p
+            p, p_prev = Polynomial([0, *p.coeffs]) - p * a - p_prev * b, p
         hankel = tuple(itertools.accumulate(norms, operator.mul))
         return MomentTable(tuple(ms), hankel, tuple(polys), tuple(norms))
 
@@ -210,8 +210,12 @@ def s_theta(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
 
 
 def _s_theta_real(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
-    """S_theta / (2i) = A sin(theta) - B cos(theta), a real polynomial."""
+    """S_theta / (2i) = A sin(theta) - B cos(theta), a real polynomial; A or -B on an axis."""
     c, s = _cos_sin(theta)
+    if (c, s) == (0, 1):
+        return frame.A
+    if (c, s) == (1, 0):
+        return -frame.B
     return frame.A * s - frame.B * c
 
 

@@ -109,8 +109,10 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex)):
-            return self + (-ExactComplex.coerce(other))
+        if isinstance(other, (int, Fraction)):
+            return ExactComplex(self.re - other, self.im)
+        if isinstance(other, ExactComplex):
+            return ExactComplex(self.re - other.re, self.im - other.im)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
@@ -185,13 +187,16 @@ class ExactComplex:
 
     # -- conversions ---------------------------------------------------------
 
+    # numerator / denominator is the correctly rounded int true division that
+    # Fraction's float() runs too, without its numbers.Rational dispatch.
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        re, im = self.re, self.im
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     def __float__(self) -> float:
         if self.im:
             raise ValueError("not a real value")
-        return float(self.re)
+        return self.re.numerator / self.re.denominator
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -15,6 +15,9 @@ from screwfn.algebra import (
     MatrixPolynomial,
     Polynomial,
     RationalFunction,
+    _integer_row,
+    _primitive_remainders,
+    _signed_remainders,
     ab_split,
     hb_test,
     rational_roots,
@@ -24,7 +27,7 @@ from screwfn.algebra import (
     solve_exact,
 )
 from screwfn.canonical import subspace_chain
-from screwfn.exact import ExactComplex
+from screwfn.exact import ExactComplex, PiScalar
 
 I = ExactComplex(0, 1)
 E0 = Polynomial([-I, ExactComplex(-1), I * 2, ExactComplex(1)])  # z^3 + 2iz^2 - z - i
@@ -84,6 +87,72 @@ def test_ab_split_constant_and_roundtrip():
         A, B = ab_split(p)
         assert A.is_real() and B.is_real()
         assert A - B * I == p
+
+
+def _ab_reference(E):
+    """(E + E#)/2 and i(E - E#)/2, formed here from sharp and one division each."""
+    Es = sharp(E)
+    return (E + Es) / 2, (E - Es) * I / 2
+
+
+_GAUSSIAN = st.builds(ExactComplex, st.fractions(-9, 9, max_denominator=7),
+                      st.fractions(-9, 9, max_denominator=7))
+
+
+@settings(max_examples=40)
+@given(st.lists(_GAUSSIAN, min_size=1, max_size=8), st.integers(1, 6), st.integers(-3, 3))
+def test_ab_split_in_every_scalar_mode(cs, root, pihalf):
+    exact = Polynomial(cs)
+    pi = Polynomial([PiScalar(c, root + k % 2, pihalf + k) for k, c in enumerate(cs)])
+    flt = Polynomial([complex(c) for c in cs])
+    for E in (exact, pi, flt):
+        A, B = ab_split(E)
+        assert all(P.is_zero() or P.mode == E.mode for P in (A, B))
+        assert A.is_real() and B.is_real()
+        assert A - B * I == E
+        assert (A, B) == _ab_reference(E)
+    # a float coefficient gives +0.0 imaginary parts, and B_k = +0.0 where Im c is 0
+    A, B = ab_split(flt)
+    assert all(math.copysign(1, c.imag) == 1 for c in A.coeffs + B.coeffs)
+    assert all(math.copysign(1, b.real) == 1
+               for b, c in zip(B.coeffs, flt.coeffs) if c.imag == 0)
+
+
+def test_ab_split_and_hb_test_divide_no_exact_scalar(monkeypatch):
+    calls = []
+    truediv = ExactComplex.__truediv__
+
+    def counted(self, other):
+        calls.append(other)
+        return truediv(self, other)
+
+    monkeypatch.setattr(ExactComplex, "__truediv__", counted)
+    cw = _chain_workload()
+    E = cw.top_entry(cw.random_hamiltonian(random.Random(cw.FAULT_SEEDS[0]), cw.FAULT_SIZE))
+    assert ab_split(E) == _ab_reference(E) and hb_test(E) and hb_test(E0)
+    assert len(calls) == 2 * len(E.coeffs)  # the reference's two divisions per coefficient
+    calls.clear()
+    ab_split(E)
+    hb_test(E)
+    assert calls == []
+
+
+def test_roots_converts_each_coefficient_once(monkeypatch):
+    calls = []
+    to_complex = ExactComplex.__complex__
+
+    def counted(self):
+        calls.append(self)
+        return to_complex(self)
+
+    monkeypatch.setattr(ExactComplex, "__complex__", counted)
+    # zeros of A at Fraction(k, 3) + 1/7: np.roots starts near them, Newton runs
+    p = Polynomial([1])
+    for k in range(-4, 5):
+        p = p * Polynomial([-Fraction(k, 3) - Fraction(1, 7), 1])
+    rs = roots(p)
+    assert len(rs) == p.degree == 9
+    assert len(calls) <= 2 * p.degree + 1
 
 
 def test_roots_of_e0_match_reference_values():
@@ -281,6 +350,67 @@ def test_hb_test_certifies_every_entry_of_a_32_segment_chain():
     chain = subspace_chain(cw.random_hamiltonian(random.Random(7), 32))
     entries = [e.E for e in chain if e.E.degree >= 1]
     assert len(entries) == 32 and all(hb_test(E) for E in entries)
+
+
+_HUGE = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+
+
+def _mul_lists(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def remainder_pairs(draw):
+    """Rational lists f, g with deg f >= deg g, degrees 0-16, numerators up to 10^30.
+
+    Equal degrees and zero constant terms are drawn often, and a planted
+    common factor h of degree 0-3 makes the sequence end in a gcd of degree
+    at least deg h.  Returns (f, g, deg h).
+    """
+    dh = draw(st.integers(0, 3))
+    df = draw(st.integers(0, 16 - dh))
+    dg = df if draw(st.booleans()) else draw(st.integers(0, df))
+    f = [draw(_HUGE) for _ in range(df + 1)]
+    g = [draw(_HUGE) for _ in range(dg + 1)]
+    f[-1], g[-1] = f[-1] or 1, g[-1] or 1
+    if dg >= 1 and draw(st.booleans()):
+        f[0] = g[0] = 0
+    h = [draw(st.integers(-5, 5)) for _ in range(dh)] + [draw(st.sampled_from((-2, -1, 1, 3)))]
+    return _mul_lists(f, h), _mul_lists(g, h), dh
+
+
+@settings(max_examples=150)
+@given(remainder_pairs())
+@example(([Fraction(1), 0, 1], [Fraction(-2), 0, 3], 0))
+@example(([0, Fraction(1, 3), 0, -1], [0, Fraction(5, 2)], 1))
+def test_primitive_remainders_match_the_signed_remainders(pair):
+    f, g, dh = pair
+    field = list(_signed_remainders(f, g))
+    ints = list(_primitive_remainders(_integer_row(f), _integer_row(g)))
+    assert len(ints) == len(field) and len(field[-1]) - 1 >= dh
+    for t, u in zip(ints, field):
+        assert all(type(c) is int for c in t)
+        assert len(t) == len(u) and (t[-1] > 0) == (u[-1] > 0)
+        ratio = t[-1] / u[-1]  # a positive multiple, term by term
+        assert all(x == ratio * y for x, y in zip(t, u))
+
+
+_FLOAT_ZERO = st.tuples(st.floats(-3, 3, width=32), st.floats(-3, 3, width=32))
+
+
+@settings(max_examples=60)
+@given(st.lists(_FLOAT_ZERO, min_size=1, max_size=8))
+def test_hb_test_on_float_e_matches_its_exact_copy(zeros):
+    E = Polynomial([1.0])
+    for x, y in zeros:
+        E = E * Polynomial([-complex(x, y), 1.0])
+    exact = Polynomial([ExactComplex(Fraction(c.real), Fraction(c.imag)) for c in E.coeffs])
+    assert E.mode == "float" and exact.mode == "exact"
+    assert hb_test(E) == hb_test(exact)
 
 
 def test_hb_implies_contractive_quotient():
