@@ -190,13 +190,13 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     rep.run("reproducing-kernel-two-forms", "christoffel-darboux-kernel", kernel_agreement)
 
     def multiplication_domain() -> bool:
-        # S_theta lies in H(E) iff [z^n](A sin(theta) - B cos(theta)) = 0, which
-        # holds at one theta in [0, pi); B_n = 0 puts it at theta = 0.
+        # S_theta lies in H(E) iff [z^n](A sin(theta) - B cos(theta)) = 0. At
+        # theta = 0 that is B_n = 0, and since A_n = E_n != 0 no other theta in
+        # [0, pi) has it, so this one angle is the whole domain check.
         fr = frame()
         eb = extension_eigenbasis(fr, math.pi / 2)
         return (
-            fr.B.coeff(fr.dim) == 0
-            and s_theta_in_space(fr, 0.0)
+            s_theta_in_space(fr, 0.0)
             and list(eb.eigenvalues) == list(tau.points)
             and all(boundary_value(fr, F, x).abs2() * fr.mu.mass_at(x) == 1
                     for x, F in zip(eb.eigenvalues, eb.normalized))

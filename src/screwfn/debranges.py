@@ -210,12 +210,8 @@ def s_theta(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
 
 
 def _s_theta_real(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
-    """S_theta / (2i) = A sin(theta) - B cos(theta), a real polynomial; A or -B on an axis."""
+    """S_theta / (2i) = A sin(theta) - B cos(theta), a real polynomial."""
     c, s = _cos_sin(theta)
-    if (c, s) == (0, 1):
-        return frame.A
-    if (c, s) == (1, 0):
-        return -frame.B
     return frame.A * s - frame.B * c
 
 
