@@ -16,12 +16,13 @@ no search, so its rational zeros reach ``real_zeros`` callers as floats.
 coefficient, with no division.  ``hb_test`` locates no zero: it reads a
 Cauchy index off the primitive remainder sequence of A and B in integers
 (Brown & Traub, J. ACM 18, 1971), whose degrees and leading signs are those
-of the signed remainder sequence over the field.  ``Polynomial.divmod`` and
-``Polynomial.gcd`` run the field sequence: one long division, for every
-field scalar, complex included, which with exact integer division also
-serves the integer sequence.  ``solve_exact`` is fraction-free: it
-clears each row to integers, eliminates in integers with one gcd per
-updated row, and forms one Fraction per unknown at the end.
+of the signed remainder sequence over the field.  ``_divmod_lists`` is the
+one long division, for any field scalar and, dividing exactly, integers.
+``_signed_remainders`` is the one field Euclid: ``Polynomial.gcd`` reads
+its last term, canonical.bezout_complete and classical.stieltjes_string its
+quotients.  ``solve_exact`` is fraction-free: it clears each row to
+integers, eliminates in integers with one gcd per updated row, and forms
+one Fraction per unknown at the end.
 """
 from __future__ import annotations
 
@@ -255,8 +256,7 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd over the exact complex rationals: the last signed remainder."""
-        *_, last = _signed_remainders(self.coeffs, other.coeffs)
-        return Polynomial(last).monic()
+        return Polynomial(_signed_remainders(self.coeffs, other.coeffs)[0][-1]).monic()
 
     # -- display -------------------------------------------------------------------------
 
@@ -306,16 +306,24 @@ def _divmod_lists(f, g, div=operator.truediv) -> tuple[list, list]:
     return quot, rem
 
 
-def _signed_remainders(f: list, g: list):
-    """Yield f, g, -(f mod g), ... down to the last nonzero term; lists as in _divmod_lists."""
-    yield f
+def _signed_remainders(f: list, g: list) -> tuple[list, list]:
+    """The one field Euclid: the signed remainder sequence of f by g and its quotients.
+
+    Returns (terms, quots): the terms t_0 = f, t_1 = g, t_2 = -(f mod g), ...
+    down to the last nonzero term t_m, and the quotients q_1, ..., q_m with
+    t_(k-1) = q_k t_k - t_(k+1), t_(m+1) = 0.  Lists as in _divmod_lists.
+    """
+    terms, quots = [f], []
     while g:
-        yield g
-        f, g = g, [-c for c in _divmod_lists(f, g)[1]]
+        q, r = _divmod_lists(terms[-1], g)
+        terms.append(g)
+        quots.append(q)
+        g = [-c for c in r]
+    return terms, quots
 
 
 def _primitive_remainders(f: list[int], g: list[int]):
-    """_signed_remainders of integer lists with deg f >= deg g, each term a positive multiple.
+    """_signed_remainders' terms for integer lists, deg f >= deg g, each a positive multiple.
 
     The primitive polynomial remainder sequence (Brown & Traub, J. ACM 18,
     1971): |lc g|^(d+1) f, d = deg f - deg g, divides by g exactly in
@@ -533,10 +541,15 @@ def hb_test(E: Polynomial) -> bool:
     """
     if E.degree < 1:
         raise ValueError("hb_test requires degree >= 1")
-    a, b = (_integer_row([c.real for c in P.coeffs]) for P in ab_split(E))
+    return _hb_test_split(*ab_split(E))
+
+
+def _hb_test_split(A: Polynomial, B: Polynomial) -> bool:
+    """hb_test on the split A, B of E, whose degree is max(deg A, deg B)."""
+    a, b = (_integer_row([c.real for c in P.coeffs]) for P in (A, B))
     if not a or not b:
         return False
-    f0, f1, target = (a, b, -E.degree) if len(a) >= len(b) else (b, a, E.degree)
+    f0, f1, target = (a, b, 1 - len(a)) if len(a) >= len(b) else (b, a, len(b) - 1)
     seq = list(_primitive_remainders(f0, f1))
     index = sum(1 if (f[-1] > 0) == (g[-1] > 0) else -1
                 for f, g in zip(seq, seq[1:]) if (len(f) - len(g)) % 2)

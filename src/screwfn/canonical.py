@@ -11,7 +11,8 @@ direction given by the normalized projector M_k/(alpha_k + gamma_k).
 The peel is also the J-inner certificate: a product of PSD elementary
 factors is J-inner and the factorization is unique, so W is J-inner exactly
 when the peel reaches I with every factor PSD.  All of it is exact rational
-arithmetic; nothing is sampled.
+arithmetic; nothing is sampled.  bezout_complete builds the top row of W
+from the quotients of algebra's one field Euclid.
 
 The chain is carried as integer rows: a row (p, q) of W is two lists of
 integer coefficients over one positive common denominator den, shared by the
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import MatrixPolynomial, Polynomial, solve_exact
+from .algebra import MatrixPolynomial, Polynomial, _signed_remainders, solve_exact
 from .exact import ExactComplex
 
 __all__ = [
@@ -251,19 +252,6 @@ class TransferMatrix:
         return TransferMatrix(W)
 
 
-def _xgcd(a: Polynomial, b: Polynomial):
-    """Extended Euclid: (g, u, v) with u*a + v*b = g."""
-    r0, r1 = a, b
-    u0, u1 = Polynomial.one(), Polynomial.zero()
-    v0, v1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0
-
-
 def bezout_complete(
     C: Polynomial, D: Polynomial, validate: bool = True
 ) -> tuple[Polynomial, Polynomial]:
@@ -279,16 +267,15 @@ def bezout_complete(
         raise ValueError("C must be a real odd polynomial")
     if not (D.is_real() and D.is_even()):
         raise ValueError("D must be a real even polynomial")
-    g, u, v = _xgcd(D, C)
-    if g.degree != 0:
+    # the Euclid's terms t_k = u_k D + v_k C: (u_k, v_k) by s_(k+1) = q_k s_k - s_(k-1)
+    terms, quots = _signed_remainders(D.coeffs, C.coeffs)
+    if len(terms[-1]) != 1:
         raise ValueError("C, D not coprime")
-    u, v = u / g.leading(), v / g.leading()
-    # general solution (u + pC, v - pD); reduce u below deg C
-    if C.degree >= 1 and u.degree >= C.degree:
-        p, u = u.divmod(C)
-        v = v + p * D
-    A = u
-    B = -v
+    prev, cur = (Polynomial.one(), Polynomial.zero()), (Polynomial.zero(), Polynomial.one())
+    for q in map(Polynomial, quots[:-1]):
+        prev, cur = cur, (q * cur[0] - prev[0], q * cur[1] - prev[1])
+    u, v = cur if quots else prev  # already of minimal degree
+    A, B = u / terms[-1][0], v / -terms[-1][0]
     check = A * D - B * C
     if check != Polynomial.one():
         raise ValueError("Bezout completion failed to satisfy A*D - B*C = 1")

@@ -2,10 +2,10 @@
 
 Three classical faces of the same discrete spectral data:
 
-* a Stieltjes continued fraction turns a rational Herglotz function of the
-  subclass q(z) = b + sum s_k/(l_k - z), l_k >= 0, into a string of point
-  masses (positions and weights), and solving the string equation recovers
-  q as the ratio of terminal slopes;
+* for q(z) = b + sum s_k/(l_k - z), l_k >= 0, the quotients c_k z of the
+  one field Euclid, algebra._signed_remainders, run on Q(z) = z q(z^2) are a
+  string's gaps and masses, and solving the string equation recovers q as
+  the ratio of terminal slopes;
 * the integral representation of a screw function g with g(0) = 0 is, after
   exponentiation, a Levy-Khintchine formula, so g yields a triplet
   (gaussian variance, drift, jump measure) and an explicit density: a
@@ -29,7 +29,7 @@ remainder P(i d/dt) g = 0, give the one-sided convolution in closed form:
 g'(0) = i (c + sum m gamma/(1 + gamma^2)), g''(0) = -tau(R) and
 g^(j)(0) = i^j sum m gamma^(j-2) for j >= 3; -i (8t^2 - 3) exp(-t^2) for g0.
 
-Continued fractions run in exact rational arithmetic; convolution and
+The Euclid runs in exact rational arithmetic; convolution and
 Fourier checks use composite Simpson on super-exponentially decaying
 integrands, so 1e-8 tolerances are comfortable.
 """
@@ -42,8 +42,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite, polynomial
 
-from .algebra import Polynomial, RationalFunction
-from .exact import ExactComplex, PiScalar
+from .algebra import Polynomial, RationalFunction, _signed_remainders
+from .exact import PiScalar
 from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
 
@@ -104,51 +104,39 @@ def q_substitute(Q: RationalFunction) -> RationalFunction:
     raise ValueError("substitution not rational: mixed parity after reduction")
 
 
-def _limit_at_minus_infinity(r: RationalFunction) -> Fraction:
-    """lim_{z -> -inf} r(z) for deg num <= deg den, as an exact rational."""
-    if r.num.degree > r.den.degree:
-        raise ValueError("not a string function: unbounded at -infinity")
-    if r.num.degree < r.den.degree:
-        return Fraction(0)
-    val = r.num.leading() / r.den.leading()
-    if not val.is_real():
-        raise ValueError("not a string function: complex limit")
-    return val.re
-
-
 def stieltjes_string(q: RationalFunction) -> KreinString:
     """Expand q as the alternating continued fraction of a string.
 
-    Lengths are the finite limits at -infinity, masses come from the linear
-    growth of the reciprocals; any negative extracted value means q is not
-    a string function.  Termination at a mass step leaves L infinite,
-    termination at a length step pins L to the accumulated length.
+    With q = n/d, the signed Euclid of z n(z^2) by d(z^2) writes Q(z) =
+    z q(z^2) as q_1 - 1/(q_2 - 1/(q_3 - ...)).  q is a string function
+    exactly when every quotient q_k is c_k z with c_k > 0, where q_1 may be
+    0: odd k gives the gaps (the first from 0 to the first mass) and even k
+    the masses.  An odd count of quotients pins L to the sum of the gaps, an
+    even count leaves L infinite.
     """
     if q.mode != "exact":
         raise TypeError("stieltjes_string requires exact coefficients")
-    pos = Fraction(0)
-    masses: list[tuple[Fraction, Fraction]] = []
-    cur = q
-    while True:
-        b = _limit_at_minus_infinity(cur)
-        if b < 0:
-            raise ValueError("not a string function: negative length")
-        pos += b
-        cur = cur - RationalFunction(Polynomial([ExactComplex(b)]))
-        if cur.is_zero():
-            return KreinString(tuple(masses), pos)
-        u = RationalFunction(cur.den, cur.num)
-        if u.num.degree != u.den.degree + 1:
-            raise ValueError("not a string function: reciprocal does not grow linearly")
-        lead = u.num.leading() / u.den.leading()
-        if not lead.is_real() or lead.re >= 0:
-            raise ValueError("not a string function: negative extracted mass")
-        m = -lead.re
-        masses.append((pos, m))
-        cur = u - RationalFunction(Polynomial([ExactComplex(0), ExactComplex(-m)]))
-        if cur.is_zero():
-            return KreinString(tuple(masses), math.inf)
-        cur = RationalFunction(cur.den, cur.num)
+    num = [x for c in q.num.coeffs for x in (0, c)]  # z n(z^2), [] for n = 0
+    den = [x for c in q.den.coeffs for x in (c, 0)][:-1]  # d(z^2)
+    quots = _signed_remainders(num, den)[1]
+    pos, masses = Fraction(0), []
+    for k, quot in enumerate(quots, 1):
+        gap = k % 2
+        if gap and not quot:  # only the first quotient can vanish: no gap before mass 1
+            continue
+        if len(quot) != 2:
+            fault = "unbounded at -infinity" if gap else "reciprocal does not grow linearly"
+            raise ValueError(f"not a string function: {fault}")
+        c = quot[1]
+        if not c.is_real() or c.re < 0:
+            fault = (("negative length" if c.is_real() else "complex limit") if gap
+                     else "negative extracted mass")
+            raise ValueError(f"not a string function: {fault}")
+        if gap:
+            pos += c.re
+        else:
+            masses.append((pos, c.re))
+    return KreinString(tuple(masses), pos if len(quots) % 2 else math.inf)
 
 
 def string_solve(s: KreinString, lam, x, with_slopes: bool = False):

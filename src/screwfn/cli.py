@@ -70,7 +70,6 @@ from .spectra import (
     DiscreteMeasure,
     NevanlinnaData,
     cayley_q_to_theta,
-    level_set_masses,
     measure_from_q,
     q_from_measure,
     tau_from_mu,
@@ -166,7 +165,7 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
 
     rep.run("spectral-measure-inversion", "herglotz-representation", spectral_measure)
     rep.run("level-set-masses", "inner-function-level-set",
-            lambda: tau_from_mu(level_set_masses(frame().E)) == tau)
+            lambda: tau_from_mu(frame().mu) == tau)
 
     def debranges_tables() -> bool:
         fr = frame()
@@ -257,9 +256,16 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     rep.run("isometry-diagram-closure", "commuting-transform-square", diagram)
 
     def krein_string() -> bool:
+        # Kac-Krein: the string's masses (on (0, 0, 1)) and the gaps between
+        # them (on (1, 0, 0)), read from the far end, are the peel's segments
         q = q_substitute(Q())
         s = stieltjes_string(q)
-        return s.L == math.inf and titchmarsh_weyl(s) == q
+        if s.L != math.inf or titchmarsh_weyl(s) != q:
+            return False
+        pos = [p for p, _ in s.masses]
+        segs = [(seg.length, seg.proj) for seg in reversed(transfer()[1].segments)]
+        return (segs[0::2] == [(m, (0, 0, 1)) for _, m in s.masses]
+                and segs[1::2] == [(b - a, (1, 0, 0)) for a, b in zip(pos, pos[1:])])
 
     rep.run("krein-string-correspondence", "stieltjes-continued-fraction", krein_string)
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 from .algebra import Polynomial, ab_split, effective_degree, rational_roots, roots, sharp
 from .exact import ExactComplex, is_real, sqrt
-from .spectra import DiscreteMeasure, level_set_masses
+from .spectra import DiscreteMeasure, _level_set
 
 __all__ = [
     "HermiteBiehlerFrame",
@@ -76,8 +76,8 @@ class HermiteBiehlerFrame:
 
     @staticmethod
     def from_e(E: Polynomial) -> "HermiteBiehlerFrame":
-        mu = level_set_masses(E)  # certifies E as Hermite-Biehler
-        return HermiteBiehlerFrame(E, *ab_split(E), mu)
+        A, B = ab_split(E)
+        return HermiteBiehlerFrame(E, A, B, _level_set(A, B))  # certifies E as Hermite-Biehler
 
     @property
     def dim(self) -> int:

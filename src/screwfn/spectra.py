@@ -23,6 +23,7 @@ from fractions import Fraction
 from .algebra import (
     Polynomial,
     RationalFunction,
+    _hb_test_split,
     ab_split,
     hb_test,
     real_zeros,
@@ -278,11 +279,15 @@ def level_set_masses(E: Polynomial) -> DiscreteMeasure:
 
     Rational zeros of A get exact pi-rational masses; the rest are floats.
     """
-    if E.degree < 1:
+    return _level_set(*ab_split(E))
+
+
+def _level_set(A: Polynomial, B: Polynomial) -> DiscreteMeasure:
+    """level_set_masses from the split E = A - iB, which certifies E as Hermite-Biehler."""
+    if max(A.degree, B.degree) < 1:
         raise ValueError("level_set_masses requires degree >= 1")
-    if not hb_test(E):
+    if not _hb_test_split(A, B):
         raise ValueError("E is not in the Hermite-Biehler class")
-    A, B = ab_split(E)
     dA = A.derivative()
     pts = real_zeros(A)
     return DiscreteMeasure(pts, [PI * abs((B(g) / dA(g)).real) for g in pts])

@@ -389,7 +389,10 @@ def remainder_pairs(draw):
 @example(([0, Fraction(1, 3), 0, -1], [0, Fraction(5, 2)], 1))
 def test_primitive_remainders_match_the_signed_remainders(pair):
     f, g, dh = pair
-    field = list(_signed_remainders(f, g))
+    field, quots = _signed_remainders([Fraction(c) for c in f], [Fraction(c) for c in g])
+    P = [Polynomial(t) for t in field] + [Polynomial.zero()]
+    assert all(P[k] == Polynomial(q) * P[k + 1] - P[k + 2]  # t_(k-1) = q_k t_k - t_(k+1)
+               for k, q in enumerate(quots))
     ints = list(_primitive_remainders(_integer_row(f), _integer_row(g)))
     assert len(ints) == len(field) and len(field[-1]) - 1 >= dh
     for t, u in zip(ints, field):

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from screwfn.algebra import Polynomial, RationalFunction
+from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction, ab_split
+from screwfn.canonical import bezout_complete, factorize
 from screwfn.classical import (
     KreinString,
     LevyTriplet,
@@ -20,7 +23,13 @@ from screwfn.classical import (
     titchmarsh_weyl,
 )
 from screwfn.screw import ScrewFunctionData, eval_screw, g0_data
-from screwfn.spectra import DiscreteMeasure
+from screwfn.spectra import (
+    DiscreteMeasure,
+    NevanlinnaData,
+    cayley_q_to_theta,
+    q_from_measure,
+    theta_to_e,
+)
 
 Q0 = RationalFunction(Polynomial([1, 0, -2]), Polynomial([0, -1, 0, 1]))
 G0 = g0_data()
@@ -81,6 +90,40 @@ def test_stieltjes_string_rejects_non_herglotz():
     # -1/(1-z) has a negative residue sign pattern for strings
     with pytest.raises(ValueError, match="not a string function"):
         stieltjes_string(RationalFunction(Polynomial([-1]), Polynomial([1, -1])))
+
+
+def test_stieltjes_string_of_zero():
+    # Q = z q(z^2) is the zero polynomial: one zero quotient, no mass, L = 0
+    assert stieltjes_string(RationalFunction(Polynomial([0]))) == KreinString((), 0)
+
+
+@st.composite
+def symmetric_measures(draw):
+    """Exact measures of 3-9 atoms with an atom at 0 and equal masses at +-x."""
+    side = st.fractions(Fraction(1, 8), 4, max_denominator=8)
+    xs = draw(st.lists(side, min_size=1, max_size=4, unique=True))
+    ms = [draw(side) for _ in xs]
+    points = [Fraction(0), *xs, *(-x for x in xs)]
+    return DiscreteMeasure(points, [draw(side), *ms, *ms])
+
+
+@settings(max_examples=60)
+@given(symmetric_measures())
+def test_string_is_the_peel_read_backwards(tau):
+    # Kac-Krein: the peel of W alternates between the axes; its segments, last first, are the
+    # string's masses (on (0, 0, 1)) and the gaps between them (on (1, 0, 0))
+    Q = q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
+    E = theta_to_e(cayley_q_to_theta(Q))
+    A, B = ab_split(E / ab_split(E)[1](0))
+    H = factorize(MatrixPolynomial([bezout_complete(A, B, validate=False), (A, B)]))
+    q = q_substitute(Q)
+    s = stieltjes_string(q)
+    assert s.L == math.inf and titchmarsh_weyl(s) == q and s.masses[0][0] == 0
+    lengths = [seg.length for seg in reversed(H.segments)]
+    assert lengths[0::2] == [m for _, m in s.masses]
+    assert lengths[1::2] == [b - a for (a, _), (b, _) in zip(s.masses, s.masses[1:])]
+    axes = [(0, 0, 1), (1, 0, 0)] * (len(s.masses) - 1) + [(0, 0, 1)]
+    assert [seg.proj for seg in H.segments] == axes
 
 
 def test_string_solve_reference_values():

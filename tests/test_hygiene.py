@@ -3,8 +3,9 @@
 Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
-package, every name the benchmark's tracer wraps exists, and importing
-the command line and every module of the package loads no scipy.
+package, no while loop outside ``algebra`` runs a Euclid of its own, every
+name the benchmark's tracer wraps exists, and importing the command line
+and every module of the package loads no scipy.
 """
 import ast
 import importlib
@@ -144,6 +145,39 @@ def test_guard_flags_a_dead_definition():
     )
     b = ast.parse("from .a import _TOL\n")
     assert _dead_definitions({"a.py": a, "b.py": b}) == ["DEAD", "_unused"]
+
+
+def _euclid_loops(tree: ast.Module) -> list[str]:
+    """Lines of while loops that call a divmod: a Euclid of their own.
+
+    algebra._signed_remainders is the one field Euclid; its readers take the
+    terms and quotients from it rather than looping over divisions.
+    """
+    found = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.While):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    if "divmod" in name:
+                        found.add(loop.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_no_euclid_loop_outside_algebra(path):
+    assert _euclid_loops(ast.parse(path.read_text())) == []
+
+
+def test_guard_flags_a_euclid_loop():
+    tree = ast.parse(
+        "q, r = a.divmod(b)\n"
+        "while b:\n    a, b = b, a.divmod(b)[1]\n"
+        "while n:\n    n, d = divmod(n, 10)\n"
+        "while x:\n    x -= 1\n"
+    )
+    assert _euclid_loops(tree) == ["line 2", "line 4"]
 
 
 def test_traced_names_resolve():
