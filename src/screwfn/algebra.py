@@ -633,10 +633,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def is_odd(self) -> bool:
-        """Q(-z) == -Q(z), exactly."""
-        return self.num.reflect() * self.den == -(self.den.reflect() * self.num)
-
     def is_real(self) -> bool:
         return self.num.is_real() and self.den.is_real()
 

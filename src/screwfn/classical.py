@@ -29,9 +29,12 @@ remainder P(i d/dt) g = 0, give the one-sided convolution in closed form:
 g'(0) = i (c + sum m gamma/(1 + gamma^2)), g''(0) = -tau(R) and
 g^(j)(0) = i^j sum m gamma^(j-2) for j >= 3; -i (8t^2 - 3) exp(-t^2) for g0.
 
-The Euclid runs in exact rational arithmetic; convolution and
-Fourier checks use composite Simpson on super-exponentially decaying
-integrands, so 1e-8 tolerances are comfortable.
+The Euclid, P, the kernel's coefficients c_k = p_k (-i)^k and h are exact.
+As H_k(t) exp(-t^2) has transform sqrt(pi) (iz)^k exp(-z^2/4), the kernel
+and the convolution transform to sqrt(pi) exp(-z^2/4) times K = sum c_k
+(iz)^k and N = sum h_k (iz)^k.  Annihilation is K(-gamma) = 0 at the nonzero
+atoms with z^3 | K, and the Fourier-Carleman quotient is z^2 N D = -i Num K
+for Q = Num/D: both hold exactly or not at all.
 """
 from __future__ import annotations
 
@@ -40,10 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import hermite, polynomial
+from numpy.polynomial import hermite
 
 from .algebra import Polynomial, RationalFunction, _signed_remainders
-from .exact import PiScalar
+from .exact import ExactComplex, PiScalar
 from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
 
@@ -90,8 +93,6 @@ def q_substitute(Q: RationalFunction) -> RationalFunction:
     """q(z) = Q(sqrt z)/sqrt z, rational exactly when Q is odd."""
     if Q.mode != "exact":
         raise TypeError("q_substitute requires exact coefficients")
-    if not Q.is_odd():
-        raise ValueError("substitution not rational: Q must be odd")
     num, den = Q.num, Q.den
     num_even, num_odd = num.even_part_coeffs(), num.odd_part_coeffs()
     den_even, den_odd = den.even_part_coeffs(), den.odd_part_coeffs()
@@ -101,7 +102,8 @@ def q_substitute(Q: RationalFunction) -> RationalFunction:
     if num_even.is_zero() and den_odd.is_zero():
         # Q = z n(z^2) / d(z^2) -> q(w) = n(w)/d(w)
         return RationalFunction(num_odd, den_even)
-    raise ValueError("substitution not rational: mixed parity after reduction")
+    # a reduced Q is odd exactly when one of num, den is even and the other odd
+    raise ValueError("substitution not rational: Q must be odd")
 
 
 def stieltjes_string(q: RationalFunction) -> KreinString:
@@ -324,86 +326,84 @@ def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
 @dataclass(frozen=True)
 class MeanPeriodicReport:
     convolution_residual: float
-    fourier_kernel_residual: float
     one_sided_residual: float
     fourier_carleman_residual: float
 
     def max_residual(self) -> float:
-        return max(
-            self.convolution_residual,
-            self.fourier_kernel_residual,
-            self.one_sided_residual,
-            self.fourier_carleman_residual,
-        )
+        return max(self.convolution_residual, self.one_sided_residual,
+                   self.fourier_carleman_residual)
+
+
+_I = ExactComplex(0, 1)
+
+
+def _largest(coeffs) -> float:
+    """The largest |c| over exact coefficients: 0.0 exactly when all vanish."""
+    return max((abs(complex(c)) for c in coeffs), default=0.0)
 
 
 def _kernel_and_convolution(g: ScrewFunctionData):
-    """The closed forms of the module docstring: (p, phi, one_sided).
+    """The closed forms of the module docstring: (c, h, phi, one_sided).
 
-    p holds P's coefficients in ascending powers; phi(u) and one_sided(t)
-    evaluate the kernel and the one-sided convolution on float arrays.
+    c and h are the exact Hermite coefficients of the kernel and of the
+    one-sided convolution, in ascending order; phi(u) and one_sided(t)
+    evaluate them on float arrays.
     """
-    atoms = [(gam, m) for gam, m in g.float_atoms if gam]
-    p = np.concatenate([[0.0] * 3, polynomial.polyfromroots([-gam for gam, _ in atoms])])
-    c = p * np.array([(-1j) ** k for k in range(len(p))])
+    if not g.tau.is_exact:
+        raise TypeError("mean periodicity requires an exact measure")
+    atoms = [(gam, m.as_fraction()) for gam, m in g.tau]
+    p = [Fraction(0)] * 3 + [Fraction(1)]  # P = z^3 prod (z + gamma), ascending
+    for gam, _ in atoms:
+        if gam:
+            p = [gam * p[0]] + [lo + gam * hi for lo, hi in zip(p, p[1:])] + [p[-1]]
+    c = [pk * (-_I) ** k for k, pk in enumerate(p)]
     derivs = [  # g(0), g'(0), ..., g^(deg P - 1)(0)
-        complex(float(g.g0)),
-        1j * (float(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)),
-        complex(-sum(m for _, m in g.float_atoms)),
-    ] + [1j**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
-    h = np.zeros(len(p) - 1, dtype=complex)
+        ExactComplex(Fraction(g.g0)),
+        ExactComplex(0, Fraction(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)),
+        ExactComplex(-sum(m for _, m in atoms)),
+    ] + [_I**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
+    h = [ExactComplex(0)] * (len(p) - 1)
     for k in range(1, len(p)):
         for j in range(k):
             h[k - 1 - j] -= c[k] * (-1) ** j * derivs[j]
-    return (p, lambda u: hermite.hermval(u, c) * np.exp(-(u**2)),
-            lambda t: hermite.hermval(t, h) * np.exp(-(t**2)))
+    cf, hf = np.array([complex(x) for x in c]), np.array([complex(x) for x in h])
+    return (c, h, lambda u: hermite.hermval(u, cf) * np.exp(-(u**2)),
+            lambda t: hermite.hermval(t, hf) * np.exp(-(t**2)))
 
 
 def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanPeriodicReport:
-    """Annihilation, kernel transform, one-sided convolution and the
-    Fourier-Carleman quotient of g (the three-point screw function by default).
+    """Annihilation, the one-sided convolution and the Fourier-Carleman quotient
+    of g, the three-point screw function by default, on an exact measure.
 
-    The kernel and the one-sided convolution are the closed forms of the
-    module docstring.  Quadratures are composite Simpson on [-7, 7] against
-    the exp(-t^2) factor ([-8, 8] for the quotient's numerator); tails are
-    below 1e-10 so the 1e-8 tolerances in the report are honest.
+    Annihilation and the quotient are the exact identities of the module docstring,
+    each residual the largest |coefficient| of what must vanish (K mod z^3 and mod
+    each z + gamma; z^2 N D + i Num K): 0.0 exactly when the identity holds.  The one
+    float check compares the closed one-sided convolution with Simpson on [-7, t] at
+    each grid point, in units of max(1, max |one_sided| on the grid).
     """
     g = g if g is not None else g0_data()
     ts = np.asarray(grid if grid is not None else np.linspace(-3.0, 3.0, 25), dtype=float)
-    n = 16385
-    us = np.linspace(-7.0, 7.0, n)
-    w = _simpson_weights(n, us[1] - us[0])
-    p, phi, one_sided = _kernel_and_convolution(g)
-    phi_u = phi(us)
+    c, h, phi, one_sided = _kernel_and_convolution(g)
+    K = Polynomial([ck * _I**k for k, ck in enumerate(c)])
+    N = Polynomial([hk * _I**k for k, hk in enumerate(h)])
 
-    # (i) full convolution vanishes
-    conv_vals = (eval_screw(g, ts[:, None] - us[None, :]) * (w * phi_u)[None, :]).sum(axis=1)
-    r_conv = float(np.max(np.abs(conv_vals)))
+    # annihilation: the convolution with phi kills 1, t, t^2 and each exp(i t gamma)
+    r_conv = _largest(K.coeffs[:3] + tuple(K(-gam) for gam in g.tau.points if gam))
 
-    # (ii) Fourier transform of the kernel
-    r_four = 0.0
-    for z in (0.0, 0.7, -1.3, 2j, 1 + 0.5j):
-        z = complex(z)
-        lhs = np.sum(w * phi_u * np.exp(1j * z * us))
-        rhs = math.sqrt(math.pi) * np.exp(-(z**2) / 4) * polynomial.polyval(z, p)
-        r_four = max(r_four, abs(lhs - rhs))
-
-    # (iii) the one-sided convolution, integral over u < t, against its closed form
+    # the one-sided convolution, integral over u < t, against its closed form
     m = 4097
+    closed = one_sided(ts)
     r_one = 0.0
-    for t in ts:
+    for t, val in zip(ts, closed):
         conv_plus, hi = 0j, min(t, 7.0)
         if hi > -7.0:
             uu = np.linspace(-7.0, hi, m)
             conv_plus = np.sum(_simpson_weights(m, uu[1] - uu[0]) * eval_screw(g, t - uu) * phi(uu))
-        r_one = max(r_one, abs(conv_plus - one_sided(t)))
+        r_one = max(r_one, abs(conv_plus - val))
+    r_one /= max(1.0, float(np.max(np.abs(closed))))
 
-    # (iv) Fourier-Carleman quotient at z = 2i against -(i/z^2) Q(z), Q of (-g(0), c, tau)
-    z = 2j
-    tt = np.linspace(-8.0, 8.0, m)
-    num_fc = np.sum(_simpson_weights(m, tt[1] - tt[0]) * one_sided(tt) * np.exp(1j * z * tt))
-    den_fc = np.sum(w * phi_u * np.exp(1j * z * us))
+    # the Fourier-Carleman quotient N/K is -(i/z^2) Q(z), Q of (-g(0), c, tau)
     Q = q_from_measure(NevanlinnaData(-g.g0, g.c, g.tau))
-    r_fc = abs(num_fc / den_fc - (-1j / z**2) * complex(Q(z)))
+    r_fc = _largest((Polynomial.monomial(2) * N * Q.den + _I * Q.num * K).coeffs)
 
-    return MeanPeriodicReport(r_conv, float(r_four), float(r_one), float(r_fc))
+    return MeanPeriodicReport(r_conv, float(r_one), r_fc)

@@ -22,7 +22,8 @@ from screwfn.classical import (
     string_solve,
     titchmarsh_weyl,
 )
-from screwfn.screw import ScrewFunctionData, eval_screw, g0_data
+from screwfn.exact import ExactComplex
+from screwfn.screw import ScrewFunctionData, eval_screw, g0_data, laplace_check
 from screwfn.spectra import (
     DiscreteMeasure,
     NevanlinnaData,
@@ -60,7 +61,6 @@ def test_q_substitute_residues_match_measure():
     Q = RationalFunction(Polynomial([m]), Polynomial([g, -1])) + RationalFunction(
         Polynomial([m]), Polynomial([-g, -1])
     )
-    assert Q.is_odd()
     q = q_substitute(Q)
     d = measure_from_q(q)
     assert d.measure.points == (g * g,)
@@ -97,14 +97,19 @@ def test_stieltjes_string_of_zero():
     assert stieltjes_string(RationalFunction(Polynomial([0]))) == KreinString((), 0)
 
 
+EIGHTHS = st.fractions(Fraction(1, 8), 4, max_denominator=8)
+
+
 @st.composite
-def symmetric_measures(draw):
-    """Exact measures of 3-9 atoms with an atom at 0 and equal masses at +-x."""
-    side = st.fractions(Fraction(1, 8), 4, max_denominator=8)
-    xs = draw(st.lists(side, min_size=1, max_size=4, unique=True))
-    ms = [draw(side) for _ in xs]
+def symmetric_measures(draw, sides=EIGHTHS, max_sides=4):
+    """Exact measures with an atom at 0 and equal masses at +-x, x drawn from sides.
+
+    By default 3-9 atoms at EIGHTHS; the masses are always drawn from EIGHTHS.
+    """
+    xs = draw(st.lists(sides, min_size=1, max_size=max_sides, unique=True))
+    ms = [draw(EIGHTHS) for _ in xs]
     points = [Fraction(0), *xs, *(-x for x in xs)]
-    return DiscreteMeasure(points, [draw(side), *ms, *ms])
+    return DiscreteMeasure(points, [draw(EIGHTHS), *ms, *ms])
 
 
 @settings(max_examples=60)
@@ -266,7 +271,6 @@ def test_charfn_check_integrates_over_the_whole_law(points, masses):
 def test_mean_periodic_checks():
     rep = mean_periodic_checks()
     assert rep.convolution_residual < 1e-8
-    assert rep.fourier_kernel_residual < 1e-8
     assert rep.one_sided_residual < 1e-8
     assert rep.fourier_carleman_residual < 1e-8
 
@@ -280,9 +284,42 @@ def test_mean_periodic_checks_on_other_symmetric_measures(points, masses):
     assert mean_periodic_checks(g).max_residual() < 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(symmetric_measures(st.integers(1, 16).map(lambda k: Fraction(k, 4)), max_sides=7))
+def test_mean_periodicity_is_exact_on_symmetric_measures(tau):
+    # 3-15 atoms at multiples of 1/4 (every k/d, k <= 16, d in {1, 2, 4}, with |k/d| <= 4)
+    rep = mean_periodic_checks(ScrewFunctionData(Fraction(0), Fraction(0), tau))
+    assert rep.convolution_residual == 0.0 and rep.fourier_carleman_residual == 0.0
+    assert rep.max_residual() < 1e-8
+
+
+def test_mean_periodic_checks_require_an_exact_measure():
+    tau = DiscreteMeasure([-1.0, 0.0, 1.0], [0.5, 1.0, 0.5])
+    with pytest.raises(TypeError, match="exact"):
+        mean_periodic_checks(ScrewFunctionData(0.0, 0.0, tau))
+
+
+@pytest.mark.parametrize("points, masses", [
+    ([-1, 0, 1], [Fraction(1, 2), 1, Fraction(1, 2)]),
+    ([Fraction(-3, 2), Fraction(3, 2)], [Fraction(1, 3), Fraction(1, 3)]),
+    ([1], [1]),
+    ([-2, Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 4), 1, Fraction(1, 2)]),
+    ([0, 2], [1, Fraction(1, 3)]),
+], ids=["g0", "pair", "delta1", "three-asymmetric", "two-asymmetric"])
+def test_fourier_carleman_verdict_matches_the_laplace_check(points, masses):
+    # the exact quotient identity and the Laplace identity state the same -(i/z^2) Q(z)
+    tau = DiscreteMeasure(points, masses)
+    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
+    Q = q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
+    laplace = max(laplace_check(g, Q, z) for z in (2j, 1 + 1j, -1 + 2j))
+    assert (mean_periodic_checks(g).fourier_carleman_residual == 0) == (laplace < 1e-8)
+
+
 def test_closed_forms_of_the_three_point_example():
-    p, phi, one_sided = _kernel_and_convolution(G0)
-    assert list(p) == [0, 0, 0, -1, 0, 1]  # P(z) = z^3 (z^2 - 1)
+    c, h, phi, one_sided = _kernel_and_convolution(G0)
+    i = ExactComplex(0, 1)
+    assert [ck * i**k for k, ck in enumerate(c)] == [0, 0, 0, -1, 0, 1]  # K = P = z^3 (z^2 - 1)
+    assert h == [-i, 0, -2 * i, 0, 0]
     ts = np.linspace(-8, 8, 4097)
     assert (one_sided(ts) == -1j * (8 * ts**2 - 3) * np.exp(-(ts**2))).all()
     literal = -4j * ts * (8 * ts**4 - 38 * ts**2 + 27) * np.exp(-(ts**2))
