@@ -378,8 +378,9 @@ def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanP
     Annihilation and the quotient are the exact identities of the module docstring,
     each residual the largest |coefficient| of what must vanish (K mod z^3 and mod
     each z + gamma; z^2 N D + i Num K): 0.0 exactly when the identity holds.  The one
-    float check compares the closed one-sided convolution with Simpson on [-7, t] at
-    each grid point, in units of max(1, max |one_sided| on the grid).
+    float check compares the closed one-sided convolution with Simpson on [-a, t] at
+    each grid point, in units of max(1, max |one_sided| on the grid); a grows with
+    deg P and is never below 7.
     """
     g = g if g is not None else g0_data()
     ts = np.asarray(grid if grid is not None else np.linspace(-3.0, 3.0, 25), dtype=float)
@@ -390,14 +391,16 @@ def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanP
     # annihilation: the convolution with phi kills 1, t, t^2 and each exp(i t gamma)
     r_conv = _largest(K.coeffs[:3] + tuple(K(-gam) for gam in g.tau.points if gam))
 
-    # the one-sided convolution, integral over u < t, against its closed form
-    m = 4097
+    # the one-sided convolution, integral over u < t, against its closed form, on
+    # [-a, t]: phi is exp(-u^2) times a Hermite series of degree deg P, whose zeros lie
+    # inside sqrt(2 deg P + 1), and it is negligible a margin of 1.5 past them
+    m, a = 4097, max(7.0, math.sqrt(2 * len(c) - 1) + 1.5)
     closed = one_sided(ts)
     r_one = 0.0
     for t, val in zip(ts, closed):
-        conv_plus, hi = 0j, min(t, 7.0)
-        if hi > -7.0:
-            uu = np.linspace(-7.0, hi, m)
+        conv_plus, hi = 0j, min(t, a)
+        if hi > -a:
+            uu = np.linspace(-a, hi, m)
             conv_plus = np.sum(_simpson_weights(m, uu[1] - uu[0]) * eval_screw(g, t - uu) * phi(uu))
         r_one = max(r_one, abs(conv_plus - val))
     r_one /= max(1.0, float(np.max(np.abs(closed))))

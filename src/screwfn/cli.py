@@ -223,9 +223,9 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
 
     def screw_gram():
         ts = np.linspace(-5, 5, 20)
-        lines = [screw_line_S(frame(), t) for t in ts]
-        return max(abs(St.inner(Ss) - math.pi * kernel_g(g, t, s))
-                   for t, St in zip(ts, lines) for s, Ss in zip(ts, lines)), 1e-12
+        C = np.array([screw_line_S(frame(), t).coeffs for t in ts])
+        gram = C @ C.conj().T
+        return float(np.max(np.abs(gram - math.pi * kernel_g(g, ts[:, None], ts[None, :])))), 1e-12
 
     rep.run("model-space-screw-line", "screw-line-gram-identity", screw_gram)
 

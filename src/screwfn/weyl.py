@@ -39,8 +39,8 @@ from .exact import ExactComplex, PiScalar, PI
 from .screw import (
     ScrewFunctionData,
     TestFunction,
+    _kernel_form,
     aligned_test_function,
-    inner_product_Hg,
     phi1,
     random_test_function,
 )
@@ -59,6 +59,8 @@ __all__ = [
     "diagram_check",
     "DiagramReport",
 ]
+
+_DIAGRAM_GRID = 2049  # samples per random test function of diagram_check
 
 
 class StepVector:
@@ -375,57 +377,102 @@ def diagram_check(
 ) -> DiagramReport:
     """Verify the isometry chain and both commutative triangles on random data.
 
-    The kernel and measure legs of the isometry are the two sides of
-    inner_product_Hg(g, phi, phi): the kernel double integral, applied as a
-    Toeplitz convolution, and the measure-side sum.  All comparisons are
-    quadrature-limited.  The Gram matrix of the aligned basis functions is
-    measured and its diagonal constant reported rather than asserted.
+    Every leg is linear in a sample's Phi1 at the level points, or, for the
+    kernel leg, quadratic in the sample, so the maps that do not depend on
+    the sample are built once, before the loop:
+
+    - g's kernel as _kernel_form, the FFT Toeplitz form of inner_product_Hg,
+      whose quadratic form costs one FFT per sample;
+    - the (grid x points) integrand matrix of phi1 at the level points and
+      at g's atoms;
+    - the k x k restriction matrix F_j(gamma_l)/E(gamma_l): E_times, then
+      restriction to the level set, over E;
+    - the k x D triangle matrix: the Weyl transform of L0_map's row vector
+      at each level point minus that point's term of E_times.
+
+    The loop draws the n_samples random test functions in order from one
+    seeded rng, one at a time, and keeps only each one's Phi1 values and
+    kernel norm; the five residuals are then array expressions over all
+    samples.  phat, E_times, L0_map and inner_product_Hg are the same maps
+    for one sample.  All comparisons are quadrature-limited.  The Gram
+    matrix of the aligned basis functions is measured and its diagonal
+    constant reported rather than asserted.
     """
     model = _model_basis(frame)
-    rng = np.random.default_rng(seed)
-    r1 = r2 = r3 = r4 = r5 = 0.0
+    k = len(model)
+    mass = np.array([m for _, m, _ in model])
+    root = np.sqrt(mass)
 
     # predicted unimodular diagonal sqrt(mu) F_g(g)/E(g) of the square
-    phases = [
+    phases = np.array([
         math.sqrt(m) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
         for gam, m, F in model
-    ]
+    ])
+    restrict = np.array([[complex(F(complex(gam))) for gam, _, _ in model] for _, _, F in model])
+    restrict /= [complex(frame.E(complex(gam))) for gam, _, _ in model]
+    triangle = _triangle_matrix(frame, H, model)
 
-    for _ in range(n_samples):
-        phi = random_test_function(rng, support=support)
-        iso = inner_product_Hg(g, phi, phi)
-        norm_kernel, norm_measure = iso.via_kernel.real, iso.via_measure.real
-        scale = max(1.0, abs(norm_measure))
+    atoms = np.array(g.float_atoms, dtype=float).reshape(-1, 2)
+    points = np.concatenate([[gam for gam, _, _ in model], atoms[:, 0]])
+    integrand = _phi1_matrix(np.linspace(*support, _DIAGRAM_GRID), points)
+    _, quadratic = _kernel_form(g, support, _DIAGRAM_GRID)
 
-        v = phat(frame, phi)
-        norm_model = v.norm2() / math.pi
+    rng = np.random.default_rng(seed)
+    at_points = np.empty((n_samples, len(points)), dtype=complex)
+    norm_kernel = np.empty(n_samples)
+    for s in range(n_samples):
+        phi = random_test_function(rng, support=support, n=_DIAGRAM_GRID)
+        v = phi._weights * phi.samples
+        at_points[s] = v @ integrand
+        norm_kernel[s] = quadratic(v)
 
-        # restriction leg: E*phat as a polynomial, restricted to the level set
-        P = E_times(frame, v)
-        norm_restr = 0.0
-        restr_resid = 0.0
-        for (gam, mass, _), d in zip(model, phases):
-            val = complex(P(complex(gam))) / complex(frame.E(complex(gam)))
-            norm_restr += abs(val) ** 2 * mass
-            restr_resid = max(restr_resid, abs(val - d * phi1(phi, gam)))
-        norm_restr /= math.pi
-
-        r1 = max(r1, abs(norm_kernel - norm_measure) / scale)
-        r2 = max(r2, abs(norm_measure - norm_model) / scale)
-        r3 = max(r3, abs(norm_model - norm_restr) / scale)
-        r4 = max(r4, restr_resid)
-
-        diff = weyl_transform(H, L0_map(frame, H, phi)) - P
-        r5 = max(
-            r5,
-            max((abs(complex(c)) for c in diff.coeffs), default=0.0),
+    at_level, at_atoms = at_points[:, :k], at_points[:, k:]
+    norm_measure = np.abs(at_atoms) ** 2 @ atoms[:, 1]
+    scale = np.maximum(1.0, np.abs(norm_measure))
+    coeffs = at_level * root  # phat
+    norm_model = np.sum(np.abs(coeffs) ** 2, axis=1) / math.pi
+    restricted = coeffs @ restrict  # E * phat at the level set, over E
+    norm_restr = np.abs(restricted) ** 2 @ mass / math.pi
+    r1, r2, r3, r4, r5 = (
+        float(np.max(r, initial=0.0))
+        for r in (
+            np.abs(norm_kernel - norm_measure) / scale,
+            np.abs(norm_measure - norm_model) / scale,
+            np.abs(norm_model - norm_restr) / scale,
+            np.abs(restricted - phases * at_level),
+            np.abs(at_level @ triangle),
         )
+    )
 
     diag, off = _aligned_basis_gram(g, frame, model, support)
     passed = max(r1, r2, r3, r4, r5) < tol
     return DiagramReport(
         r1, r2, r3, r4, r5, complex(np.mean(phases)), diag, off, passed
     )
+
+
+def _phi1_matrix(ts: np.ndarray, points) -> np.ndarray:
+    """[(exp(i g t) - 1)/g] over grid rows and point columns, i t at g = 0: phi1's integrand."""
+    out = np.empty((len(ts), len(points)), dtype=complex)
+    for j, gam in enumerate(points):
+        out[:, j] = 1j * ts if gam == 0 else (np.exp(1j * gam * ts) - 1.0) / gam
+    return out
+
+
+def _triangle_matrix(frame: HermiteBiehlerFrame, H: Hamiltonian, model) -> np.ndarray:
+    """Row k: W(L0 phi) - E_times(phat phi) per unit Phi1(phi, g_k), over z's coefficients.
+
+    L0_map's term at g_k is w sqrt(mu) F_k(g_k) Phi1 times the row vector
+    [C(t, g_k); D(t, g_k)], and E_times' is sqrt(mu) Phi1 F_k.
+    """
+    rows = []
+    for (gam, m, F), (_, w) in zip(model, frame.weights):
+        l0_term = StepVector.from_row_values(H, gam, float(w) * math.sqrt(m) * complex(F(complex(gam))))
+        rows.append(weyl_transform(H, l0_term) - Polynomial([complex(c) for c in F.coeffs]) * math.sqrt(m))
+    out = np.zeros((len(rows), max((len(p.coeffs) for p in rows), default=0)), dtype=complex)
+    for k, p in enumerate(rows):
+        out[k, : len(p.coeffs)] = [complex(c) for c in p.coeffs]
+    return out
 
 
 def _aligned_basis_gram(g, frame, model, support):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from screwfn import screw
 from screwfn.algebra import Polynomial, RationalFunction
 from screwfn.screw import (
+    MIN_GRID,
     ScrewFunctionData,
     TestFunction,
     aligned_test_function,
@@ -181,9 +182,10 @@ def test_inner_product_aligned_unit():
     assert abs(out.via_kernel - 1.0) < 1e-6
 
 
-def _dense_kernel_side(g, phi_1, phi_2):
-    """The kernel double sum with the whole matrix [G(t_i, s_j)] built."""
-    K = kernel_g(g, phi_2.grid[:, None], phi_1.grid[None, :])
+def _dense_kernel_side(g, phi_1, phi_2, K=None):
+    """The kernel double sum with the whole matrix [G(t_i, s_j)] built, or given as K."""
+    if K is None:
+        K = kernel_g(g, phi_2.grid[:, None], phi_1.grid[None, :])
     inner_s = K @ (phi_1._weights * phi_1.samples)
     return complex(np.sum(phi_2._weights * np.conj(phi_2.samples) * inner_s))
 
@@ -194,13 +196,34 @@ def _dense_kernel_side(g, phi_1, phi_2):
     DiscreteMeasure([Fraction(-2), Fraction(1, 2), Fraction(3, 2)],
                     [Fraction(1, 4), Fraction(1), Fraction(1, 2)]),
 ], ids=["symmetric", "asymmetric"])
-def test_inner_product_kernel_side_matches_dense_double_sum(tau):
+@pytest.mark.parametrize("n", [MIN_GRID, 1025, 2049])
+def test_inner_product_kernel_side_matches_dense_double_sum(tau, n):
+    # 2n - 1 lies just above a power of two at each n; the FFT lengths are 1080, 2160 and 4320
     g = ScrewFunctionData(Fraction(1, 3), Fraction(1, 2), tau)
     rng = np.random.default_rng(11)
-    phi_1, phi_2 = random_test_function(rng, n=1025), random_test_function(rng, n=1025)
+    phi_1, phi_2 = random_test_function(rng, n=n), random_test_function(rng, n=n)
+    K = kernel_g(g, phi_1.grid[:, None], phi_1.grid[None, :])
     for a, b in ((phi_1, phi_2), (phi_2, phi_1), (phi_1, phi_1)):
-        dense = _dense_kernel_side(g, a, b)
+        dense = _dense_kernel_side(g, a, b, K)
         assert abs(inner_product_Hg(g, a, b).via_kernel - dense) <= 1e-13 * abs(dense)
+    # the quadratic form diagram_check takes, against the same double sum
+    _, quadratic = screw._kernel_form(g, phi_1.support, n)
+    for a in (phi_1, phi_2):
+        dense = _dense_kernel_side(g, a, a, K).real
+        assert abs(quadratic(a._weights * a.samples) - dense) <= 1e-13 * abs(dense)
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    lengths = [screw._fft_length(m) for m in range(1, 5000)]
+    assert all(smooth(L) and L >= m for m, L in enumerate(lengths, 1))
+    assert all(not smooth(x) for m, L in enumerate(lengths, 1) for x in range(m, L))
+    assert [screw._fft_length(2 * n - 1) for n in (MIN_GRID, 1025, 2049)] == [1080, 2160, 4320]
 
 
 def test_inner_product_requires_one_grid():

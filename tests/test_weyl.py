@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_canonical import _segment_product, pythagorean_hamiltonian
+from test_screw import _dense_kernel_side
 
 from screwfn import canonical, weyl
 from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split
@@ -21,6 +23,8 @@ from screwfn.screw import (
     eval_screw,
     g0_data,
     kernel_g,
+    phi1,
+    random_test_function,
 )
 from screwfn.spectra import (
     DiscreteMeasure,
@@ -231,23 +235,89 @@ def test_diagram_check_passes():
     assert rep.basis_gram_offdiag < 1e-9
 
 
-def test_inverse_weyl_weights_by_mu_over_abs_e_squared():
-    # tau = {+-2: 1/4, +-1/2: 1/2, 0: 1}, where |E(+-2)|^2 = 225/4, not 1
+@functools.cache
+def _five_atoms():
+    """(g, frame, H) of tau = {+-2: 1/4, +-1/2: 1/2, 0: 1}, where |E(+-2)|^2 = 225/4, not 1."""
     tau = DiscreteMeasure([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2],
                           [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)])
     E = theta_to_e(cayley_q_to_theta(q_from_measure(NevanlinnaData(0, 0, tau))))
     fr = HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
-    assert fr.E(ExactComplex(2)).abs2() == Fraction(225, 4)
     H = factorize(MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)]))
+    return ScrewFunctionData(Fraction(0), Fraction(0), tau), fr, H
+
+
+def test_inverse_weyl_weights_by_mu_over_abs_e_squared():
+    g, fr, H = _five_atoms()
+    assert fr.E(ExactComplex(2)).abs2() == Fraction(225, 4)
     basis = extension_eigenbasis(fr, math.pi / 2).normalized
     invs = [inverse_weyl(fr, H, F) for F in basis]
     for i, u in enumerate(invs):
         assert weyl_transform(H, u) == basis[i]
         for j, v in enumerate(invs):
             assert l2h_inner(H, u, v) == (1 if i == j else 0)
-    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
     rep = diagram_check(g, fr, H, n_samples=3, seed=0)
     assert rep.triangle_weyl_l0_vs_model < 1e-12 and rep.passed
+
+
+def _reference_diagram(g, frame, H, K, n_samples, seed, support=(-3.0, 3.0)):
+    """diagram_check's five residuals, one sample at a time, from the single-sample maps.
+
+    The kernel leg is the dense double sum over K = [G(t_i, t_j)] on the sample grid.
+    """
+    model = weyl._model_basis(frame)
+    rng = np.random.default_rng(seed)
+    worst = [0.0] * 5
+    for _ in range(n_samples):
+        phi = random_test_function(rng, support=support)
+        norm_kernel = _dense_kernel_side(g, phi, phi, K).real
+        norm_measure = sum(abs(phi1(phi, gam)) ** 2 * m for gam, m in g.float_atoms)
+        scale = max(1.0, abs(norm_measure))
+        v = phat(frame, phi)
+        norm_model = v.norm2() / math.pi
+        P = E_times(frame, v)
+        norm_restr = restr = 0.0
+        for gam, m, F in model:
+            E = complex(frame.E(complex(gam)))
+            val = complex(P(complex(gam))) / E
+            norm_restr += abs(val) ** 2 * m / math.pi
+            restr = max(restr, abs(val - math.sqrt(m) * complex(F(complex(gam))) / E * phi1(phi, gam)))
+        diff = weyl_transform(H, L0_map(frame, H, phi)) - P
+        legs = (
+            abs(norm_kernel - norm_measure) / scale,
+            abs(norm_measure - norm_model) / scale,
+            abs(norm_model - norm_restr) / scale,
+            restr,
+            max((abs(complex(c)) for c in diff.coeffs), default=0.0),
+        )
+        worst = [max(a, b) for a, b in zip(worst, legs)]
+    return worst
+
+
+@pytest.mark.parametrize("case, seeds", [
+    ("g0", (0, 1, 2)), ("five-atoms", (0,)), ("crossed", (0,)),
+], ids=["g0", "five-atoms", "crossed"])
+def test_diagram_legs_match_the_single_sample_maps(case, seeds):
+    # "crossed" pairs g0 with the five-atom frame and H0, so that the measure-model and
+    # triangle legs are far from 0 and a batched leg that lost its sample would show
+    if case == "g0":
+        g, fr, H = G0, FR, H0
+    elif case == "five-atoms":
+        g, fr, H = _five_atoms()
+    else:
+        g, fr, H = G0, _five_atoms()[1], H0
+    ts = np.linspace(-3.0, 3.0, 2049)
+    K = kernel_g(g, ts[:, None], ts[None, :])
+    for seed in seeds:
+        rep = diagram_check(g, fr, H, n_samples=20, seed=seed)
+        fields = (
+            rep.isometry_kernel_vs_measure,
+            rep.isometry_measure_vs_model,
+            rep.isometry_model_vs_restriction,
+            rep.square_phi1_vs_restriction,
+            rep.triangle_weyl_l0_vs_model,
+        )
+        for got, want in zip(fields, _reference_diagram(g, fr, H, K, 20, seed)):
+            assert abs(got - want) <= 1e-13
 
 
 def test_diagram_zero_function_residuals():
@@ -256,8 +326,9 @@ def test_diagram_zero_function_residuals():
 
 
 def test_diagram_check_builds_no_dense_kernel():
-    # the isometry legs come from inner_product_Hg's Toeplitz form, so the peak stays
-    # below a sixteenth of one dense complex kernel (16 n^2 bytes) at the default n = 2049
+    # the isometry legs come from the FFT Toeplitz form, built once with the level-point
+    # maps, so the peak stays below a sixteenth of one dense complex kernel (16 n^2 bytes)
+    # at the sample grid n = 2049
     n = 2049
     tracemalloc.start()
     try:
