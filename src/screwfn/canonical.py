@@ -327,7 +327,6 @@ class Segment:
 
     length: Fraction
     proj: tuple[Fraction, Fraction, Fraction]  # (cos^2, cos*sin, sin^2)
-    weight: Fraction = Fraction(1)
 
     def __post_init__(self):
         pa, pb, pc = self.proj

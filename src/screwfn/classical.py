@@ -248,8 +248,9 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
 
     The law is N(b - sum nu(g) g/(1 + g^2), a) plus sum g N_g, N_g ~ Poisson(nu(g)),
     on the lattice (1/d)Z of the points' common denominator d: np.convolve
-    combines the pmfs, truncated at K (a tail below 1e-15 for K >= 40 at
-    nu(g) <= 1), and one Gaussian sum over the lattice follows.
+    combines the pmfs, and one Gaussian sum over the lattice follows.  Each
+    pmf runs to K (a tail below 1e-15 for K >= 40 at nu(g) <= 1) and on, past
+    2 nu(g) where each term is under half the last, until they fall below 1e-17.
     """
     a = float(t.a)
     if a <= 0:
@@ -258,10 +259,14 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
     pmf, lo = np.ones(1), 0  # pmf[j] is the mass at (lo + j)/d
     for p, m in t.nu:
         lam, step = float(m), int(p * d)
-        jumps = np.zeros(K * abs(step) + 1)
-        jumps[:: abs(step)] = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(K + 1)]
+        pois = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(K + 1)]
+        while len(pois) <= 2 * lam or pois[-1] > 1e-17:
+            pois.append(pois[-1] * lam / len(pois))
+        top = len(pois) - 1
+        jumps = np.zeros(top * abs(step) + 1)
+        jumps[:: abs(step)] = pois
         if step < 0:
-            jumps, lo = jumps[::-1], lo + K * step
+            jumps, lo = jumps[::-1], lo + top * step
         pmf = np.convolve(pmf, jumps)
     center = float(t.b) - sum(float(m) * float(p) / (1 + float(p) ** 2) for p, m in t.nu)
     x = np.asarray(x, dtype=float)

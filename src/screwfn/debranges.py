@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import Polynomial, ab_split, effective_degree, rational_roots, roots, sharp
-from .exact import ExactComplex, is_real, sqrt
+from .exact import PI, ExactComplex, is_real, sqrt
 from .spectra import DiscreteMeasure, _level_set
 
 __all__ = [
@@ -164,16 +164,16 @@ def moments(frame: HermiteBiehlerFrame) -> MomentTable:
     return frame.moment_table
 
 
-def kernel_ab(frame: HermiteBiehlerFrame, z: complex, w: complex) -> complex:
-    """K(z,w) = (conj(A(z)) B(w) - A(w) conj(B(z))) / (pi (w - conj z))."""
-    z, w = complex(z), complex(w)
-    A, B = frame.A, frame.B
-    az, bz = complex(A(z)), complex(B(z))
-    denom = w - z.conjugate()
-    if abs(denom) < 1e-13:
-        dA, dB = A.derivative(), B.derivative()
-        return (az.conjugate() * complex(dB(w)) - complex(dA(w)) * bz.conjugate()) / math.pi
-    return (az.conjugate() * complex(B(w)) - complex(A(w)) * bz.conjugate()) / (math.pi * denom)
+def kernel_ab(frame: HermiteBiehlerFrame, z, w):
+    """K(z,w) = (conj(A(z)) B(w) - A(w) conj(B(z))) / (pi (w - conj z)), its limit at w = conj z.
+
+    Exact when the frame and z, w are exact, complex when z or w is a float.
+    """
+    A, B, d = frame.A, frame.B, w - z.conjugate()
+    az, bz = A(z).conjugate(), B(z).conjugate()
+    if d == 0:
+        return (az * B.derivative()(w) - A.derivative()(w) * bz) / PI
+    return (az * B(w) - A(w) * bz) / (PI * d)
 
 
 def kernel_moment(frame: HermiteBiehlerFrame, z, w):

@@ -5,10 +5,12 @@ Two scalar types carry all bit-exact identities in this package:
 * ``ExactComplex`` -- a complex number with rational real and imaginary
   parts, a field.
 * ``PiScalar`` -- a value of the form ``coef * sqrt(root) * pi**(pihalf/2)``
-  with ``coef`` an ExactComplex, ``root`` a squarefree positive integer and
-  ``pihalf`` an integer.  Values of equal grade (same root and pihalf) form
-  a module over the complex rationals; products are always defined.  This is
-  exactly what is needed for quantities like 2*pi, pi/2, pi**3, 1/sqrt(2*pi).
+  with ``coef`` an ExactComplex, ``root`` a positive integer left unfactored
+  (a square folds into ``coef``: root 1 is the rational grade) and ``pihalf``
+  an integer.  Two values of equal pihalf share a grade, and so add, compare
+  and order, when the product of their roots is a square; products are always
+  defined.  This is exactly what is needed for quantities like 2*pi, pi/2,
+  pi**3, 1/sqrt(2*pi).
 
 Arithmetic against ``float``/``complex`` degrades to floating point, so the
 exact types can be dropped into numeric code without ceremony.  A real
@@ -46,15 +48,12 @@ def _fraction(x) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
-def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s*s*r and r squarefree, for n > 0."""
-    s, r, p = 1, n, 2
-    while p * p <= r:
-        while r % (p * p) == 0:
-            r //= p * p
-            s *= p
-        p += 1 if p == 2 else 2
-    return s, r
+def _root_ratio(r1: int, r2: int):
+    """The rational k with sqrt(r2) = k*sqrt(r1), or None when r1*r2 is not a square."""
+    if r1 == r2:
+        return 1
+    s = math.isqrt(r1 * r2)
+    return Fraction(s, r1) if s * s == r1 * r2 else None
 
 
 class ExactComplex:
@@ -228,11 +227,12 @@ class ExactComplex:
 
 @functools.total_ordering
 class PiScalar:
-    """``coef * sqrt(root) * pi**(pihalf/2)`` in canonical form.
+    """``coef * sqrt(root) * pi**(pihalf/2)`` with ``root`` kept unfactored.
 
-    Addition requires equal grade (root, pihalf); multiplication and division
-    are total.  ``sqrt`` is defined for nonnegative real values with root 1
-    and even pihalf, which covers every norm arising here.
+    Two values of equal pihalf share a grade when the product of their roots
+    is a square; then they add, compare and order.  Multiplication and
+    division are total.  ``sqrt`` is defined for nonnegative real values with
+    root 1 and even pihalf, which covers every norm arising here.
     """
 
     __slots__ = ("coef", "root", "pihalf")
@@ -244,9 +244,8 @@ class PiScalar:
             raise ValueError("root must be a positive integer")
         if coef.is_zero():
             root, pihalf = 1, 0
-        else:
-            s, root = _square_split(root)
-            coef = coef * s
+        elif root != 1 and (s := math.isqrt(root)) * s == root:
+            coef, root = coef * s, 1
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "pihalf", pihalf)
@@ -298,24 +297,18 @@ class PiScalar:
 
     # -- ring ops -----------------------------------------------------------------
 
-    def _compatible(self, other: "PiScalar"):
-        if self.is_zero() or other.is_zero():
-            return
-        if self.root != other.root or self.pihalf != other.pihalf:
-            raise ValueError(
-                f"cannot add pi-scalars of different grade: {self} vs {other}"
-            )
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
             other = PiScalar.coerce(other)
         if isinstance(other, PiScalar):
-            self._compatible(other)
             if self.is_zero():
                 return other
             if other.is_zero():
                 return self
-            return PiScalar(self.coef + other.coef, self.root, self.pihalf)
+            k = _root_ratio(self.root, other.root) if self.pihalf == other.pihalf else None
+            if k is None:
+                raise ValueError(f"cannot add pi-scalars of different grade: {self} vs {other}")
+            return PiScalar(self.coef + other.coef * k, self.root, self.pihalf)
         if isinstance(other, (float, complex)):
             return self._mix(other) + other
         return NotImplemented
@@ -343,11 +336,10 @@ class PiScalar:
         if isinstance(other, (int, Fraction, ExactComplex)):
             return PiScalar(self.coef * other, self.root, self.pihalf)
         if isinstance(other, PiScalar):
-            return PiScalar(
-                self.coef * other.coef,
-                self.root * other.root,
-                self.pihalf + other.pihalf,
-            )
+            # sqrt(r1) sqrt(r2) = g sqrt((r1/g)(r2/g)) with g = gcd(r1, r2)
+            g = math.gcd(self.root, other.root)
+            return PiScalar(self.coef * other.coef * g, (self.root // g) * (other.root // g),
+                            self.pihalf + other.pihalf)
         if isinstance(other, (float, complex)):
             return self._mix(other) * other
         return NotImplemented
@@ -361,8 +353,7 @@ class PiScalar:
             if other.is_zero():
                 raise ZeroDivisionError("division by zero")
             # 1/sqrt(r) = sqrt(r)/r
-            coef = self.coef / (other.coef * other.root)
-            return PiScalar(coef, self.root * other.root, self.pihalf - other.pihalf)
+            return self * PiScalar(1 / (other.coef * other.root), other.root, -other.pihalf)
         if isinstance(other, (float, complex)):
             return self._mix(other) / other
         return NotImplemented
@@ -393,8 +384,7 @@ class PiScalar:
         if self.root != 1 or self.pihalf % 2:
             raise ValueError(f"sqrt of {self} is outside the pi-surd carrier")
         q = self.coef.re
-        s, r = _square_split(q.numerator * q.denominator)
-        return PiScalar(Fraction(s, q.denominator), r, self.pihalf // 2)
+        return PiScalar(Fraction(1, q.denominator), q.numerator * q.denominator, self.pihalf // 2)
 
     # -- order of real values ------------------------------------------------------
 
@@ -420,19 +410,19 @@ class PiScalar:
         if isinstance(other, (int, Fraction, ExactComplex)):
             other = PiScalar.coerce(other)
         if isinstance(other, PiScalar):
-            return (
-                self.coef == other.coef
-                and self.root == other.root
-                and self.pihalf == other.pihalf
-            )
+            if self.is_zero() or other.is_zero():
+                return self.is_zero() and other.is_zero()
+            k = _root_ratio(self.root, other.root) if self.pihalf == other.pihalf else None
+            return k is not None and self.coef == other.coef * k
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
+        # c1 sqrt(r1) = c2 sqrt(r2) gives c1^2 r1 = c2^2 r2, so equal values hash alike
+        if self.root == 1 and not self.pihalf:
             return hash(self.coef)
-        return hash((self.coef, self.root, self.pihalf))
+        return hash((self.coef * self.coef * self.root, self.pihalf))
 
     def __repr__(self):
         return f"PiScalar({self.coef!r}, root={self.root}, pihalf={self.pihalf})"

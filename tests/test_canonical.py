@@ -160,7 +160,6 @@ def test_segments_are_normalized_projectors():
     for seg in factorize(w0_matrix()).segments:
         pa, pb, pc = seg.proj
         assert pa + pc == 1 and pa * pc == pb * pb
-        assert seg.weight == 1
 
 
 def test_adjacent_types_differ():

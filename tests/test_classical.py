@@ -257,6 +257,13 @@ def test_density_of_an_asymmetric_jump_measure():
     assert max(idd_charfn_check(data, [0.0, 1.0, 2.0], x_range=30.0, n=8193)) < 1e-12
 
 
+def test_density_keeps_the_whole_poisson_law_of_a_large_jump_rate():
+    # nu(+-1/4) = 3 * 16 = 48: Poisson(48) holds 13% of its mass at k <= 40
+    data = ScrewFunctionData(Fraction(0), Fraction(0), DiscreteMeasure(
+        [Fraction(-1, 4), 0, Fraction(1, 4)], [3, Fraction(7, 8), 3]))
+    assert max(idd_charfn_check(data, [0.0, 1.0, 2.0])) < 1e-10
+
+
 @pytest.mark.parametrize("points, masses", [
     ([-3, -1, 0, 1, 3], [1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), 1]),  # 7e-6 past 12
     ([0, 2], [1, 1]),  # Poisson(1/4) jumps of 2: 2.5e-7 past 12

@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwfn import serialization as ser
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction
@@ -203,21 +205,41 @@ def test_spectral_pipeline_passes_on_other_symmetric_measures(points, masses):
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
 
 
-def test_spectral_pipeline_kernel_forms_agree_on_seven_odd_quarter_atoms():
+@pytest.mark.parametrize("atoms", [7, 9, 11])
+def test_spectral_pipeline_passes_on_odd_quarter_atoms(atoms):
     # {0: 1} and {+-(2k-1)/4: (2(k mod 3)+1)/8}: the Hankel matrix of these moments is so
-    # ill-conditioned that a float determinant form of the kernel misses the tolerance 1e-10
+    # ill-conditioned that a float determinant form of the kernel misses the tolerance 1e-10,
+    # and the surds of the exact norms carry radicands of 45 bits and more from 9 atoms
     points, masses = [0], [Fraction(1)]
-    for k in (1, 2, 3):
+    for k in range(1, atoms // 2 + 1):
         x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
         points += [-x, x]
         masses += [m, m]
     rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
-    checks = {c.name: c for c in rep.checks}
-    assert checks["reproducing-kernel-two-forms"].status == "pass"
-    exact = [c for c in checks.values() if c.tolerance == 0]
-    assert len(exact) == 7 and all(c.status == "pass" for c in exact)
-    # mean-periodicity fails here (8.2e-7 against 1e-8): its residual at z = 2i is absolute
-    # and grows with the degree of the annihilator, which is not this layer's to mend
+    assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
+    assert len([c for c in rep.checks if c.tolerance == 0]) == 7
+
+
+@st.composite
+def symmetric_measures(draw):
+    """{0: m_0} and {+-k/d: m_k}: 1 to 4 point pairs in (0, 3], d <= 4, masses j/2^e."""
+    mass = st.builds(lambda j, e: Fraction(j, 2**e), st.integers(1, 7), st.integers(0, 3))
+    pairs = draw(st.integers(1, 4))
+    xs = draw(st.lists(st.fractions(Fraction(1, 4), 3, max_denominator=4),
+                       min_size=pairs, max_size=pairs, unique=True))
+    points, masses = [Fraction(0)], [draw(mass)]
+    for x in xs:
+        m = draw(mass)
+        points += [-x, x]
+        masses += [m, m]
+    return DiscreteMeasure(points, masses)
+
+
+@settings(max_examples=10)
+@given(symmetric_measures())
+def test_spectral_pipeline_passes_on_random_symmetric_measures(tau):
+    rep = run_spectral_pipeline(tau, seed=1)
+    assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
 
 
 def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():

@@ -108,6 +108,17 @@ def test_kernel_forms_agree_random_frames():
             assert abs(kernel_ab(frame, z, w) - kernel_moment(frame, z, w)) < 1e-10
 
 
+def test_kernel_forms_agree_exactly_at_gaussian_rationals():
+    five = HermiteBiehlerFrame.from_e(_level_set_e(
+        [-2, Fraction(-1, 2), 0, Fraction(1, 2), 2],
+        [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)]))
+    zs = [ExactComplex(Fraction(1, 2), Fraction(-3, 4)), ExactComplex(2, 1), ExactComplex(Fraction(-1, 3)), I]
+    for frame in (FR, five):
+        for z in zs:
+            for w in zs + [z.conjugate()]:  # the last is the diagonal w = conj z
+                assert kernel_ab(frame, z, w) == kernel_moment(frame, z, w)
+
+
 def test_kernel_hermitian_symmetry():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -365,6 +376,10 @@ def rational_level_set_e(draw):
     n = draw(st.integers(1, 4))
     points = draw(st.lists(st.fractions(-3, 3, max_denominator=2), min_size=n, max_size=n, unique=True))
     masses = draw(st.lists(st.fractions(Fraction(1, 3), 3, max_denominator=3), min_size=n, max_size=n))
+    return _level_set_e(points, masses)
+
+
+def _level_set_e(points, masses):
     A = Polynomial.one()
     for g in points:
         A = A * Polynomial([-g, 1])

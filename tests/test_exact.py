@@ -1,5 +1,7 @@
+import cmath
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,10 +71,12 @@ def test_exact_complex_pow_and_zero_division():
         _ = i / ExactComplex(0)
 
 
-def test_pi_scalar_canonical_form():
-    # sqrt(8) = 2 sqrt(2)
-    x = PiScalar(1, 8, 0)
-    assert x.coef == ExactComplex(2) and x.root == 2
+def test_pi_scalar_equality_is_by_value():
+    # sqrt(8) = 2 sqrt(2), whichever radicand holds it
+    assert PiScalar(1, 8) == PiScalar(2, 2) and hash(PiScalar(1, 8)) == hash(PiScalar(2, 2))
+    assert PiScalar(1, 8) != PiScalar(2, 3) and PiScalar(1, 8) != PiScalar(-2, 2)
+    # a square radicand folds into the coefficient: a rational grade
+    assert PiScalar(3, 4) == 6 and hash(PiScalar(3, 4)) == hash(6)
     assert PiScalar(0, 50, 6).root == 1 and PiScalar(0, 50, 6).pihalf == 0
 
 
@@ -135,3 +139,39 @@ def test_pi_scalar_numeric_protocol():
     assert type(0.5 / PI) is float and 0.5 / PI == 0.5 / math.pi
     assert type(PiScalar(ExactComplex(0, 1)) * 0.5) is complex
     assert type(PI * 0.5j) is complex
+
+
+# radicands s^2 r with r squarefree, or a product of primes too large to factor by trial
+_radicand = st.builds(
+    operator.mul,
+    st.sampled_from([1, 4, 9, 25, 36]),
+    st.sampled_from([1, 2, 3, 6, 15, 30, (10**9 + 7) * (10**9 + 9), 2**61 - 1]),
+)
+_coef = st.builds(ExactComplex, _part, _part)
+_pi_scalar = st.builds(PiScalar, _coef, _radicand, st.integers(-3, 3))
+
+
+@settings(max_examples=80)
+@given(_pi_scalar, _pi_scalar, st.integers(2, 6))
+def test_pi_scalar_arithmetic_by_value(x, y, t):
+    if y:
+        assert x * y / y == x
+    # the same value with its radicand scaled by t^2
+    same = PiScalar(x.coef / t, x.root * t * t, x.pihalf)
+    assert same == x and hash(same) == hash(x)
+    assert x + same == 2 * x
+    norm = x * x.conjugate()
+    assert norm.sqrt() * norm.sqrt() == norm
+    assert cmath.isclose(complex(x * y), complex(x) * complex(y), rel_tol=1e-12)
+
+
+def test_pi_scalar_surds_of_twenty_digit_primes():
+    # no radicand is factored: the square test is all sqrt, + and == need
+    p, q = 10000000000000000051, 99999999999999999989
+    start = time.process_time()
+    x = PI * Fraction(p, q)
+    r = x.sqrt()
+    assert r * r == x and r + r == 2 * r
+    assert r == PiScalar(Fraction(1, 3 * q), p * q * 9, 1)
+    assert r + PiScalar(1, p * q * 4, 1) == PiScalar(Fraction(1, q) + 2, p * q, 1)
+    assert time.process_time() - start < 1.0
