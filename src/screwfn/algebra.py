@@ -1,17 +1,24 @@
 """Polynomial, rational-function and 2x2 matrix-polynomial arithmetic.
 
-Coefficients are ExactComplex (exact mode), PiScalar (pi-graded exact mode)
-or plain complex (float mode); the mode is inferred on construction and
-mixed inputs degrade exactly once, never silently per-operation.  Floats
+Coefficients are exact rationals (exact mode), PiScalar (pi-graded exact
+mode) or plain complex (float mode); the mode is inferred on construction
+and mixed inputs degrade exactly once, never silently per-operation.  The
+scalar type of exact mode is chosen per polynomial, not per coefficient:
+every coefficient is a Fraction when all of them are real, and every one is
+an ExactComplex when one is not.  So ``is_real`` reads the stored type, and
+code may read ``re`` and ``im`` off each coefficient of a nonreal exact
+polynomial (perfbench's frames workload does, on E).  Zero padding past the
+top coefficient is the integer 0, which every scalar type absorbs.  Floats
 are used only to locate zeros: companion-matrix eigenvalues polished by
 Newton iteration, on coefficients converted to complex once per call.
 ``real_zeros`` is the one routine for real, simple zeros:
 it returns exact Fractions where ``rational_roots`` finds them and floats for
 the rest, and it is where float input skips the exact extraction.  Two
 degradations of ``rational_roots`` are not flagged at run time, so they are
-stated here: real float input raises AttributeError rather than returning
-no roots, and a polynomial whose integer end coefficient exceeds 10^12 gets
-no search, so its rational zeros reach ``real_zeros`` callers as floats.
+stated here: real float or pi-graded input raises an AttributeError naming
+``'re'`` rather than returning no roots, and a polynomial whose integer end
+coefficient exceeds 10^12 gets no search, so its rational zeros reach
+``real_zeros`` callers as floats.
 ``ab_split`` reads A and B off the real and imaginary parts of each
 coefficient, with no division.  ``hb_test`` locates no zero: it reads a
 Cauchy index off the primitive remainder sequence of A and B in integers
@@ -50,19 +57,16 @@ __all__ = [
 
 
 def _promote(coeffs):
-    """Normalize a coefficient list to a single scalar mode."""
+    """Normalize a coefficient list to a single scalar mode and, in exact mode, type."""
     cs = list(coeffs)
     if any(isinstance(c, (float, complex)) for c in cs):
         return [complex(c) for c in cs], "float"
     if any(isinstance(c, PiScalar) for c in cs):
         return [PiScalar.coerce(c) for c in cs], "pi"
-    return [ExactComplex.coerce(c) for c in cs], "exact"
-
-
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, (ExactComplex, PiScalar)):
-        return c.is_zero()
-    return c == 0
+    if any(isinstance(c, ExactComplex) and not c.is_real() for c in cs):
+        return [ExactComplex.coerce(c) for c in cs], "exact"
+    return [c if isinstance(c, Fraction) else c.real if isinstance(c, ExactComplex) else Fraction(c)
+            for c in cs], "exact"
 
 
 class Polynomial:
@@ -72,7 +76,7 @@ class Polynomial:
 
     def __init__(self, coeffs=()):
         cs, mode = _promote(coeffs)
-        while cs and _is_zero_scalar(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "mode", mode)
@@ -109,13 +113,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        if self.mode == "float":
-            return 0j
-        if self.mode == "pi":
-            return PiScalar(0)
-        return ExactComplex(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def leading(self):
         if self.is_zero():
@@ -125,9 +123,9 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) + other.coeff(k) for k in range(n)])
+        a, b = self.coeffs, _as_poly(other).coeffs
+        a, b = a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
+        return Polynomial([x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -189,8 +187,6 @@ class Polynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * z + c
-        if isinstance(acc, int):
-            acc = ExactComplex(acc)
         return acc
 
     # -- calculus ---------------------------------------------------------------
@@ -199,8 +195,7 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
-        prepend = [0j] if self.mode == "float" else [ExactComplex(0)]
-        return Polynomial(prepend + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        return Polynomial([0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def integrate(self, a, b):
         """Definite integral over [a, b]; exact for exact bounds."""
@@ -220,10 +215,11 @@ class Polynomial:
         return self.reflect() == -self
 
     def is_real(self) -> bool:
-        return all(
-            c.is_real() if isinstance(c, (ExactComplex, PiScalar)) else c.imag == 0
-            for c in self.coeffs
-        )
+        if self.mode == "exact":
+            return not self.coeffs or not isinstance(self.coeffs[0], ExactComplex)
+        if self.mode == "float":
+            return all(c.imag == 0 for c in self.coeffs)
+        return all(c.is_real() for c in self.coeffs)
 
     def even_part_coeffs(self) -> "Polynomial":
         """q with p(z) = q(z^2) + z*r(z^2); returns q."""
@@ -268,7 +264,7 @@ class Polynomial:
             return "0"
         terms = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero_scalar(c):
+            if not c:
                 continue
             cs = str(c)
             if k == 0:
@@ -436,16 +432,15 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     found: list[Fraction] = []
     cur = p
     # factor out z^k
-    while not cur.is_zero() and _is_zero_scalar(cur.coeffs[0]):
+    while not cur.is_zero() and not cur.coeffs[0]:
         found.append(Fraction(0))
         cur = Polynomial(cur.coeffs[1:])
     if cur.degree < 1:
         return found, cur
-    lead = cur.coeffs[-1].re
-    scale = math.lcm(*(c.re.denominator for c in cur.coeffs))
-    ints = [int(c.re * scale) for c in cur.coeffs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]  # primitive, and so is each quotient (Gauss's lemma)
+    if cur.mode != "exact":
+        raise AttributeError(f"'{type(cur.coeffs[0]).__name__}' object has no attribute 're'")
+    lead = cur.coeffs[-1]
+    ints = _integer_row(cur.coeffs)  # primitive, and so is each quotient (Gauss's lemma)
     while len(ints) > 1:
         # the remainder is ints * (lead / ints[-1]); clearing its denominators gives mult * ints
         mult = abs((lead / ints[-1]).numerator)

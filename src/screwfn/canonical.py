@@ -24,10 +24,10 @@ den*e, and all of them and den*e are divided by their gcd once per step.
 fundamental_solution, subspace_chain, solution_rows_affine and the peel all
 take this step, carrying only the rows they return.  The Weyl layer reads
 the integer rows of solution_rows_affine too, through _affine_rows, and
-builds no row Polynomial.  A Fraction(c, den) is
-in lowest terms whatever den is, so the Polynomials built from the rows at
-the end equal, coefficient for coefficient and in type, the products of
-segment factors in ExactComplex arithmetic that they replace.  The peel
+builds a segment's row Polynomials only where it integrates against them.
+A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
+built from the rows hold, coefficient for coefficient, the Fractions that
+the products of the segment factors in Fraction arithmetic would.  The peel
 converts W once, and checks det W = 1 as the integer identity
 a*d - b*c = den^2.  Its linear system for the factor goes to solve_exact,
 which eliminates in integers.
@@ -87,9 +87,9 @@ def _int_rows(W: MatrixPolynomial):
         raise ValueError("not factorable: coefficients are not exact rationals")
     if not all(p.is_real() for p in polys):
         raise ValueError("not factorable: matrix is not real")
-    den = math.lcm(*(c.re.denominator for p in polys for c in p.coeffs))
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     rows = [
-        tuple([c.re.numerator * (den // c.re.denominator) for c in e.coeffs] for e in row)
+        tuple([c.numerator * (den // c.denominator) for c in e.coeffs] for e in row)
         for row in W.entries
     ]
     return rows, den
@@ -443,11 +443,7 @@ def fundamental_solution(H: Hamiltonian, t, z=None):
             break
         rows, den = _step(rows, den, _segment_x(seg.proj, min(tf, hi) - lo))
     W = MatrixPolynomial([_polys(row, den) for row in rows])
-    if z is None:
-        return W
-    if isinstance(z, (int, Fraction)):
-        z = ExactComplex(z)
-    return W(z)
+    return W if z is None else W(z)
 
 
 def _affine_rows(H: Hamiltonian, row: str = "bottom"):

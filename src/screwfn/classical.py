@@ -130,14 +130,14 @@ def stieltjes_string(q: RationalFunction) -> KreinString:
             fault = "unbounded at -infinity" if gap else "reciprocal does not grow linearly"
             raise ValueError(f"not a string function: {fault}")
         c = quot[1]
-        if not c.is_real() or c.re < 0:
-            fault = (("negative length" if c.is_real() else "complex limit") if gap
+        if c.imag or c.real < 0:
+            fault = (("complex limit" if c.imag else "negative length") if gap
                      else "negative extracted mass")
             raise ValueError(f"not a string function: {fault}")
         if gap:
-            pos += c.re
+            pos += c.real
         else:
-            masses.append((pos, c.re))
+            masses.append((pos, c.real))
     return KreinString(tuple(masses), pos if len(quots) % 2 else math.inf)
 
 
@@ -363,11 +363,11 @@ def _kernel_and_convolution(g: ScrewFunctionData):
             p = [gam * p[0]] + [lo + gam * hi for lo, hi in zip(p, p[1:])] + [p[-1]]
     c = [pk * (-_I) ** k for k, pk in enumerate(p)]
     derivs = [  # g(0), g'(0), ..., g^(deg P - 1)(0)
-        ExactComplex(Fraction(g.g0)),
+        Fraction(g.g0),
         ExactComplex(0, Fraction(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)),
-        ExactComplex(-sum(m for _, m in atoms)),
+        -sum(m for _, m in atoms),
     ] + [_I**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
-    h = [ExactComplex(0)] * (len(p) - 1)
+    h = [0] * (len(p) - 1)
     for k in range(1, len(p)):
         for j in range(k):
             h[k - 1 - j] -= c[k] * (-1) ** j * derivs[j]

@@ -87,12 +87,11 @@ class HermiteBiehlerFrame:
     def weights(self) -> tuple:
         """(point, mu(g)/|E(g)|^2) pairs; the only place that picks the scalar type.
 
-        Exact (ExactComplex point, PiScalar weight) when the level-set measure
-        is exact, floats otherwise.
+        Exact (Fraction point, PiScalar weight) when the level-set measure is
+        exact, floats otherwise.
         """
         if self.mu.is_exact:
-            pts = [ExactComplex(g) for g in self.mu.points]
-            return tuple((g, m / self.E(g).abs2()) for g, m in zip(pts, self.mu.masses))
+            return tuple((g, m / self.E(g).abs2()) for g, m in self.mu)
         return tuple(
             (g, m / abs(self.E(g)) ** 2)
             for g, m in zip(self.mu.float_points(), self.mu.float_masses())
@@ -136,7 +135,7 @@ class HermiteBiehlerFrame:
 def e0_frame() -> HermiteBiehlerFrame:
     """The worked example E(z) = z^3 + 2iz^2 - z - i."""
     i = ExactComplex(0, 1)
-    E = Polynomial([-i, ExactComplex(-1), i * 2, ExactComplex(1)])
+    E = Polynomial([-i, -1, i * 2, 1])
     return HermiteBiehlerFrame.from_e(E)
 
 
@@ -276,7 +275,7 @@ def sl2_transform(frame: HermiteBiehlerFrame, M) -> HermiteBiehlerFrame:
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if det != 1:
         raise ValueError(f"matrix must have determinant 1 exactly, got {det}")
-    A2 = frame.A * ExactComplex(rows[0][0]) + frame.B * ExactComplex(rows[0][1])
-    B2 = frame.A * ExactComplex(rows[1][0]) + frame.B * ExactComplex(rows[1][1])
+    A2 = frame.A * rows[0][0] + frame.B * rows[0][1]
+    B2 = frame.A * rows[1][0] + frame.B * rows[1][1]
     E2 = A2 - B2 * ExactComplex(0, 1)
     return HermiteBiehlerFrame.from_e(E2)

@@ -3,7 +3,9 @@
 Two scalar types carry all bit-exact identities in this package:
 
 * ``ExactComplex`` -- a complex number with rational real and imaginary
-  parts, a field.
+  parts, a field.  It is the nonreal exact scalar: real exact data stay
+  ``Fraction``, and a polynomial holds ExactComplex coefficients only when
+  one of them is not real (``algebra``).
 * ``PiScalar`` -- a value of the form ``coef * sqrt(root) * pi**(pihalf/2)``
   with ``coef`` an ExactComplex, ``root`` a positive integer left unfactored
   (a square folds into ``coef``: root 1 is the rational grade) and ``pihalf``
@@ -20,11 +22,12 @@ does, so ``PI * 0.5`` is ``math.pi * 0.5`` to the bit; a nonreal value or a
 ``complex``.  Both types provide the numeric-protocol names that
 ``complex``, ``Fraction`` and numpy scalars share: ``+ - * /`` against each
 other and against Python numbers, ``real``, ``conjugate()``, ``__complex__``
-and ``__float__``.  ``PiScalar`` adds the order ``< <= > >=`` of real
-values of one grade.  Code written against that protocol runs unchanged on
-exact and float scalars.  Two operations have no protocol name and are
-defined here: ``sqrt``, and the realness test ``is_real``, exact for exact
-scalars and to ``_REAL_TOL`` for floats.
+and ``__float__``; ``ExactComplex`` also has ``imag``, so code that reads
+the parts of an exact scalar runs on a ``Fraction`` too.  ``PiScalar`` adds
+the order ``< <= > >=`` of real values of one grade.  Code written against
+that protocol runs unchanged on exact and float scalars.  Two operations
+have no protocol name and are defined here: ``sqrt``, and the realness test
+``is_real``, exact for exact scalars and to ``_REAL_TOL`` for floats.
 """
 from __future__ import annotations
 
@@ -179,6 +182,10 @@ class ExactComplex:
     @property
     def real(self) -> Fraction:
         return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""

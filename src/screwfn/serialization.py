@@ -40,7 +40,7 @@ def poly_to_json(p: Polynomial) -> dict:
         return {"coeffs": [[c.real, c.imag] for c in p.coeffs]}
     if p.mode != "exact":
         raise TypeError("only exact or float polynomials serialize")
-    return {"coeffs": [[_frac_str(c.re), _frac_str(c.im)] for c in p.coeffs]}
+    return {"coeffs": [[_frac_str(c.real), _frac_str(c.imag)] for c in p.coeffs]}
 
 
 def poly_from_json(obj: dict) -> Polynomial:
@@ -66,9 +66,9 @@ def _mass_to_json(m):
         if m.root != 1 or not m.is_real():
             raise TypeError(f"mass {m} has no JSON encoding")
         if m.pihalf == 2:
-            return {"pi_multiple": _frac_str(m.coef.re)}
+            return {"pi_multiple": _frac_str(m.coef.real)}
         if m.pihalf == 0:
-            return _frac_str(m.coef.re)
+            return _frac_str(m.coef.real)
         raise TypeError(f"mass {m} has no JSON encoding")
     return float(m)
 

@@ -71,7 +71,7 @@ class DiscreteMeasure:
             if isinstance(m, (int, Fraction, ExactComplex)):
                 m = PiScalar.coerce(m)
             if isinstance(m, PiScalar):
-                if not m.is_real() or not (m.coef.re > 0):
+                if not m.is_real() or not (m.coef.real > 0):
                     raise ValueError("masses must be positive")
             elif isinstance(m, float):
                 if not m > 0:
@@ -254,7 +254,7 @@ def theta_to_e(theta: RationalFunction) -> Polynomial:
         if num.degree != 0:
             raise ValueError("not inner of HB form: degree mismatch")
         c = num.leading() / den.leading()
-        if c * c.conjugate() != ExactComplex(1):
+        if c * c.conjugate() != 1:
             raise ValueError("not inner of HB form: constant not unimodular")
         return Polynomial.one()
     if num.degree != den.degree:
@@ -265,13 +265,11 @@ def theta_to_e(theta: RationalFunction) -> Polynomial:
     c = num.leading() / ds.leading()
     if num != ds * c:
         raise ValueError("not inner of HB form: numerator is not unimodular * sharp(denominator)")
-    if c * c.conjugate() != ExactComplex(1):
+    if c * c.conjugate() != 1:
         raise ValueError("not inner of HB form: constant not unimodular")
-    if c == ExactComplex(-1):
+    if c == -1:
         return den * ExactComplex(0, 1)
-    mu = ExactComplex(1) + c.conjugate()
-    E = den * mu / (1 + c.re)
-    return E
+    return den * (1 + c.conjugate()) / (1 + c.real)
 
 
 def level_set_masses(E: Polynomial) -> DiscreteMeasure:

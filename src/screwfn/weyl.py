@@ -11,10 +11,13 @@ the canonical system,
 and is evaluated exactly: on each segment the row is affine in t with
 matrix-polynomial coefficients, so the integral is a finite moment sum.
 The kernel identity of that row makes W unitary onto the de Branges space.
-The sum, and the row values at a level point that L0_map, inverse_weyl
-and StepVector.from_row_values take, run over the integer rows of
-canonical's chain and build no row Polynomial; the results equal those of
-the Polynomial rows to the bit, signed zeros included.
+The sum adds the row Polynomials of each segment where F is not zero, from
+the integer rows of canonical's chain.  The row values at a level point
+that L0_map, inverse_weyl and StepVector.from_row_values take are read off
+those integer rows by Horner: Fractions at a rational point, and at a float
+point the values of the Polynomial rows to the bit, signed zeros included.
+inverse_weyl reads the rows only at the level points where F is not zero,
+so the pi/2 eigenvector F_x is read at x alone.
 
 inverse_weyl and L0_map weight each level point g by de Branges' sampling
 weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
@@ -32,10 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, _is_zero_scalar, sharp
-from .canonical import Hamiltonian, _affine_rows
+from .algebra import Polynomial, sharp
+from .canonical import Hamiltonian, _affine_rows, _polys
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
-from .exact import ExactComplex, PiScalar, PI
+from .exact import PiScalar, PI
 from .screw import (
     ScrewFunctionData,
     TestFunction,
@@ -156,10 +159,11 @@ def _check_on(H: Hamiltonian, F: StepVector) -> None:
 
 
 def _row_value(ints: list[int], den: int, z):
-    """Polynomial([Fraction(c, den) for c in ints])(z), to the bit, from the integers.
+    """Polynomial([Fraction(c, den) for c in ints])(z), read off the integers.
 
-    At a float z, Horner adds complex(c / den), the correctly rounded value
-    that complex(Fraction(c, den)) also gives.
+    A rational z gives a Fraction.  At a float z, Horner adds complex(c / den),
+    the correctly rounded value that complex(Fraction(c, den)) also gives, so
+    the two agree to the bit.
     """
     if isinstance(z, (float, complex)):
         zc, acc = complex(z), 0j
@@ -169,8 +173,7 @@ def _row_value(ints: list[int], den: int, z):
     acc = 0
     for c in reversed(ints):
         acc = acc * z + c
-    acc = Fraction(acc, den) if isinstance(acc, int) else acc / den
-    return ExactComplex(acc) if isinstance(acc, Fraction) else acc
+    return Fraction(acc, den) if isinstance(acc, int) else acc / den
 
 
 def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
@@ -202,49 +205,18 @@ def l2h_norm(H: Hamiltonian, F: StepVector):
     return l2h_inner(H, F, F)
 
 
-def _pad_zero(cs: list):
-    """The zero Polynomial(cs).coeff supplies past the end of cs, whose scalars share one type."""
-    if cs and isinstance(cs[0], complex):
-        return 0j
-    if cs and isinstance(cs[0], PiScalar):
-        return PiScalar(0)
-    return ExactComplex(0)
-
-
-def _add_scaled(acc: list, ints: list[int], den: int, s) -> list:
-    """The coefficients of Polynomial(acc) + Polynomial(ints / den) * s, to the bit.
-
-    Fraction(c, den) * s is ExactComplex(Fraction(c, den)) * s; for a complex
-    s both are complex(c / den) * s.  Each side is padded with its own zero
-    and the sum loses its trailing zeros, as in Polynomial.__add__.
-    """
-    if isinstance(s, complex):
-        term = [complex(c / den) * s for c in ints]
-    else:
-        term = [Fraction(c, den) * s for c in ints]
-    while term and _is_zero_scalar(term[-1]):
-        term.pop()
-    n = max(len(acc), len(term))
-    acc = acc + [_pad_zero(acc)] * (n - len(acc))
-    term += [_pad_zero(term)] * (n - len(term))
-    out = [a + b for a, b in zip(acc, term)]
-    while out and _is_zero_scalar(out[-1]):
-        out.pop()
-    return out
-
-
 def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
     """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z.
 
-    Each moment term, a row coefficient times uc * I_j, goes into one
-    coefficient list in segment, j, u/v, R0/R1 order.  The rows stop at the
-    last segment where F is not zero.
+    Each moment term, a row Polynomial times uc * I_j, is added in segment,
+    j, u/v, R0/R1 order.  The rows stop at the last segment where F is not
+    zero, and a segment's row Polynomials are built only where F is not zero.
     """
     _check_on(H, F)
     comps = list(F.components)
     while comps and comps[-1][0].is_zero() and comps[-1][1].is_zero():
         comps.pop()
-    acc = []
+    acc = Polynomial.zero()
     for (f, g), seg, (r0, den0, r1, den1) in zip(comps, H.segments, _affine_rows(H)):
         if f.is_zero() and g.is_zero():
             continue
@@ -252,13 +224,13 @@ def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
         u = f * pa + g * pb  # first component of P F
         v = f * pb + g * pc
         L = seg.length
+        R0, R1 = _polys(r0, den0), _polys(r1, den1)
         for j in range(max(u.degree, v.degree) + 1):
             Ij, Ij1 = Fraction(L ** (j + 1), j + 1), Fraction(L ** (j + 2), j + 2)
             for k, c in enumerate((u.coeff(j), v.coeff(j))):
                 if c:
-                    acc = _add_scaled(acc, r0[k], den0, c * Ij)
-                    acc = _add_scaled(acc, r1[k], den1, c * Ij1)
-    return Polynomial(acc) * PiScalar(1, 1, -2)
+                    acc = acc + R0[k] * (c * Ij) + R1[k] * (c * Ij1)
+    return acc * PiScalar(1, 1, -2)
 
 
 def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> StepVector:
@@ -268,7 +240,9 @@ def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> S
     rows = list(_affine_rows(H))
     total = StepVector.zero(H)
     for g, w in frame.weights:
-        total = total + _step_from_rows(H, rows, g, F(g) * w)
+        Fg = F(g)
+        if Fg:  # a zero sample adds nothing
+            total = total + _step_from_rows(H, rows, g, Fg * w)
     return total
 
 

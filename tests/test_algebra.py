@@ -118,15 +118,41 @@ def test_ab_split_in_every_scalar_mode(cs, root, pihalf):
                for b, c in zip(B.coeffs, flt.coeffs) if c.imag == 0)
 
 
+_RATIONAL = st.fractions(-9, 9, max_denominator=7)
+_EXACT_SCALARS = st.one_of(st.integers(-5, 5), _RATIONAL, st.builds(ExactComplex, _RATIONAL),
+                           st.builds(ExactComplex, _RATIONAL, _RATIONAL))
+
+
+@settings(max_examples=100)
+@given(st.lists(_EXACT_SCALARS, max_size=7),
+       st.one_of(st.floats(-3, 3), st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))))
+def test_exact_coefficients_are_fractions_exactly_when_all_are_real(cs, z):
+    p = Polynomial(cs)
+    real = all(not isinstance(c, ExactComplex) or c.is_real() for c in cs)
+    assert p.is_real() == real
+    assert all(type(c) is (Fraction if real else ExactComplex) for c in p.coeffs)
+    # the values held as ExactComplex compare and hash alike, both ways round
+    held = tuple(ExactComplex.coerce(c) for c in p.coeffs)
+    assert p.coeffs == held and held == p.coeffs and hash(p) == hash(held)
+    # float evaluation is Horner over complex(ExactComplex(c)), to the bit
+    acc = 0j
+    for c in reversed(held):
+        acc = acc * complex(z) + complex(c)
+    assert repr(p(z)) == repr(acc)
+
+
 def test_ab_split_and_hb_test_divide_no_exact_scalar(monkeypatch):
     calls = []
-    truediv = ExactComplex.__truediv__
 
-    def counted(self, other):
-        calls.append(other)
-        return truediv(self, other)
+    def counted(truediv):
+        def div(self, other):
+            calls.append(other)
+            return truediv(self, other)
+        return div
 
-    monkeypatch.setattr(ExactComplex, "__truediv__", counted)
+    # A and B of the reference are real, so it divides Fractions
+    for scalar in (ExactComplex, Fraction):
+        monkeypatch.setattr(scalar, "__truediv__", counted(scalar.__truediv__))
     cw = _chain_workload()
     E = cw.top_entry(cw.random_hamiltonian(random.Random(cw.FAULT_SEEDS[0]), cw.FAULT_SIZE))
     assert ab_split(E) == _ab_reference(E) and hb_test(E) and hb_test(E0)
@@ -201,17 +227,17 @@ def _divisors_of(n: int) -> list[int]:
 def _divisor_enumeration(p: Polynomial):
     """The plain rational root search: every +-d/e with d | a_0, e | a_n, by exact evaluation."""
     found, cur = [], p
-    while not cur.is_zero() and cur.coeffs[0].is_zero():
+    while not cur.is_zero() and not cur.coeffs[0]:
         found.append(Fraction(0))
         cur = Polynomial(cur.coeffs[1:])
     while cur.degree >= 1:
-        scale = math.lcm(*(c.re.denominator for c in cur.coeffs))
-        ints = [int(c.re * scale) for c in cur.coeffs]
+        scale = math.lcm(*(c.denominator for c in cur.coeffs))
+        ints = [int(c * scale) for c in cur.coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
         if a0 > 10**12 or an > 10**12:
             break
         hit = next((Fraction(sgn * d, e) for d in _divisors_of(a0) for e in _divisors_of(an)
-                    for sgn in (1, -1) if cur(ExactComplex(Fraction(sgn * d, e))).is_zero()), None)
+                    for sgn in (1, -1) if not cur(Fraction(sgn * d, e))), None)
         if hit is None:
             break
         found.append(hit)
@@ -312,8 +338,8 @@ def _from_zeros(zeros) -> Polynomial:
 def _mpmath_all_lower(E: Polynomial) -> bool:
     """Independent verdict: every zero below -1e-40 at 60 digits."""
     with mpmath.workdps(60):
-        coeffs = [mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                             mpmath.mpf(c.im.numerator) / c.im.denominator)
+        coeffs = [mpmath.mpc(mpmath.mpf(c.real.numerator) / c.real.denominator,
+                             mpmath.mpf(c.imag.numerator) / c.imag.denominator)
                   for c in reversed(E.coeffs)]
         zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
         return all(mpmath.im(z) < mpmath.mpf("-1e-40") for z in zs)

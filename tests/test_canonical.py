@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screwfn.algebra import MatrixPolynomial, Polynomial
+from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split
 from screwfn.canonical import (
     ElementaryFactor,
     Hamiltonian,
@@ -23,6 +23,13 @@ from screwfn.canonical import (
     w0_matrix,
 )
 from screwfn.exact import ExactComplex
+from screwfn.spectra import (
+    DiscreteMeasure,
+    NevanlinnaData,
+    cayley_q_to_theta,
+    q_from_measure,
+    theta_to_e,
+)
 
 I = ExactComplex(0, 1)
 C0 = Polynomial([0, -1, 0, 1])
@@ -394,9 +401,28 @@ def _segment_product(H: Hamiltonian, t: Fraction) -> MatrixPolynomial:
     return _factor_product(factors)
 
 
-def _exact_rational(polys) -> bool:
-    return all(type(c) is ExactComplex and type(c.re) is Fraction and type(c.im) is Fraction
+def _exact_rational(polys, real=True) -> bool:
+    """Fraction coefficients, or for a polynomial that is not real ExactComplex with Fraction parts."""
+    if real:
+        return all(type(c) is Fraction for p in polys for c in p.coeffs)
+    return all(type(c) is ExactComplex and type(c.real) is Fraction and type(c.imag) is Fraction
                for p in polys for c in p.coeffs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.fractions(Fraction(1, 4), 3, max_denominator=4), min_size=1, max_size=3, unique=True),
+       st.lists(st.fractions(Fraction(1, 8), 2, max_denominator=8), min_size=4, max_size=4))
+def test_real_chain_data_hold_fractions(xs, ms):
+    # a symmetric tau with an atom at 0, through the pipeline: only E is not real
+    tau = DiscreteMeasure([0, *xs, *(-x for x in xs)], [ms[0], *ms[1:len(xs) + 1] * 2])
+    Q = q_from_measure(NevanlinnaData(0, 0, tau))
+    E = theta_to_e(cayley_q_to_theta(Q))
+    A, B = ab_split(E / ab_split(E)[1](0))
+    top = bezout_complete(A, B)
+    H = factorize(MatrixPolynomial([top, (A, B)]))
+    rows = [p for row in ("top", "bottom") for r0, r1 in solution_rows_affine(H, row) for p in r0 + r1]
+    assert _exact_rational([Q.num, Q.den, A, B, *top, *rows])
+    assert _exact_rational([E], real=False)
 
 
 @settings(max_examples=30)
@@ -417,7 +443,7 @@ def test_integer_chain_equals_the_segment_product(H, data):
     for entry in chain:
         C, D = products[entry.t].entries[1]
         assert entry.E == C - D * I and entry.dim == max(entry.E.degree, 0)
-        assert _exact_rational([entry.E])
+        assert _exact_rational([entry.E], real=False)
     for idx, row in ((0, "top"), (1, "bottom")):
         rows = solution_rows_affine(H, row=row)
         assert len(rows) == len(H)

@@ -193,7 +193,7 @@ def test_s_theta_membership_unique_on_random_frames():
         # the leading coefficients of A and B decide the unique cancellation angle
         a_n = frame.A.coeff(frame.dim)
         b_n = frame.B.coeff(frame.dim)
-        theta_star = math.atan2(float(b_n.re), float(a_n.re)) % math.pi
+        theta_star = math.atan2(float(b_n), float(a_n)) % math.pi
         hits = [
             th
             for th in np.linspace(0, math.pi, 181, endpoint=False)

@@ -3,9 +3,10 @@
 Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
-package, no while loop outside ``algebra`` runs a Euclid of its own, every
-name the benchmark's tracer wraps exists, and importing the command line
-and every module of the package loads no scipy.
+package, no while loop outside ``algebra`` runs a Euclid of its own, no
+module but ``exact`` reads the ``re`` or ``im`` of a scalar, every name the
+benchmark's tracer wraps exists, and importing the command line and every
+module of the package loads no scipy.
 """
 import ast
 import importlib
@@ -178,6 +179,29 @@ def test_guard_flags_a_euclid_loop():
         "while x:\n    x -= 1\n"
     )
     assert _euclid_loops(tree) == ["line 2", "line 4"]
+
+
+def _part_reads(tree: ast.Module) -> list[str]:
+    """Lines that read a .re or .im attribute, the rational parts of an ExactComplex.
+
+    Real exact data are Fractions, which have no re or im, so code outside
+    exact reads the protocol names real and imag, which Fraction,
+    ExactComplex and complex share.
+    """
+    return [f"line {n.lineno}: .{n.attr}" for n in sorted(
+        (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("re", "im")),
+        key=lambda n: (n.lineno, n.col_offset))]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact.py"],
+                         ids=lambda p: p.name)
+def test_no_part_reads_outside_exact(path):
+    assert _part_reads(ast.parse(path.read_text())) == []
+
+
+def test_guard_flags_a_part_read():
+    tree = ast.parse("def f(c):\n    return c.real + c.re\nx = f(1).imag\ny = c.coef.im\n")
+    assert _part_reads(tree) == ["line 2: .re", "line 4: .im"]
 
 
 def test_traced_names_resolve():

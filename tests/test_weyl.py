@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_canonical import _segment_product, pythagorean_hamiltonian
 from test_screw import _dense_kernel_side
@@ -45,7 +45,7 @@ from screwfn.weyl import (
     screw_line_S,
     weyl_transform,
 )
-from screwfn.weyl import _add_scaled, _row_value
+from screwfn.weyl import _row_value
 
 FR = e0_frame()
 H0 = factorize(w0_matrix())
@@ -235,15 +235,19 @@ def test_diagram_check_passes():
     assert rep.basis_gram_offdiag < 1e-9
 
 
+def _frame_and_hamiltonian(tau):
+    """The pipeline's frame, with B(0) = 1, and its Hamiltonian, for a symmetric tau with an atom at 0."""
+    E = theta_to_e(cayley_q_to_theta(q_from_measure(NevanlinnaData(0, 0, tau))))
+    fr = HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
+    return fr, factorize(MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)]))
+
+
 @functools.cache
 def _five_atoms():
     """(g, frame, H) of tau = {+-2: 1/4, +-1/2: 1/2, 0: 1}, where |E(+-2)|^2 = 225/4, not 1."""
     tau = DiscreteMeasure([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2],
                           [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)])
-    E = theta_to_e(cayley_q_to_theta(q_from_measure(NevanlinnaData(0, 0, tau))))
-    fr = HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
-    H = factorize(MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)]))
-    return ScrewFunctionData(Fraction(0), Fraction(0), tau), fr, H
+    return ScrewFunctionData(Fraction(0), Fraction(0), tau), *_frame_and_hamiltonian(tau)
 
 
 def test_inverse_weyl_weights_by_mu_over_abs_e_squared():
@@ -257,6 +261,28 @@ def test_inverse_weyl_weights_by_mu_over_abs_e_squared():
             assert l2h_inner(H, u, v) == (1 if i == j else 0)
     rep = diagram_check(g, fr, H, n_samples=3, seed=0)
     assert rep.triangle_weyl_l0_vs_model < 1e-12 and rep.passed
+
+
+def test_inverse_weyl_reads_each_pi_half_eigenvector_at_its_point_alone(monkeypatch):
+    # {0: 1} and {+-(2k-1)/4: (2(k mod 3)+1)/8}, k = 1..3: F_x vanishes at every level point but x
+    points, masses = [0], [Fraction(1)]
+    for k in range(1, 4):
+        x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
+        points += [-x, x]
+        masses += [m, m]
+    fr, H = _frame_and_hamiltonian(DiscreteMeasure(points, masses))
+    basis = extension_eigenbasis(fr, math.pi / 2)
+    calls, step = [], weyl._step_from_rows
+
+    def counted(H, rows, gamma, scale):
+        calls.append(gamma)
+        return step(H, rows, gamma, scale)
+
+    monkeypatch.setattr(weyl, "_step_from_rows", counted)
+    for x, F in zip(basis.eigenvalues, basis.normalized):
+        calls.clear()
+        assert weyl_transform(H, inverse_weyl(fr, H, F)) == F
+        assert calls == [x]
 
 
 def _reference_diagram(g, frame, H, K, n_samples, seed, support=(-3.0, 3.0)):
@@ -425,50 +451,17 @@ INTEGER_ROWS = st.lists(st.one_of(st.integers(-3, 3), WIDE, WIDE.map(lambda c: -
 DENOMINATORS = st.one_of(st.integers(1, 6), WIDE)
 
 
-def _scalars(kind):
-    if kind == "exact":
-        return st.builds(ExactComplex, RATIONALS, RATIONALS)
-    if kind == "pi":
-        return st.builds(lambda q: PiScalar(q, 2, 1), RATIONALS)
-    return st.builds(complex, FLOATS, FLOATS)
-
-
-@st.composite
-def scaled_sums(draw):
-    """(acc, ints, den, s) for _add_scaled; acc may cancel the scaled row, wholly or at the top.
-
-    Exact and pi-graded scalars of different grade are never added: that raises in both.
-    """
-    kind_acc, kind_s = draw(st.sampled_from([
-        ("exact", "exact"), ("exact", "float"), ("float", "exact"), ("float", "float"),
-        ("pi", "pi"), ("pi", "float"), ("float", "pi"),
-    ]))
-    ints, den = draw(INTEGER_ROWS), draw(DENOMINATORS)
-    s = draw(_scalars(kind_s).filter(bool))
-    acc = draw(st.lists(_scalars(kind_acc), max_size=6))
-    minus = list((Polynomial([Fraction(c, den) for c in ints]) * -s).coeffs)
-    cut = draw(st.integers(0, len(minus)))
-    if draw(st.booleans()):
-        acc = acc[:cut] + minus[cut:]
-    return list(Polynomial(acc).coeffs), ints, den, s
-
-
-@settings(max_examples=300)
-@given(scaled_sums())
-# complex(1.0) * s has imaginary part -0.0 + -0.0, which the -0.0 of acc keeps
-@example(([complex(0.5, -0.0)], [1], 1, complex(-1.0, -0.0)))
-def test_add_scaled_is_polynomial_addition(case):
-    acc, ints, den, s = case
-    expect = Polynomial(acc) + Polynomial([Fraction(c, den) for c in ints]) * s
-    assert repr(_add_scaled(acc, ints, den, s)) == repr(list(expect.coeffs))
-
-
 @settings(max_examples=300)
 @given(INTEGER_ROWS, DENOMINATORS, st.one_of(
     FLOATS, st.builds(complex, FLOATS, FLOATS), RATIONALS, st.integers(-3, 3),
     st.builds(ExactComplex, RATIONALS, RATIONALS)))
 def test_row_value_is_polynomial_evaluation(ints, den, z):
-    assert repr(_row_value(ints, den, z)) == repr(Polynomial([Fraction(c, den) for c in ints])(z))
+    got, want = _row_value(ints, den, z), Polynomial([Fraction(c, den) for c in ints])(z)
+    assert got == want
+    if isinstance(z, (float, complex)) or (ints and isinstance(z, ExactComplex)):
+        assert repr(got) == repr(want)  # at a float z to the bit, signed zeros included
+    else:
+        assert type(got) is Fraction  # at a rational z, and the zero row at any exact z
 
 
 @st.composite
