@@ -47,7 +47,8 @@ def poly_from_json(obj: dict) -> Polynomial:
     coeffs = []
     for re, im in obj["coeffs"]:
         if isinstance(re, str) or isinstance(im, str):
-            coeffs.append(ExactComplex(Fraction(re), Fraction(im)))
+            re, im = Fraction(re), Fraction(im)
+            coeffs.append(ExactComplex(re, im) if im else re)
         else:
             coeffs.append(complex(re, im))
     return Polynomial(coeffs)
