@@ -56,9 +56,16 @@ __all__ = [
 ]
 
 
+# The mode of a coefficient list whose entries are all of one of these types; it needs no conversion.
+_MODE_OF = {Fraction: "exact", complex: "float", PiScalar: "pi"}
+
+
 def _promote(coeffs):
     """Normalize a coefficient list to a single scalar mode and, in exact mode, type."""
     cs = list(coeffs)
+    kinds = set(map(type, cs))
+    if len(kinds) == 1 and (mode := _MODE_OF.get(*kinds)):
+        return cs, mode
     if any(isinstance(c, (float, complex)) for c in cs):
         return [complex(c) for c in cs], "float"
     if any(isinstance(c, PiScalar) for c in cs):
