@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-# The mode of a coefficient list whose entries are all of one of these types; it needs no conversion.
+# The mode of a coefficient list all of one of these types, which is stored unconverted.
 _MODE_OF = {Fraction: "exact", complex: "float", PiScalar: "pi"}
 
 
