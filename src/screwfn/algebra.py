@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactComplex, PiScalar, is_real
+from .exact import I, ExactComplex, PiScalar, is_real
 
 __all__ = [
     "Polynomial",
@@ -71,7 +71,7 @@ def _promote(coeffs):
     if any(isinstance(c, PiScalar) for c in cs):
         return [PiScalar.coerce(c) for c in cs], "pi"
     if any(isinstance(c, ExactComplex) and not c.is_real() for c in cs):
-        return [ExactComplex.coerce(c) for c in cs], "exact"
+        return [c if isinstance(c, ExactComplex) else ExactComplex(c) for c in cs], "exact"
     return [c if isinstance(c, Fraction) else c.real if isinstance(c, ExactComplex) else Fraction(c)
             for c in cs], "exact"
 
@@ -369,9 +369,8 @@ def ab_split(E: Polynomial) -> tuple[Polynomial, Polynomial]:
     path serves exact, pi-graded and float coefficients.  A float c gives a
     B_k with imaginary part +0.0.
     """
-    i = ExactComplex(0, 1)
     return (Polynomial([c.real for c in E.coeffs]),
-            Polynomial([(c - c.real) * i for c in E.coeffs]))
+            Polynomial([(c - c.real) * I for c in E.coeffs]))
 
 
 # ---------------------------------------------------------------------------

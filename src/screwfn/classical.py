@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import hermite
 
 from .algebra import Polynomial, RationalFunction, _signed_remainders
-from .exact import ExactComplex, PiScalar
+from .exact import I, ExactComplex, PiScalar
 from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
 
@@ -339,9 +339,6 @@ class MeanPeriodicReport:
                    self.fourier_carleman_residual)
 
 
-_I = ExactComplex(0, 1)
-
-
 def _largest(coeffs) -> float:
     """The largest |c| over exact coefficients: 0.0 exactly when all vanish."""
     return max((abs(complex(c)) for c in coeffs), default=0.0)
@@ -361,12 +358,12 @@ def _kernel_and_convolution(g: ScrewFunctionData):
     for gam, _ in atoms:
         if gam:
             p = [gam * p[0]] + [lo + gam * hi for lo, hi in zip(p, p[1:])] + [p[-1]]
-    c = [pk * (-_I) ** k for k, pk in enumerate(p)]
+    c = [pk * (-I) ** k for k, pk in enumerate(p)]
     derivs = [  # g(0), g'(0), ..., g^(deg P - 1)(0)
         Fraction(g.g0),
         ExactComplex(0, Fraction(g.c) + sum(m * gam / (1 + gam * gam) for gam, m in atoms)),
         -sum(m for _, m in atoms),
-    ] + [_I**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
+    ] + [I**j * sum(m * gam ** (j - 2) for gam, m in atoms) for j in range(3, len(p) - 1)]
     h = [0] * (len(p) - 1)
     for k in range(1, len(p)):
         for j in range(k):
@@ -390,8 +387,8 @@ def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanP
     g = g if g is not None else g0_data()
     ts = np.asarray(grid if grid is not None else np.linspace(-3.0, 3.0, 25), dtype=float)
     c, h, phi, one_sided = _kernel_and_convolution(g)
-    K = Polynomial([ck * _I**k for k, ck in enumerate(c)])
-    N = Polynomial([hk * _I**k for k, hk in enumerate(h)])
+    K = Polynomial([ck * I**k for k, ck in enumerate(c)])
+    N = Polynomial([hk * I**k for k, hk in enumerate(h)])
 
     # annihilation: the convolution with phi kills 1, t, t^2 and each exp(i t gamma)
     r_conv = _largest(K.coeffs[:3] + tuple(K(-gam) for gam in g.tau.points if gam))
@@ -412,6 +409,6 @@ def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanP
 
     # the Fourier-Carleman quotient N/K is -(i/z^2) Q(z), Q of (-g(0), c, tau)
     Q = q_from_measure(NevanlinnaData(-g.g0, g.c, g.tau))
-    r_fc = _largest((Polynomial.monomial(2) * N * Q.den + _I * Q.num * K).coeffs)
+    r_fc = _largest((Polynomial.monomial(2) * N * Q.den + I * Q.num * K).coeffs)
 
     return MeanPeriodicReport(r_conv, float(r_one), r_fc)

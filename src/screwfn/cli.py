@@ -433,10 +433,10 @@ def main(argv=None) -> int:
 
     if args.command == "pipeline":
         if args.example == "g0":
-            report = run_g0_pipeline(seed=args.seed, tol=args.tol or 1e-6)
+            report = run_g0_pipeline(seed=args.seed, tol=1e-6 if args.tol is None else args.tol)
         elif args.example == "pw":
             report = run_pw_pipeline(r=args.r, trunc=args.trunc,
-                                     tol=args.tol or 1e-4, seed=args.seed)
+                                     tol=1e-4 if args.tol is None else args.tol, seed=args.seed)
         else:
             return _input_error(f"unknown example {args.example!r}; choose g0 or pw")
         return _emit(report, args.out)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import Polynomial, ab_split, effective_degree, rational_roots, roots, sharp
-from .exact import PI, ExactComplex, is_real, sqrt
+from .exact import PI, I, is_real, sqrt
 from .spectra import DiscreteMeasure, _level_set
 
 __all__ = [
@@ -134,8 +134,7 @@ class HermiteBiehlerFrame:
 
 def e0_frame() -> HermiteBiehlerFrame:
     """The worked example E(z) = z^3 + 2iz^2 - z - i."""
-    i = ExactComplex(0, 1)
-    E = Polynomial([-i, -1, i * 2, 1])
+    E = Polynomial([-I, -1, I * 2, 1])
     return HermiteBiehlerFrame.from_e(E)
 
 
@@ -204,7 +203,7 @@ def _cos_sin(theta: float):
 def s_theta(frame: HermiteBiehlerFrame, theta: float) -> Polynomial:
     """S_theta = e^{i theta} E - e^{-i theta} E#; exact at the axis angles."""
     c, s = _cos_sin(theta)
-    u = c + s * ExactComplex(0, 1)
+    u = c + s * I
     return frame.E * u - sharp(frame.E) * u.conjugate()
 
 
@@ -277,5 +276,5 @@ def sl2_transform(frame: HermiteBiehlerFrame, M) -> HermiteBiehlerFrame:
         raise ValueError(f"matrix must have determinant 1 exactly, got {det}")
     A2 = frame.A * rows[0][0] + frame.B * rows[0][1]
     B2 = frame.A * rows[1][0] + frame.B * rows[1][1]
-    E2 = A2 - B2 * ExactComplex(0, 1)
+    E2 = A2 - B2 * I
     return HermiteBiehlerFrame.from_e(E2)

@@ -3,16 +3,20 @@
 Two scalar types carry all bit-exact identities in this package:
 
 * ``ExactComplex`` -- a complex number with rational real and imaginary
-  parts, a field.  It is the nonreal exact scalar: real exact data stay
-  ``Fraction``, and a polynomial holds ExactComplex coefficients only when
-  one of them is not real (``algebra``).
+  parts, a field.  It is the nonreal exact scalar.  The scalar rule: real
+  exact data stay ``Fraction``, and an ExactComplex is built only for a
+  value that is not real.  A polynomial holds ExactComplex coefficients
+  only when one of them is not real (``algebra``); a PiScalar's ``coef``
+  is an ExactComplex only when the PiScalar is not real.  ``I`` is the
+  imaginary unit.
 * ``PiScalar`` -- a value of the form ``coef * sqrt(root) * pi**(pihalf/2)``
-  with ``coef`` an ExactComplex, ``root`` a positive integer left unfactored
-  (a square folds into ``coef``: root 1 is the rational grade) and ``pihalf``
-  an integer.  Two values of equal pihalf share a grade, and so add, compare
-  and order, when the product of their roots is a square; products are always
-  defined.  This is exactly what is needed for quantities like 2*pi, pi/2,
-  pi**3, 1/sqrt(2*pi).
+  with ``coef`` a Fraction or, for a nonreal value, an ExactComplex,
+  ``root`` a positive integer left unfactored (a square folds into
+  ``coef``: root 1 is the rational grade) and ``pihalf`` an integer.  Two
+  values of equal pihalf share a grade, and so add, compare and order, when
+  the product of their roots is a square; products are always defined.
+  This is exactly what is needed for quantities like 2*pi, pi/2, pi**3,
+  1/sqrt(2*pi).
 
 Arithmetic against ``float``/``complex`` degrades to floating point, so the
 exact types can be dropped into numeric code without ceremony.  A real
@@ -35,7 +39,7 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["ExactComplex", "PiScalar", "PI", "sqrt", "is_real"]
+__all__ = ["ExactComplex", "PiScalar", "PI", "I", "sqrt", "is_real"]
 
 # Largest |Im x| of a float that is_real still counts as real.
 _REAL_TOL = 1e-9
@@ -45,8 +49,6 @@ def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
@@ -71,26 +73,13 @@ class ExactComplex:
     def __setattr__(self, *a):
         raise AttributeError("ExactComplex is immutable")
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def coerce(x) -> "ExactComplex":
-        if isinstance(x, ExactComplex):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactComplex(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ExactComplex")
-
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
 
     def is_real(self) -> bool:
         return not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     # -- ring/field ops ----------------------------------------------------
 
@@ -98,8 +87,6 @@ class ExactComplex:
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
         if isinstance(other, ExactComplex):
-            if not self.im and not other.im:
-                return ExactComplex(self.re + other.re)
             return ExactComplex(self.re + other.re, self.im + other.im)
         if isinstance(other, (float, complex)):
             return complex(self) + other
@@ -130,8 +117,6 @@ class ExactComplex:
         if isinstance(other, (int, Fraction)):
             return ExactComplex(self.re * other, self.im * other)
         if isinstance(other, ExactComplex):
-            if not self.im and not other.im:
-                return ExactComplex(self.re * other.re)
             return ExactComplex(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
@@ -236,20 +221,26 @@ class ExactComplex:
 class PiScalar:
     """``coef * sqrt(root) * pi**(pihalf/2)`` with ``root`` kept unfactored.
 
-    Two values of equal pihalf share a grade when the product of their roots
-    is a square; then they add, compare and order.  Multiplication and
-    division are total.  ``sqrt`` is defined for nonnegative real values with
-    root 1 and even pihalf, which covers every norm arising here.
+    ``coef`` is a Fraction when the value is real and an ExactComplex
+    otherwise, by the scalar rule above; methods read it only through the
+    numeric protocol.  Two values of equal pihalf share a grade when the
+    product of their roots is a square; then they add, compare and order.
+    Multiplication and division are total.  ``sqrt`` is defined for
+    nonnegative real values with root 1 and even pihalf, which covers every
+    norm arising here.
     """
 
     __slots__ = ("coef", "root", "pihalf")
 
     def __init__(self, coef=0, root: int = 1, pihalf: int = 0):
-        if not isinstance(coef, ExactComplex):
-            coef = ExactComplex.coerce(coef)
+        if isinstance(coef, ExactComplex):
+            if not coef.im:
+                coef = coef.re
+        else:
+            coef = _fraction(coef)
         if not isinstance(root, int) or root <= 0:
             raise ValueError("root must be a positive integer")
-        if coef.is_zero():
+        if not coef:
             root, pihalf = 1, 0
         elif root != 1 and (s := math.isqrt(root)) * s == root:
             coef, root = coef * s, 1
@@ -267,7 +258,7 @@ class PiScalar:
         if isinstance(x, PiScalar):
             return x
         if isinstance(x, (int, Fraction, ExactComplex)):
-            return PiScalar(ExactComplex.coerce(x))
+            return PiScalar(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to PiScalar")
 
     @staticmethod
@@ -277,24 +268,22 @@ class PiScalar:
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.coef.is_zero()
+        return not self.coef
 
     def is_real(self) -> bool:
-        return self.coef.is_real()
+        return not self.coef.imag
 
     def is_rational(self) -> bool:
         """True if the value lies in Q (grade zero and real)."""
-        return self.root == 1 and self.pihalf == 0 and self.coef.is_real()
+        return self.root == 1 and self.pihalf == 0 and not self.coef.imag
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coef.re
+        return self.coef
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.coef)
 
     def _mix(self, other):
         """This value as a float against a float when real, as a complex otherwise."""
@@ -355,7 +344,7 @@ class PiScalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
-            return PiScalar(self.coef / ExactComplex.coerce(other), self.root, self.pihalf)
+            return PiScalar(self.coef / other, self.root, self.pihalf)
         if isinstance(other, PiScalar):
             if other.is_zero():
                 raise ZeroDivisionError("division by zero")
@@ -377,20 +366,21 @@ class PiScalar:
 
     @property
     def real(self) -> "PiScalar":
-        return PiScalar(self.coef.re, self.root, self.pihalf)
+        return PiScalar(self.coef.real, self.root, self.pihalf)
 
     def abs2(self) -> "PiScalar":
-        return PiScalar(self.coef.abs2() * self.root, 1, 2 * self.pihalf)
+        c = self.coef
+        return PiScalar((c * c.conjugate()).real * self.root, 1, 2 * self.pihalf)
 
     def sqrt(self) -> "PiScalar":
         """Exact square root of a nonnegative rational multiple of pi**m."""
         if self.is_zero():
             return PiScalar(0)
-        if not self.coef.is_real() or self.coef.re < 0:
+        if not self.is_real() or self.coef < 0:
             raise ValueError("sqrt requires a nonnegative real pi-scalar")
         if self.root != 1 or self.pihalf % 2:
             raise ValueError(f"sqrt of {self} is outside the pi-surd carrier")
-        q = self.coef.re
+        q = self.coef
         return PiScalar(Fraction(1, q.denominator), q.numerator * q.denominator, self.pihalf // 2)
 
     # -- order of real values ------------------------------------------------------
@@ -400,14 +390,14 @@ class PiScalar:
         d = self - PiScalar.coerce(other)
         if not d.is_real():
             raise ValueError(f"{self} and {other} are not both real")
-        return d.coef.re < 0
+        return d.coef < 0
 
     # -- conversions ---------------------------------------------------------------
 
     def __float__(self) -> float:
-        if not self.coef.is_real():
+        if not self.is_real():
             raise ValueError("not a real value")
-        return float(self.coef.re) * math.sqrt(self.root) * math.pi ** (self.pihalf / 2)
+        return float(self.coef) * math.sqrt(self.root) * math.pi ** (self.pihalf / 2)
 
     def __complex__(self) -> complex:
         scale = math.sqrt(self.root) * math.pi ** (self.pihalf / 2)
@@ -456,3 +446,4 @@ def is_real(x) -> bool:
 
 
 PI = PiScalar.pi()
+I = ExactComplex(0, 1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import MatrixPolynomial, Polynomial, RationalFunction
 from .canonical import Hamiltonian, Segment
 from .classical import KreinString
-from .exact import ExactComplex, PiScalar
+from .exact import PI, ExactComplex, PiScalar
 from .spectra import DiscreteMeasure
 
 __all__ = [
@@ -67,9 +67,9 @@ def _mass_to_json(m):
         if m.root != 1 or not m.is_real():
             raise TypeError(f"mass {m} has no JSON encoding")
         if m.pihalf == 2:
-            return {"pi_multiple": _frac_str(m.coef.real)}
+            return {"pi_multiple": _frac_str((m / PI).as_fraction())}
         if m.pihalf == 0:
-            return _frac_str(m.coef.real)
+            return _frac_str(m.as_fraction())
         raise TypeError(f"mass {m} has no JSON encoding")
     return float(m)
 

@@ -29,7 +29,7 @@ from .algebra import (
     real_zeros,
     sharp,
 )
-from .exact import PI, ExactComplex, PiScalar, is_real
+from .exact import PI, I, ExactComplex, PiScalar, is_real
 
 __all__ = [
     "DiscreteMeasure",
@@ -71,7 +71,7 @@ class DiscreteMeasure:
             if isinstance(m, (int, Fraction, ExactComplex)):
                 m = PiScalar.coerce(m)
             if isinstance(m, PiScalar):
-                if not m.is_real() or not (m.coef.real > 0):
+                if not m.is_real() or not m > 0:
                     raise ValueError("masses must be positive")
             elif isinstance(m, float):
                 if not m > 0:
@@ -214,7 +214,7 @@ def measure_from_q(Q: RationalFunction) -> NevanlinnaData:
     a = num.coeff(den.degree + 1) / den.leading()
     if not is_real(a) or a.real < 0:
         raise ValueError("not Herglotz: leading behavior not a nonnegative real slope")
-    data = NevanlinnaData(a.real, Q(ExactComplex(0, 1)).real, DiscreteMeasure(poles, ms))
+    data = NevanlinnaData(a.real, Q(I).real, DiscreteMeasure(poles, ms))
     if data.measure.is_exact and q_from_measure(data) != Q:
         raise ValueError("not Herglotz: representation does not reconstruct Q")
     return data
@@ -222,9 +222,8 @@ def measure_from_q(Q: RationalFunction) -> NevanlinnaData:
 
 def cayley_q_to_theta(Q: RationalFunction) -> RationalFunction:
     """Theta = (i - Q)/(i + Q)."""
-    i = ExactComplex(0, 1)
-    num = Q.den * i - Q.num
-    den = Q.den * i + Q.num
+    num = Q.den * I - Q.num
+    den = Q.den * I + Q.num
     if den.is_zero():
         raise ZeroDivisionError("degenerate Cayley transform: i + Q vanishes identically")
     return RationalFunction(num, den)
@@ -232,8 +231,7 @@ def cayley_q_to_theta(Q: RationalFunction) -> RationalFunction:
 
 def cayley_theta_to_q(theta: RationalFunction) -> RationalFunction:
     """Q = i (1 - Theta)/(1 + Theta)."""
-    i = ExactComplex(0, 1)
-    num = (theta.den - theta.num) * i
+    num = (theta.den - theta.num) * I
     den = theta.den + theta.num
     if den.is_zero():
         raise ZeroDivisionError("degenerate Cayley transform: 1 + Theta vanishes identically")
@@ -268,7 +266,7 @@ def theta_to_e(theta: RationalFunction) -> Polynomial:
     if c * c.conjugate() != 1:
         raise ValueError("not inner of HB form: constant not unimodular")
     if c == -1:
-        return den * ExactComplex(0, 1)
+        return den * I
     return den * (1 + c.conjugate()) / (1 + c.real)
 
 

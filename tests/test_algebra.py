@@ -132,7 +132,7 @@ def test_exact_coefficients_are_fractions_exactly_when_all_are_real(cs, z):
     assert p.is_real() == real
     assert all(type(c) is (Fraction if real else ExactComplex) for c in p.coeffs)
     # the values held as ExactComplex compare and hash alike, both ways round
-    held = tuple(ExactComplex.coerce(c) for c in p.coeffs)
+    held = tuple(ExactComplex(c.real, c.imag) for c in p.coeffs)
     assert p.coeffs == held and held == p.coeffs and hash(p) == hash(held)
     # float evaluation is Horner over complex(ExactComplex(c)), to the bit
     acc = 0j

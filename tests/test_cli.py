@@ -172,6 +172,15 @@ def test_cli_pd_check_reads_a_negative_end_in_any_float_notation(lo, hi):
     assert main(["pd-check", "--range", lo, hi, "--grid", "3"]) in (0, 1)
 
 
+@pytest.mark.parametrize("example, check", [("g0", "isometry-diagram-closure"),
+                                            ("pw", "laplace-transform-identity")])
+def test_cli_pipeline_takes_a_zero_tolerance(tmp_path, example, check):
+    out = tmp_path / f"{example}.json"
+    main(["pipeline", "--example", example, "--tol", "0", "--out", str(out)])
+    tolerances = {c["name"]: c["tolerance"] for c in json.loads(out.read_text())["checks"]}
+    assert tolerances[check] == 0.0
+
+
 def test_cli_pw_pipeline(tmp_path):
     out = tmp_path / "pw.json"
     assert main(["pw", "--r", "1", "--trunc", "100", "--tol", "1e-4", "--out", str(out)]) == 0

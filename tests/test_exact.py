@@ -163,6 +163,14 @@ def test_pi_scalar_arithmetic_by_value(x, y, t):
     norm = x * x.conjugate()
     assert norm.sqrt() * norm.sqrt() == norm
     assert cmath.isclose(complex(x * y), complex(x) * complex(y), rel_tol=1e-12)
+    # the scalar rule: a real value holds a Fraction, a nonreal one an ExactComplex
+    for v in (x, y, x * y, x + same, x.conjugate(), norm):
+        assert (type(v.coef) is Fraction) == v.is_real()
+    # a real coefficient given as an ExactComplex is the same value as its Fraction
+    a = x.coef.real
+    wrapped, plain = PiScalar(ExactComplex(a), x.root, x.pihalf), PiScalar(a, x.root, x.pihalf)
+    assert wrapped == plain and hash(wrapped) == hash(plain)
+    assert float(wrapped) == float(plain) and complex(wrapped) == complex(plain)
 
 
 def test_pi_scalar_surds_of_twenty_digit_primes():

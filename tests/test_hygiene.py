@@ -182,14 +182,17 @@ def test_guard_flags_a_euclid_loop():
 
 
 def _part_reads(tree: ast.Module) -> list[str]:
-    """Lines that read a .re or .im attribute, the rational parts of an ExactComplex.
+    """Lines that read .re, .im or .coef: the parts of an ExactComplex or a PiScalar.
 
     Real exact data are Fractions, which have no re or im, so code outside
     exact reads the protocol names real and imag, which Fraction,
-    ExactComplex and complex share.
+    ExactComplex and complex share.  A PiScalar's coef is a Fraction or an
+    ExactComplex by exact's scalar rule, so code outside exact reads the
+    value through the PiScalar's own methods.
     """
     return [f"line {n.lineno}: .{n.attr}" for n in sorted(
-        (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("re", "im")),
+        (n for n in ast.walk(tree)
+         if isinstance(n, ast.Attribute) and n.attr in ("re", "im", "coef")),
         key=lambda n: (n.lineno, n.col_offset))]
 
 
@@ -201,7 +204,7 @@ def test_no_part_reads_outside_exact(path):
 
 def test_guard_flags_a_part_read():
     tree = ast.parse("def f(c):\n    return c.real + c.re\nx = f(1).imag\ny = c.coef.im\n")
-    assert _part_reads(tree) == ["line 2: .re", "line 4: .im"]
+    assert _part_reads(tree) == ["line 2: .re", "line 4: .im", "line 4: .coef"]
 
 
 def test_traced_names_resolve():
