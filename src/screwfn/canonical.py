@@ -22,7 +22,7 @@ I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
 e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
 den*e, and all of them and den*e are divided by their gcd once per step.
 fundamental_solution, subspace_chain, solution_rows_affine and the peel all
-take this step, carrying only the rows they return.  The Weyl layer reads
+take this step, carrying only the rows they return.  weyl_transform reads
 the integer rows of solution_rows_affine too, through _affine_rows, and
 builds a segment's row Polynomials only where it integrates against them.
 A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
@@ -345,10 +345,6 @@ class Segment:
         t = math.atan2(math.sqrt(float(pc)), math.sqrt(float(pa)))
         return t if pb > 0 else math.pi - t
 
-    def matrix(self):
-        pa, pb, pc = self.proj
-        return [[pa, pb], [pb, pc]]
-
 
 class Hamiltonian:
     """Ordered list of indivisible segments with exact breakpoints."""
@@ -476,7 +472,8 @@ def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
     the (C, D) pair used by the worked example's Weyl transform; "top" gives
     (A, B), and any other row is a ValueError.  Only that row is carried, and
     the next R0 is R0 + L_k * R1.  These are the Polynomials of _affine_rows,
-    which the Weyl layer reads as integers.
+    which weyl_transform reads as integers; the Weyl layer's other maps
+    evaluate these.
     """
     if row not in ("top", "bottom"):
         raise ValueError(f"row must be 'top' or 'bottom', not {row!r}")

@@ -145,34 +145,26 @@ def string_solve(s: KreinString, lam, x, with_slopes: bool = False):
     """Solutions (phi, psi) of the string equation at position x.
 
     phi(0) = 1, phi'(0-) = 0; psi(0) = 0, psi'(0-) = 1; each point mass m at
-    position p kicks the slope by -lam * m * y(p).  With lam=None the values
-    are returned as exact polynomials in the spectral variable.
+    position p kicks the slope by -lam * m * y(p).  The values and slopes
+    are built as exact polynomials in the spectral variable, returned as
+    they are for lam=None and evaluated at lam otherwise.
     """
-    symbolic = lam is None
     x = Fraction(x) if not isinstance(x, Fraction) else x
-    if x < 0:
-        zero = Polynomial.zero() if symbolic else 0.0
-        return (zero, zero, zero, zero) if with_slopes else (zero, zero)
-
-    if symbolic:
-        lam_poly = Polynomial.x()
-        one, zero = Polynomial.one(), Polynomial.zero()
-    else:
-        lam_poly = complex(lam)
-        one, zero = 1.0 + 0j, 0j
-    states = {"phi": [one, zero], "psi": [zero, one]}
-    cur = Fraction(0)
-    for pos, m in s.masses:
-        if pos > x:
-            break
-        for st in states.values():
-            st[0] = st[0] + st[1] * (pos - cur)
-            st[1] = st[1] - lam_poly * st[0] * m
-        cur = pos
-    vals = []
-    for st in states.values():
-        vals.append(st[0] + st[1] * (x - cur))
-        vals.append(st[1])
+    lam_poly, one, zero = Polynomial.x(), Polynomial.one(), Polynomial.zero()
+    vals = [zero] * 4
+    if x >= 0:
+        states = {"phi": [one, zero], "psi": [zero, one]}
+        cur = Fraction(0)
+        for pos, m in s.masses:
+            if pos > x:
+                break
+            for st in states.values():
+                st[0] = st[0] + st[1] * (pos - cur)
+                st[1] = st[1] - lam_poly * st[0] * m
+            cur = pos
+        vals = [v for st in states.values() for v in (st[0] + st[1] * (x - cur), st[1])]
+    if lam is not None:
+        vals = [v(lam) for v in vals]
     phi_v, phi_s, psi_v, psi_s = vals
     if with_slopes:
         return phi_v, phi_s, psi_v, psi_s

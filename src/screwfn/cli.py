@@ -393,6 +393,14 @@ def _input_error(msg: str) -> int:
     return EXIT_INPUT
 
 
+def _run_pw(args, tol: float) -> int:
+    try:
+        report = run_pw_pipeline(r=args.r, trunc=args.trunc, tol=tol, seed=args.seed)
+    except ValueError as exc:  # PWFrame rejects r and trunc before any check runs
+        return _input_error(str(exc))
+    return _emit(report, args.out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="screwfn", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
@@ -435,8 +443,7 @@ def main(argv=None) -> int:
         if args.example == "g0":
             report = run_g0_pipeline(seed=args.seed, tol=1e-6 if args.tol is None else args.tol)
         elif args.example == "pw":
-            report = run_pw_pipeline(r=args.r, trunc=args.trunc,
-                                     tol=1e-4 if args.tol is None else args.tol, seed=args.seed)
+            return _run_pw(args, 1e-4 if args.tol is None else args.tol)
         else:
             return _input_error(f"unknown example {args.example!r}; choose g0 or pw")
         return _emit(report, args.out)
@@ -445,7 +452,7 @@ def main(argv=None) -> int:
         obj = _load_json(args.input)
         try:
             W = ser.matrix_from_json(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             return _input_error(f"bad transfer-matrix JSON: {exc}")
         try:
             H = factorize(W)
@@ -459,10 +466,12 @@ def main(argv=None) -> int:
         obj = _load_json(args.input)
         try:
             q = ser.ratfun_from_json(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             return _input_error(f"bad rational-function JSON: {exc}")
         try:
             s = stieltjes_string(q)
+        except TypeError as exc:  # float coefficients: the Euclid is exact
+            return _input_error(str(exc))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
@@ -477,7 +486,7 @@ def main(argv=None) -> int:
             obj = _load_json(args.tau)
             try:
                 tau = ser.measure_from_json(obj)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 return _input_error(f"bad measure JSON: {exc}")
             data = ScrewFunctionData(Fraction(0), Fraction(0), tau)
         else:
@@ -490,8 +499,7 @@ def main(argv=None) -> int:
         return EXIT_PASS if out.passed else EXIT_FAIL
 
     if args.command == "pw":
-        report = run_pw_pipeline(r=args.r, trunc=args.trunc, tol=args.tol, seed=args.seed)
-        return _emit(report, args.out)
+        return _run_pw(args, args.tol)
 
     return _input_error("no command")
 

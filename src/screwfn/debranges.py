@@ -15,13 +15,14 @@ reason.
 Inner products, moments, the orthogonal polynomials and the eigenbases of
 the self-adjoint extensions of multiplication by z each have one code path,
 written against the numeric protocol of ``exact``.  The scalar type follows
-``HermiteBiehlerFrame.weights``: exact (pi-graded surds) when the level-set
-measure is exact, floating point otherwise.  The moment table runs the
-discretized Stieltjes procedure (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004) on the weights.  Its monic p_k and
-h_k = <p_k, p_k> give hankel[k] = h_0 ... h_k, the orthonormal basis
-p_k / sqrt(h_k) and the Christoffel-Darboux kernel (Szego, *Orthogonal
-Polynomials*) sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
+``HermiteBiehlerFrame.weights``, point by point as in ``level_set_masses``:
+exact (pi-graded surds) at a rational level point, floating point at an
+irrational one.  The moment table runs the discretized Stieltjes procedure
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004)
+on the weights.  Its monic p_k and h_k = <p_k, p_k> give
+hankel[k] = h_0 ... h_k, the orthonormal basis p_k / sqrt(h_k) and the
+Christoffel-Darboux kernel (Szego, *Orthogonal Polynomials*)
+sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
 
 A frame builds its sampling weights, its moment table and its pi/2
 eigenbasis once, on first use, and keeps them; every reader gets the same
@@ -85,17 +86,13 @@ class HermiteBiehlerFrame:
 
     @cached_property
     def weights(self) -> tuple:
-        """(point, mu(g)/|E(g)|^2) pairs; the only place that picks the scalar type.
+        """(point, mu(g)/|E(g)|^2) pairs, de Branges' sampling weights.
 
-        Exact (Fraction point, PiScalar weight) when the level-set measure is
-        exact, floats otherwise.
+        A(g) = 0 on the level set, so |E(g)|^2 = B(g)^2 there, and each
+        weight takes the scalar type of its point and mass: a PiScalar at a
+        Fraction point, a float at a float point.
         """
-        if self.mu.is_exact:
-            return tuple((g, m / self.E(g).abs2()) for g, m in self.mu)
-        return tuple(
-            (g, m / abs(self.E(g)) ** 2)
-            for g, m in zip(self.mu.float_points(), self.mu.float_masses())
-        )
+        return tuple((g, m / abs(self.B(g)) ** 2) for g, m in self.mu)
 
     @cached_property
     def moment_table(self) -> "MomentTable":

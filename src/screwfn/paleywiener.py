@@ -57,14 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PWFrame:
-    """Bandwidth r > 0 and lattice truncation order N >= 1."""
+    """Finite bandwidth r > 0 and lattice truncation order N >= 1."""
 
     r: float
     N: int
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("bandwidth r must be positive")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ValueError("bandwidth r must be positive and finite")
         if self.N < 1:
             raise ValueError("truncation order must be >= 1")
 

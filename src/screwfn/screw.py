@@ -55,21 +55,14 @@ count for which omega h <= 6, where omega = max|gamma| + |z| and h = T/P.
 g is evaluated once, on all the nodes.  Its docstring gives the error
 bound: below 2e-18 of the integrand's size near a panel.
 
-eval_screw has two evaluation paths, and both return, bit for bit, what
-the plain numpy expression of the sum above returns: the per-atom loop that
+eval_screw has one evaluation path, and it returns, bit for bit, what the
+plain numpy expression of the sum above returns: the per-atom loop that
 tests/test_screw.py keeps as its reference.  Each term is formed by the same
 IEEE operations in the same order, and the terms are added in atom order.
-
-- A scalar t takes a Python complex path with cmath.exp, which costs a
-  microsecond or so per atom instead of a numpy call per operation.  numpy
-  divides a complex by a real c as a product with 1/c (Smith's algorithm
-  with a zero imaginary part), while Python's complex division divides.
-  The path therefore writes its two divisions as products with 1.0/gamma^2
-  and 1.0/(gamma (1 + gamma^2)).  A complex product with a real factor
-  rounds the same in both, since the cross products are exact zeros.
-- An array t is flattened and evaluated _BLOCK = 8192 points at a time
-  into one preallocated output, so each complex temporary (128 KB) stays
-  in cache.  The temporaries of one block are reused for every atom.
+t is flattened and evaluated _BLOCK = 8192 points at a time into one
+preallocated output, so each complex temporary (128 KB) stays in cache.
+The temporaries of one block are reused for every atom.  A scalar t is a
+one-point block, and its value comes back as a Python complex.
 
 Where -gamma and +gamma are both atoms, the later one takes the conjugate
 of the earlier one's exp(i gamma t) instead of a second complex exp, the
@@ -88,7 +81,6 @@ while measure-side sums are exact up to the same sampling error.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -184,33 +176,13 @@ def eval_screw(g: ScrewFunctionData, t):
     """Evaluate g at t (scalar or ndarray); complex valued.
 
     A scalar t (Python float, numpy scalar or 0-d array) gives a Python
-    complex from the scalar path; anything else gives an array of t's shape
-    from the blocked array path.  Both are described in the module docstring.
+    complex, anything else an array of t's shape, both from the blocked
+    path of the module docstring.
     """
-    if np.ndim(t) == 0:
-        return _eval_scalar(g, float(t))
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape, dtype=complex)
     _eval_blocks(g, t.reshape(-1), out.reshape(-1))
-    return out
-
-
-def _eval_scalar(g: ScrewFunctionData, t: float) -> complex:
-    """g(t) in Python complex arithmetic, with numpy's rounding (module docstring)."""
-    out = complex(float(g.g0)) + 1j * float(g.c) * t
-    it, mirrors, kept = 1j * t, g.mirror_pairs, {}
-    for k, (gamma, mass) in enumerate(g.float_atoms):
-        if gamma == 0.0:
-            out -= mass * t * t / 2.0
-            continue
-        if k in mirrors:
-            e = kept.pop(mirrors[k]).conjugate()
-        else:
-            e = kept[k] = cmath.exp(it * gamma)
-        out += mass * (
-            (e - 1.0) * (1.0 / gamma**2) - it * (1.0 / (gamma * (1.0 + gamma**2)))
-        )
-    return out
+    return out if out.ndim else complex(out)
 
 
 def _eval_blocks(g: ScrewFunctionData, t: np.ndarray, out: np.ndarray) -> None:
@@ -247,17 +219,15 @@ def _eval_blocks(g: ScrewFunctionData, t: np.ndarray, out: np.ndarray) -> None:
 def kernel_g(g: ScrewFunctionData, t, s):
     """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting.
 
-    An array kernel evaluates g once per distinct lag t - s and fills the
-    result from those values by searchsorted, _BLOCK entries at a time
-    (module docstring).  The n x n kernel allocates its result, t - s and
+    The kernel evaluates g once per distinct lag t - s and fills the result
+    from those values by searchsorted, _BLOCK entries at a time (module
+    docstring); scalar t and s give a Python complex.  The n x n kernel allocates its result, t - s and
     np.unique's sorted copy of it, and nothing else of that size: g(t) and
     g(-s) are subtracted and g(0) added in place.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     lag = t - s
-    if not lag.ndim:
-        return eval_screw(g, lag) - eval_screw(g, t) - eval_screw(g, -s) + complex(float(g.g0))
     lags = np.unique(lag)
     at_lags = eval_screw(g, lags)
     val = np.empty(lag.shape, dtype=complex)
@@ -267,7 +237,7 @@ def kernel_g(g: ScrewFunctionData, t, s):
     val -= eval_screw(g, t)
     val -= eval_screw(g, -s)
     val += complex(float(g.g0))
-    return val
+    return val if val.ndim else complex(val)
 
 
 def chord_length(g: ScrewFunctionData, t: float) -> float:
@@ -352,14 +322,6 @@ class TestFunction:
 
     def __setattr__(self, *a):
         raise AttributeError("TestFunction is immutable")
-
-    @staticmethod
-    def from_callable(f, support, n: int = 2049) -> "TestFunction":
-        lo, hi = float(support[0]), float(support[1])
-        ts = np.linspace(lo, hi, n)
-        vals = np.asarray([f(t) for t in ts], dtype=complex)
-        vals[0] = vals[-1] = 0.0
-        return TestFunction(vals, support)
 
     def quad(self, values: np.ndarray) -> complex:
         return complex(np.sum(self._weights * values))

@@ -12,10 +12,10 @@ and is evaluated exactly: on each segment the row is affine in t with
 matrix-polynomial coefficients, so the integral is a finite moment sum.
 The kernel identity of that row makes W unitary onto the de Branges space.
 The sum adds the row Polynomials of each segment where F is not zero, from
-the integer rows of canonical's chain.  The row values at a level point
-that L0_map, inverse_weyl and StepVector.from_row_values take are read off
-those integer rows by Horner: Fractions at a rational point, and at a float
-point the values of the Polynomial rows to the bit, signed zeros included.
+the integer rows of canonical's chain.  L0_map, inverse_weyl and
+StepVector.from_row_values take the row values at a level point from the
+Polynomials of canonical.solution_rows_affine, built once per call:
+Fractions at a rational point, complex numbers at a float point.
 inverse_weyl reads the rows only at the level points where F is not zero,
 so the pi/2 eigenvector F_x is read at x alone.
 
@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Polynomial, sharp
-from .canonical import Hamiltonian, _affine_rows, _polys
+from .canonical import Hamiltonian, _affine_rows, _polys, solution_rows_affine
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import PiScalar, PI
 from .screw import (
@@ -126,7 +126,7 @@ class StepVector:
     @staticmethod
     def from_row_values(H: Hamiltonian, gamma, scale=1) -> "StepVector":
         """scale * [C(t, gamma); D(t, gamma)] as a step vector."""
-        return _step_from_rows(H, _affine_rows(H), gamma, scale)
+        return _step_from_rows(H, solution_rows_affine(H), gamma, scale)
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -158,33 +158,12 @@ def _check_on(H: Hamiltonian, F: StepVector) -> None:
         raise ValueError("step vectors live on different Hamiltonians")
 
 
-def _row_value(ints: list[int], den: int, z):
-    """Polynomial([Fraction(c, den) for c in ints])(z), read off the integers.
-
-    A rational z gives a Fraction.  At a float z, Horner adds complex(c / den),
-    the correctly rounded value that complex(Fraction(c, den)) also gives, so
-    the two agree to the bit.
-    """
-    if isinstance(z, (float, complex)):
-        zc, acc = complex(z), 0j
-        for c in reversed(ints):
-            acc = acc * zc + complex(c / den)
-        return acc
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * z + c
-    return Fraction(acc, den) if isinstance(acc, int) else acc / den
-
-
 def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
-    """scale * rows(t, gamma) as a step vector, for rows from canonical._affine_rows(H)."""
-    def at(ints, den):
-        return _row_value(ints, den, gamma) * scale
-
-    comps = []
-    for r0, den0, r1, den1 in rows:
-        comps.append(tuple(Polynomial([at(r0[k], den0), at(r1[k], den1)]) for k in (0, 1)))
-    return StepVector(H, comps)
+    """scale * rows(t, gamma) as a step vector, for rows = canonical.solution_rows_affine(H)."""
+    return StepVector(H, [
+        tuple(Polynomial([R0[k](gamma) * scale, R1[k](gamma) * scale]) for k in (0, 1))
+        for R0, R1 in rows
+    ])
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
@@ -237,7 +216,7 @@ def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> S
     """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] w(g), w = mu/|E|^2 from frame.weights."""
     if F.degree >= frame.dim:
         raise ValueError("not a member of H(E)")
-    rows = list(_affine_rows(H))
+    rows = solution_rows_affine(H)
     total = StepVector.zero(H)
     for g, w in frame.weights:
         Fg = F(g)
@@ -310,7 +289,7 @@ def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> Ste
 
     with w = mu/|E|^2 the sampling weight: inverse_weyl of E * phat(phi).
     """
-    rows = list(_affine_rows(H))
+    rows = solution_rows_affine(H)
     total = StepVector.zero(H)
     for (g, m, F), (_, w) in zip(_model_basis(frame), frame.weights):
         Fg = complex(F(complex(g)))

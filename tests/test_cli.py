@@ -145,6 +145,32 @@ def test_cli_malformed_json_is_input_error(tmp_path):
     assert exc.value.code == 2
 
 
+def _coeffs(*cs):
+    return {"coeffs": [[c, "0"] for c in cs]}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("factorize", {"entries": [[_coeffs("1/0"), _coeffs()], [_coeffs(), _coeffs("1")]]}),
+    ("string", {"num": _coeffs("1/0"), "den": _coeffs("1")}),
+    ("string", {"num": _coeffs("1"), "den": _coeffs()}),
+    ("string", {"num": {"coeffs": [[-1.0, 0.0]]}, "den": {"coeffs": [[1.0, 0.0], [-1.0, 0.0]]}}),
+    ("pd-check --tau", {"points": ["1/0"], "masses": ["1"]}),
+], ids=["factorize-p/0", "string-p/0", "string-zero-denominator", "string-float", "pd-check-p/0"])
+def test_cli_bad_json_values_are_input_errors(tmp_path, capsys, command, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert main([*command.split(), str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["pipeline", "--example", "pw"], ["pw"]], ids=["pipeline", "pw"])
+@pytest.mark.parametrize("args", [["--r", "0"], ["--r", "-1"], ["--r", "inf"], ["--trunc", "0"]],
+                         ids=["r0", "r-1", "r-inf", "trunc0"])
+def test_cli_bad_paley_wiener_arguments_are_input_errors(capsys, command, args):
+    assert main([*command, *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_unknown_example_is_input_error():
     assert main(["pipeline", "--example", "zeta"]) == 2
 

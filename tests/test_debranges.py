@@ -430,6 +430,20 @@ def test_one_path_serves_exact_and_float_frames(E):
         assert _close(_coeffs(F, n), _coeffs(F_f, n))
 
 
+def test_weights_take_the_scalar_type_of_each_level_point():
+    # A = z^3 - 2z vanishes at 0 and +-sqrt 2, where B = 1 - z^2 is 1 and -1: E is Hermite-Biehler
+    mixed = HermiteBiehlerFrame.from_e(Polynomial([0, -2, 0, 1]) - Polynomial([1, 0, -1]) * I)
+    assert [type(w) for _, w in mixed.weights] == [float, PiScalar, float]
+    assert mixed.weights[1] == (0, PI / 2)
+    mu = DiscreteMeasure(mixed.mu.float_points(), mixed.mu.float_masses())
+    floating = HermiteBiehlerFrame(mixed.E, mixed.A, mixed.B, mu)
+    assert all(type(w) is float for _, w in floating.weights)
+    mt, mt_f = moments(mixed), moments(floating)
+    assert _close(mt.moments, mt_f.moments)
+    for h, h_f in zip(mt.hankel, mt_f.hankel, strict=True):
+        assert _close([h], [h_f])
+
+
 def _bareiss_det(M: list[list[Fraction]]) -> Fraction:
     """Fraction-free (Bareiss) determinant, without pivoting: every leading minor is nonzero."""
     M = [row[:] for row in M]

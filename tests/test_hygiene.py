@@ -3,14 +3,16 @@
 Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
-package, no while loop outside ``algebra`` runs a Euclid of its own, no
-module but ``exact`` reads the ``re`` or ``im`` of a scalar, every name the
-benchmark's tracer wraps exists, and importing the command line and every
-module of the package loads no scipy.
+package, every def or class of the package is named in the package, its
+tests or the benchmark, no while loop outside ``algebra`` runs a Euclid of
+its own, no module but ``exact`` reads the ``re`` or ``im`` of a scalar,
+every name the benchmark's tracer wraps exists, and importing the command
+line and every module of the package loads no scipy.
 """
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +148,47 @@ def test_guard_flags_a_dead_definition():
     )
     b = ast.parse("from .a import _TOL\n")
     assert _dead_definitions({"a.py": a, "b.py": b}) == ["DEAD", "_unused"]
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """_loaded_names, and the parts of string literals that are dotted names.
+
+    The benchmark's tracer names what it wraps in strings such as
+    "StepVector.from_row_values"; a docstring is prose and names nothing.
+    """
+    strings = (n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    dotted = (s.split(".") for s in strings if re.fullmatch(r"[A-Za-z_][\w.]*", s))
+    return _loaded_names(tree).union(*dotted)
+
+
+def _unreferenced_definitions(defining: dict[str, ast.Module], reading: list[ast.Module]) -> list[str]:
+    """"file name" for every non-dunder def or class, at any depth, that no module names."""
+    named = set().union(*(_named(t) for t in reading))
+    return [
+        f"{file} {n.name}"
+        for file, tree in defining.items()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and n.name not in named
+    ]
+
+
+def test_no_unreferenced_definitions():
+    # a def is named by its callers, never by its own definition, which ast keeps apart
+    defining = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    readers = [*SOURCES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert _unreferenced_definitions(defining, [ast.parse(p.read_text()) for p in readers]) == []
+
+
+def test_guard_flags_an_unreferenced_definition():
+    a = ast.parse(
+        "class C:\n    def used(self):\n        pass\n    def unused(self):\n        pass\n"
+        "    def __eq__(self, o):\n        pass\n"
+        "def traced():\n    def inner():\n        pass\n    return C().used()\n"
+    )
+    b = ast.parse('"""unused is named in a docstring only."""\nTRACED = ("C.traced",)\n')
+    assert _unreferenced_definitions({"a.py": a}, [a, b]) == ["a.py unused", "a.py inner"]
 
 
 def _euclid_loops(tree: ast.Module) -> list[str]:

@@ -294,3 +294,5 @@ def test_frame_validation():
         PWFrame(-1.0, 5)
     with pytest.raises(ValueError):
         PWFrame(1.0, 0)
+    with pytest.raises(ValueError, match="finite"):
+        PWFrame(math.inf, 5)

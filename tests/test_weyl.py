@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -45,7 +44,6 @@ from screwfn.weyl import (
     screw_line_S,
     weyl_transform,
 )
-from screwfn.weyl import _row_value
 
 FR = e0_frame()
 H0 = factorize(w0_matrix())
@@ -443,25 +441,6 @@ def _direction(seg):
 
 
 FLOATS = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-2, 2))  # signed zeros often
-RATIONALS = st.fractions(-3, 3, max_denominator=5)
-# 70-bit integers with every bit random, so c / den and float(c) / den often round apart
-WIDE = st.integers(0, 2**32).map(lambda k: random.Random(k).getrandbits(69) | 2**69)
-INTEGER_ROWS = st.lists(st.one_of(st.integers(-3, 3), WIDE, WIDE.map(lambda c: -c)), max_size=5).map(
-    lambda u: u[:max((k + 1 for k, c in enumerate(u) if c), default=0)])  # no trailing zero
-DENOMINATORS = st.one_of(st.integers(1, 6), WIDE)
-
-
-@settings(max_examples=300)
-@given(INTEGER_ROWS, DENOMINATORS, st.one_of(
-    FLOATS, st.builds(complex, FLOATS, FLOATS), RATIONALS, st.integers(-3, 3),
-    st.builds(ExactComplex, RATIONALS, RATIONALS)))
-def test_row_value_is_polynomial_evaluation(ints, den, z):
-    got, want = _row_value(ints, den, z), Polynomial([Fraction(c, den) for c in ints])(z)
-    assert got == want
-    if isinstance(z, (float, complex)) or (ints and isinstance(z, ExactComplex)):
-        assert repr(got) == repr(want)  # at a float z to the bit, signed zeros included
-    else:
-        assert type(got) is Fraction  # at a rational z, and the zero row at any exact z
 
 
 @st.composite
