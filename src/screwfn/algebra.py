@@ -106,8 +106,8 @@ class Polynomial:
         return Polynomial((0, 1))
 
     @staticmethod
-    def monomial(k: int, coeff=1) -> "Polynomial":
-        return Polynomial((0,) * k + (coeff,))
+    def monomial(k: int) -> "Polynomial":
+        return Polynomial((0,) * k + (1,))
 
     # -- basic structure -----------------------------------------------------
 

@@ -28,9 +28,8 @@ builds a segment's row Polynomials only where it integrates against them.
 A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
 built from the rows hold, coefficient for coefficient, the Fractions that
 the products of the segment factors in Fraction arithmetic would.  The peel
-converts W once, and checks det W = 1 as the integer identity
-a*d - b*c = den^2.  Its linear system for the factor goes to solve_exact,
-which eliminates in integers.
+converts W once, checks det W = 1 as the integer identity a*d - b*c = den^2,
+and reads each factor in closed form off the top two coefficients of one row.
 """
 from __future__ import annotations
 
@@ -39,11 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import MatrixPolynomial, Polynomial, _signed_remainders, solve_exact
+from .algebra import MatrixPolynomial, Polynomial, _signed_remainders
 from .exact import ExactComplex
 
 __all__ = [
-    "TransferMatrix",
     "ElementaryFactor",
     "Segment",
     "Hamiltonian",
@@ -54,7 +52,6 @@ __all__ = [
     "factorize",
     "fundamental_solution",
     "solution_rows_affine",
-    "regular_points",
     "subspace_chain",
     "ChainEntry",
     "w0_matrix",
@@ -173,33 +170,24 @@ def _peel(rows, den: int):
     """Strip the rightmost elementary factor off integer rows.
 
     Returns (rows of V, its denominator, M) with W = V (I - zMJ), deg V = deg W - 1.
+    For W of degree r, (a, b) and (c, d) are the z^r and z^(r-1) coefficients of
+    its first row with (a, b) != 0, and M = (b^2, -ab, a^2)/s, s = bc - ad (Potapov;
+    de Branges 1968).  V = W (I + zMJ) has z^(r+1) coefficient W_r MJ and z^r
+    coefficient W_r + W_(r-1) MJ.  On that row the first vanishes only for
+    M = t u u^T, u = (b, -a), and then the second only for t = 1/s, so s = 0
+    leaves no factor.  The check deg V = r - 1 certifies the other row.
     """
     r = _degree(rows)
     if r < 1:
         raise ValueError("nothing to peel: degree must be >= 1")
-    # both coefficient matrices carry the factor den, which the equations cancel
-    Wr = [[_coeff(u, r) for u in row] for row in rows]
-    Wr1 = [[_coeff(u, r - 1) for u in row] for row in rows]
-    # unknowns (alpha, beta, gamma) through X = MJ = [[beta,-alpha],[gamma,-beta]]
-    eqs, rhs = [], []
-    for i in range(2):
-        # (Wk * X)[i][0] = Wk[i][0]*beta + Wk[i][1]*gamma
-        # (Wk * X)[i][1] = -Wk[i][0]*alpha - Wk[i][1]*beta
-        eqs.append([0, Wr1[i][0], Wr1[i][1]])
-        rhs.append(-Wr[i][0])
-        eqs.append([-Wr1[i][0], -Wr1[i][1], 0])
-        rhs.append(-Wr[i][1])
-        eqs.append([0, Wr[i][0], Wr[i][1]])
-        rhs.append(0)
-        eqs.append([-Wr[i][0], -Wr[i][1], 0])
-        rhs.append(0)
-    sol, status = solve_exact(eqs, rhs)
-    if status == "inconsistent":
+    # the coefficients carry the factor den, which the ratio M = (b^2, -ab, a^2)/s cancels
+    p, q = next(row for row in rows if _coeff(row[0], r) or _coeff(row[1], r))
+    a, b, c, d = _coeff(p, r), _coeff(q, r), _coeff(p, r - 1), _coeff(q, r - 1)
+    s = b * c - a * d
+    if s == 0:
         raise ValueError("not factorable: matrix is not of canonical-product form")
-    if status == "underdetermined":
-        raise ValueError("not factorable: ambiguous elementary factor")
     try:
-        M = ElementaryFactor(*sol)
+        M = ElementaryFactor(Fraction(b * b, s), Fraction(-a * b, s), Fraction(a * a, s))
     except ValueError as exc:
         raise ValueError(f"not factorable: {exc}") from exc
     rows, den = _step(rows, den, M.matrix_j())  # V = W (I + zMJ)
@@ -236,20 +224,6 @@ def validate_transfer(W: MatrixPolynomial) -> ValidationReport:
     except ValueError as exc:
         return ValidationReport(False, (str(exc),))
     return ValidationReport(True, ())
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A validated J-inner matrix polynomial."""
-
-    W: MatrixPolynomial
-
-    @staticmethod
-    def from_matrix(W: MatrixPolynomial) -> "TransferMatrix":
-        report = validate_transfer(W)
-        if not report.ok:
-            raise ValueError("not a transfer matrix: " + "; ".join(report.failures))
-        return TransferMatrix(W)
 
 
 def bezout_complete(
@@ -413,23 +387,15 @@ def factorize(W: MatrixPolynomial) -> Hamiltonian:
     return Hamiltonian(segments)
 
 
-def _as_time(t) -> Fraction:
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, int):
-        return Fraction(t)
-    if isinstance(t, float):
-        return Fraction(t)
-    raise TypeError(f"unsupported time value {t!r}")
-
-
 def fundamental_solution(H: Hamiltonian, t, z=None):
     """W(t, z) with W(0, z) = I; symbolic in z when z is None.
 
     Piecewise product of the segment factors, one segment step each on both
     integer rows; exact matrix polynomial for exact t, coefficient-wise.
     """
-    tf = _as_time(t)
+    if not isinstance(t, (Fraction, int, float)):
+        raise TypeError(f"unsupported time value {t!r}")
+    tf = Fraction(t)
     if not 0 <= tf <= H.total_length:
         raise ValueError(f"t={t} outside [0, {H.total_length}]")
     rows, den = [([1], []), ([], [1])], 1
@@ -478,11 +444,6 @@ def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
     if row not in ("top", "bottom"):
         raise ValueError(f"row must be 'top' or 'bottom', not {row!r}")
     return [(_polys(r0, den0), _polys(r1, den1)) for r0, den0, r1, den1 in _affine_rows(H, row)]
-
-
-def regular_points(H: Hamiltonian) -> list[Fraction]:
-    """Segment breakpoints: the points not interior to an indivisible interval."""
-    return list(H.breakpoints)
 
 
 @dataclass(frozen=True)

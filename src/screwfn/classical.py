@@ -239,7 +239,7 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
     """Density of the law with characteristic function exp of the triplet exponent.
 
     The law is N(b - sum nu(g) g/(1 + g^2), a) plus sum g N_g, N_g ~ Poisson(nu(g)),
-    on the lattice (1/d)Z of the points' common denominator d: np.convolve
+    on the lattice (1/d)Z of the rational points' common denominator d: np.convolve
     combines the pmfs, and one Gaussian sum over the lattice follows.  Each
     pmf runs to K (a tail below 1e-15 for K >= 40 at nu(g) <= 1) and on, past
     2 nu(g) where each term is under half the last, until they fall below 1e-17.
@@ -247,7 +247,9 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
     a = float(t.a)
     if a <= 0:
         raise ValueError("density requires positive gaussian variance")
-    d = math.lcm(*(Fraction(p).denominator for p in t.nu.points))
+    if not all(isinstance(p, Fraction) for p in t.nu.points):
+        raise TypeError("density requires rational jump points")
+    d = math.lcm(*(p.denominator for p in t.nu.points))
     pmf, lo = np.ones(1), 0  # pmf[j] is the mass at (lo + j)/d
     for p, m in t.nu:
         lam, step = float(m), int(p * d)
@@ -269,8 +271,8 @@ def idd_density(t: LevyTriplet, x, K: int = 40):
     return out if out.shape else float(out)
 
 
-def _law_range(g: ScrewFunctionData, eps: float = 1e-13) -> float:
-    """|mean| + x, x >= 12, with Bennett's bound on P(|X - mean| >= x) below eps.
+def _law_range(g: ScrewFunctionData) -> float:
+    """|mean| + x, x >= 12, with Bennett's bound on P(|X - mean| >= x) below 1e-13.
 
     X is the law with characteristic function exp g: a Gaussian of variance
     a plus jumps of size at most M = max|gamma|, with mean c + sum m gamma/(1
@@ -291,13 +293,13 @@ def _law_range(g: ScrewFunctionData, eps: float = 1e-13) -> float:
         return -(v / M**2) * ((1.0 + u) * math.log1p(u) - u)
 
     x = 12.0
-    while v > 0 and math.log(2.0) + log_tail(x) > math.log(eps):
+    while v > 0 and math.log(2.0) + log_tail(x) > math.log(1e-13):
         x *= 1.25
     return abs(mean) + x
 
 
-def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
-                     x_range: float | None = None, n: int = 4097) -> list[float]:
+def idd_charfn_check(g: ScrewFunctionData, t_points, x_range: float | None = None,
+                     n: int = 4097) -> list[float]:
     """|charfn of the density - exp(g(t))| at each requested t.
 
     The density is integrated by Simpson over [-x_range, x_range], by
@@ -307,7 +309,7 @@ def idd_charfn_check(g: ScrewFunctionData, t_points, K: int = 40,
     if x_range is None:
         x_range = _law_range(g)
     xs = np.linspace(-x_range, x_range, n)
-    dens = idd_density(trip, xs, K=K)
+    dens = idd_density(trip, xs)
     w = _simpson_weights(n, xs[1] - xs[0])
     out = []
     for t in t_points:
@@ -365,7 +367,7 @@ def _kernel_and_convolution(g: ScrewFunctionData):
             lambda t: hermite.hermval(t, hf) * np.exp(-(t**2)))
 
 
-def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanPeriodicReport:
+def mean_periodic_checks(g: ScrewFunctionData | None = None) -> MeanPeriodicReport:
     """Annihilation, the one-sided convolution and the Fourier-Carleman quotient
     of g, the three-point screw function by default, on an exact measure.
 
@@ -373,11 +375,11 @@ def mean_periodic_checks(g: ScrewFunctionData | None = None, grid=None) -> MeanP
     each residual the largest |coefficient| of what must vanish (K mod z^3 and mod
     each z + gamma; z^2 N D + i Num K): 0.0 exactly when the identity holds.  The one
     float check compares the closed one-sided convolution with Simpson on [-a, t] at
-    each grid point, in units of max(1, max |one_sided| on the grid); a grows with
+    25 points t of [-3, 3], in units of max(1, max |one_sided| there); a grows with
     deg P and is never below 7.
     """
     g = g if g is not None else g0_data()
-    ts = np.asarray(grid if grid is not None else np.linspace(-3.0, 3.0, 25), dtype=float)
+    ts = np.linspace(-3.0, 3.0, 25)
     c, h, phi, one_sided = _kernel_and_convolution(g)
     K = Polynomial([ck * I**k for k, ck in enumerate(c)])
     N = Polynomial([hk * I**k for k, hk in enumerate(h)])

@@ -99,29 +99,18 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def add(self, name: str, provenance: str, residual: float, tolerance: float,
-            message: str = "") -> None:
-        status = "pass" if residual <= tolerance else "fail"
-        self.checks.append(Check(name, status, float(residual), float(tolerance),
-                                 provenance, message))
-
-    def add_exact(self, name: str, provenance: str, ok: bool, message: str = "") -> None:
-        self.checks.append(
-            Check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, 0.0, provenance, message)
-        )
-
     def run(self, name: str, provenance: str, fn) -> None:
-        """Run fn() -> (residual, tolerance) | bool, recording errors as failures."""
+        """Run fn() -> (residual, tolerance) | bool, recording errors as failures.
+
+        A bool is exact: residual 0.0 or 1.0, tolerance 0.0."""
         try:
             out = fn()
         except Exception as exc:  # deliberate: report instead of crash
             self.checks.append(Check(name, "fail", math.inf, 0.0, provenance, str(exc)))
             return
-        if isinstance(out, bool):
-            self.add_exact(name, provenance, out)
-        else:
-            residual, tolerance = out
-            self.add(name, provenance, residual, tolerance)
+        residual, tolerance = (0.0 if out else 1.0, 0.0) if isinstance(out, bool) else out
+        status = "pass" if residual <= tolerance else "fail"
+        self.checks.append(Check(name, status, float(residual), float(tolerance), provenance))
 
     def to_json(self) -> dict:
         return {"checks": [asdict(c) for c in self.checks],
@@ -341,7 +330,7 @@ def run_pw_pipeline(r: float = 1.0, trunc: int = 100, tol: float = 1e-4,
     rep.run("tan-partial-fraction-rate", "lattice-series-truncation", tan_convergence)
 
     def laplace():
-        return g_r_laplace_check(PWFrame(r, max(trunc, 2000)), 2j, T=100.0), tol
+        return g_r_laplace_check(PWFrame(r, max(trunc, 2000)), 2j), tol
 
     rep.run("laplace-transform-identity", "tan-spectral-function", laplace)
 

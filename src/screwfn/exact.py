@@ -261,10 +261,6 @@ class PiScalar:
             return PiScalar(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to PiScalar")
 
-    @staticmethod
-    def pi(power: int = 1) -> "PiScalar":
-        return PiScalar(1, 1, 2 * power)
-
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -445,5 +441,5 @@ def is_real(x) -> bool:
     return abs(x.imag) <= _REAL_TOL
 
 
-PI = PiScalar.pi()
+PI = PiScalar(1, 1, 2)
 I = ExactComplex(0, 1)

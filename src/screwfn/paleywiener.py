@@ -186,9 +186,10 @@ def pw_fundamental(r: float, t: float, z: complex) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def pw_ode_residual(r: float, t: float, z: complex, h: float = 1e-5) -> float:
-    """Finite-difference residual of dW/dt J = z W for the rotation solution."""
+def pw_ode_residual(r: float, t: float, z: complex) -> float:
+    """Finite-difference residual of dW/dt J = z W for the rotation solution, step 1e-5."""
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    h = 1e-5
     t = min(max(t, h), r - h)
     dW = (pw_fundamental(r, t + h, z) - pw_fundamental(r, t - h, z)) / (2 * h)
     res = dW @ J - z * pw_fundamental(r, t, z)
@@ -217,8 +218,8 @@ def g_r_tail_bound(frame: PWFrame) -> float:
     return 4 / (math.pi * _lattice(frame.r, frame.N))
 
 
-def g_r_laplace_check(frame: PWFrame, z: complex, T: float = 100.0) -> float:
-    """| integral_0^T g_r e^{izt} dt + i tan(rz)/z^2 |, Im z > 0.
+def g_r_laplace_check(frame: PWFrame, z: complex) -> float:
+    """| integral_0^T g_r e^{izt} dt + i tan(rz)/z^2 |, Im z > 0, T = 100.
 
     The truncated series is integrated termwise in closed form, so the
     residual reflects only the lattice truncation and the T-tail.
@@ -227,6 +228,7 @@ def g_r_laplace_check(frame: PWFrame, z: complex, T: float = 100.0) -> float:
     if z.imag <= 0:
         raise ValueError("g_r_laplace_check requires Im z > 0")
     g = _lattice(frame.r, np.arange(1, frame.N + 1))
+    T = 100.0
 
     def eint(a: np.ndarray) -> np.ndarray:
         # integral_0^T e^{iat} dt for complex a (vectorized)
@@ -262,10 +264,9 @@ class WeylFourierReport:
     norm_ratio: float  # (half |Psi|^2) / |F|^2_{L2(H)}; the measured constant
 
 
-def pw_weyl_is_fourier(frame: PWFrame, f_coeffs, g_coeffs,
-                       z_samples=(0.0, 1.0, -2.0, 0.5 + 0.7j, 2j)) -> WeylFourierReport:
+def pw_weyl_is_fourier(frame: PWFrame, f_coeffs, g_coeffs) -> WeylFourierReport:
     """Compare the Weyl transform on [0, r] with the Fourier transform of the
-    parity extension Psi = f - i g (f even, g odd).
+    parity extension Psi = f - i g (f even, g odd), at z = 0, 1, -2, 0.5 + 0.7i and 2i.
 
     The Weyl side is integrated in closed form; the Fourier side by Simpson
     quadrature on [-r, r].  The norm identity constant is measured, not
@@ -283,7 +284,7 @@ def pw_weyl_is_fourier(frame: PWFrame, f_coeffs, g_coeffs,
     psi = fe - 1j * go
 
     resid = 0.0
-    for z in z_samples:
+    for z in (0.0, 1.0, -2.0, 0.5 + 0.7j, 2j):
         z = complex(z)
         # (1/pi) integral_0^r f cos(tz) + g sin(tz) dt via e^{+-izt}
         fplus = _poly_osc_integral(f, z, r)

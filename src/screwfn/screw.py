@@ -385,15 +385,16 @@ def random_test_function(rng: np.random.Generator, support=(-3.0, 3.0), n: int =
     return TestFunction(vals * window, support).zero_mean()
 
 
-def aligned_test_function(points, targets, support=(-3.0, 3.0), n: int = 4097) -> TestFunction:
+def aligned_test_function(points, targets) -> TestFunction:
     """Zero-mean test function with Phi1(phi, points[k]) = targets[k] for each k.
 
-    Solves the square linear system of the functionals integral(phi) and
-    Phi1(phi, gamma) over the windowed monomials w(t) t^j, j <= len(points).
+    Sampled at 4097 points of [-3, 3].  Solves the square linear system of
+    the functionals integral(phi) and Phi1(phi, gamma) over the windowed
+    monomials w(t) t^j, j <= len(points).
     """
-    lo, hi = support
-    ts = np.linspace(lo, hi, n)
-    window = _bump(ts, lo, hi)
+    support = (-3.0, 3.0)
+    ts = np.linspace(*support, 4097)
+    window = _bump(ts, *support)
     basis = [TestFunction(window * ts**j, support) for j in range(len(points) + 1)]
     M = np.array([[f.integral(), *(phi1(f, p) for p in points)] for f in basis]).T
     coef = np.linalg.solve(M, np.array([0, *targets], dtype=complex))

@@ -17,6 +17,7 @@ representation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,8 +48,10 @@ __all__ = [
 class DiscreteMeasure:
     """Finitely many support points with positive masses.
 
-    Points are Fractions (exact) or floats; masses are PiScalars (exact,
-    possibly pi-graded) or floats.  Points are stored strictly increasing.
+    Points are Fractions (exact) or finite floats; masses are PiScalars
+    (exact, possibly pi-graded) or floats.  Points are stored in increasing
+    exact value.  Two Fraction points are distinct when unequal; a pair with
+    a float point, when their floats differ.
     """
 
     __slots__ = ("points", "masses", "is_exact")
@@ -58,16 +61,14 @@ class DiscreteMeasure:
         ms = list(masses)
         if len(pts) != len(ms):
             raise ValueError("points and masses must have equal length")
-        pairs = sorted(zip(pts, ms), key=lambda pm: float(pm[0]))
-        for (p1, _), (p2, _) in zip(pairs, pairs[1:]):
-            if float(p1) == float(p2):
-                raise ValueError("support points must be distinct")
-        norm_pts, norm_ms, exact = [], [], True
-        for p, m in pairs:
+        pairs = []
+        for p, m in zip(pts, ms):
             if isinstance(p, int):
                 p = Fraction(p)
             if not isinstance(p, (Fraction, float)):
                 raise TypeError(f"unsupported point type {type(p).__name__}")
+            if isinstance(p, float) and not math.isfinite(p):
+                raise ValueError(f"support point {p} is not finite")
             if isinstance(m, (int, Fraction, ExactComplex)):
                 m = PiScalar.coerce(m)
             if isinstance(m, PiScalar):
@@ -78,12 +79,16 @@ class DiscreteMeasure:
                     raise ValueError("masses must be positive")
             else:
                 raise TypeError(f"unsupported mass type {type(m).__name__}")
-            exact = exact and isinstance(p, Fraction) and isinstance(m, PiScalar)
-            norm_pts.append(p)
-            norm_ms.append(m)
-        object.__setattr__(self, "points", tuple(norm_pts))
-        object.__setattr__(self, "masses", tuple(norm_ms))
-        object.__setattr__(self, "is_exact", exact)
+            pairs.append((p, m))
+        pairs.sort(key=lambda pm: pm[0])  # Fraction and float compare exactly
+        for (p1, _), (p2, _) in zip(pairs, pairs[1:]):
+            both_exact = isinstance(p1, Fraction) and isinstance(p2, Fraction)
+            if p1 == p2 or (not both_exact and float(p1) == float(p2)):
+                raise ValueError("support points must be distinct")
+        object.__setattr__(self, "points", tuple(p for p, _ in pairs))
+        object.__setattr__(self, "masses", tuple(m for _, m in pairs))
+        object.__setattr__(self, "is_exact", all(
+            isinstance(p, Fraction) and isinstance(m, PiScalar) for p, m in pairs))
 
     def __setattr__(self, *a):
         raise AttributeError("DiscreteMeasure is immutable")

@@ -326,7 +326,6 @@ def diagram_check(
     n_samples: int = 20,
     seed: int = 0,
     tol: float = 1e-6,
-    support=(-3.0, 3.0),
 ) -> DiagramReport:
     """Verify the isometry chain and both commutative triangles on random data.
 
@@ -343,14 +342,16 @@ def diagram_check(
     - the k x D triangle matrix: the Weyl transform of L0_map's row vector
       at each level point minus that point's term of E_times.
 
-    The loop draws the n_samples random test functions in order from one
-    seeded rng, one at a time, and keeps only each one's Phi1 values and
-    kernel norm; the five residuals are then array expressions over all
-    samples.  phat, E_times, L0_map and inner_product_Hg are the same maps
-    for one sample.  All comparisons are quadrature-limited.  The Gram
-    matrix of the aligned basis functions is measured and its diagonal
-    constant reported rather than asserted.
+    The loop draws the n_samples random test functions, each sampled at
+    2049 points of [-3, 3], in order from one seeded rng, one at a time,
+    and keeps only each one's Phi1 values and kernel norm; the five
+    residuals are then array expressions over all samples.  phat, E_times,
+    L0_map and inner_product_Hg are the same maps for one sample.  All
+    comparisons are quadrature-limited.  The Gram matrix of the aligned
+    basis functions is measured and its diagonal constant reported rather
+    than asserted.
     """
+    support = (-3.0, 3.0)
     model = _model_basis(frame)
     k = len(model)
     mass = np.array([m for _, m, _ in model])
@@ -397,7 +398,7 @@ def diagram_check(
         )
     )
 
-    diag, off = _aligned_basis_gram(g, frame, model, support)
+    diag, off = _aligned_basis_gram(g, frame, model)
     passed = max(r1, r2, r3, r4, r5) < tol
     return DiagramReport(
         r1, r2, r3, r4, r5, complex(np.mean(phases)), diag, off, passed
@@ -428,14 +429,14 @@ def _triangle_matrix(frame: HermiteBiehlerFrame, H: Hamiltonian, model) -> np.nd
     return out
 
 
-def _aligned_basis_gram(g, frame, model, support):
+def _aligned_basis_gram(g, frame, model):
     """Measured Gram of the aligned basis functions; constant reported, not asserted."""
     points = [gam for gam, _, _ in model]
     aligned = []
     for k, (gam, _, F) in enumerate(model):
         targets = [0j] * len(model)
         targets[k] = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        aligned.append(aligned_test_function(points, targets, support=support))
+        aligned.append(aligned_test_function(points, targets))
     profiles = np.array([[phi1(phi, p) for p, _ in g.float_atoms] for phi in aligned])
     gram = (profiles * [m for _, m in g.float_atoms]) @ profiles.conj().T
     diag = float(np.mean(np.abs(np.diag(gram))))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split
+from screwfn import algebra, canonical
+from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split, solve_exact
 from screwfn.canonical import (
     ElementaryFactor,
     Hamiltonian,
     Segment,
-    TransferMatrix,
     bezout_complete,
     factorize,
     fundamental_solution,
     peel_factor,
-    regular_points,
     solution_rows_affine,
     subspace_chain,
     validate_transfer,
@@ -49,14 +49,6 @@ def test_validate_detects_sign_flip():
     bad = MatrixPolynomial([[W.entries[0][0], -W.entries[0][1]], list(W.entries[1])])
     rep = validate_transfer(bad)
     assert not rep.ok and any("det" in f for f in rep.failures)
-
-
-def test_transfer_matrix_wrapper():
-    TransferMatrix.from_matrix(w0_matrix())
-    with pytest.raises(ValueError, match="not a transfer matrix"):
-        bad = MatrixPolynomial([[Polynomial([2]), Polynomial.zero()],
-                                [Polynomial.zero(), Polynomial([Fraction(1, 2)])]])
-        TransferMatrix.from_matrix(bad)
 
 
 def test_bezout_reproduces_reference_completion():
@@ -230,7 +222,7 @@ def test_fundamental_solution_numeric_eval():
 
 def test_regular_points():
     H = factorize(w0_matrix())
-    assert regular_points(H) == [0, Fraction(1, 2), Fraction(9, 2), 5]
+    assert list(H.breakpoints) == [0, Fraction(1, 2), Fraction(9, 2), 5]
 
 
 def test_subspace_chain():
@@ -341,10 +333,72 @@ def test_psd_factor_products_certify_and_negated_factors_do_not(segments, k):
         factorize(bad)
 
 
+def _reference_factor(W: MatrixPolynomial):
+    """The rightmost factor as the unique solution of eight linear equations, else None.
+
+    With X = MJ = [[beta, -alpha], [gamma, -beta]], W = V (I - zMJ) and deg V =
+    deg W - 1 need W_r X = 0 and W_(r-1) X = -W_r of W's top two coefficient
+    matrices; a solution counts only if it is a PSD rank-one M.
+    """
+    eqs, rhs = [], []
+    for (a, b), (c, d) in zip(W.coeff_matrix(W.degree), W.coeff_matrix(W.degree - 1)):
+        eqs += [[0, c, d], [-c, -d, 0], [0, a, b], [-a, -b, 0]]
+        rhs += [-a, -b, 0, 0]
+    sol, status = solve_exact(eqs, rhs)
+    if status != "unique":
+        return None
+    try:
+        return ElementaryFactor(*sol)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(psd_rank_one_segments(), st.integers(0, 7), st.booleans())
+def test_peel_reads_the_unique_solution_of_the_factor_equations(segments, k, negate):
+    # every peel of a PSD product, or of one with factor k negated, until it stops
+    factors = [tuple(length * p for p in proj) for length, proj in segments]
+    if negate:
+        k %= len(factors)
+        factors[k] = tuple(-x for x in factors[k])
+    W = _factor_product(factors)
+    while W.degree >= 1:
+        expected = _reference_factor(W)
+        if expected is None:
+            with pytest.raises(ValueError, match="^not factorable: "):
+                peel_factor(W)
+            assert negate
+            return
+        W, M = peel_factor(W)
+        assert M == expected
+    assert not negate
+
+
+def test_factorize_calls_no_linear_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the peel reads each factor in closed form")
+
+    # a module that imports the solver by name holds a binding of its own
+    monkeypatch.setattr(algebra, "solve_exact", refuse)
+    monkeypatch.setattr(canonical, "solve_exact", refuse, raising=False)
+    assert len(factorize(w0_matrix())) == 3
+    H = _thirty_two_segments()
+    assert factorize(fundamental_solution(H, H.total_length)) == H
+
+
 def test_factorize_rejects_invalid_matrix():
-    with pytest.raises(ValueError, match="not a transfer matrix"):
-        factorize(MatrixPolynomial([[Polynomial([1, 1]), Polynomial.zero()],
-                                    [Polynomial.zero(), Polynomial([1])]]))
+    one, zero = Polynomial([1]), Polynomial.zero()
+    for entries, reason in [
+        ([[Polynomial([1, 1]), zero], [zero, one]], "det W != 1"),
+        ([[Polynomial([2]), zero], [zero, Polynomial([Fraction(1, 2)])]], "W(0) != I"),
+        # W_2 = [[0, 1], [0, 0]] and W_1 = 0: s = 0, so no factor I - zMJ matches the top row
+        ([[one, Polynomial([0, 0, 1])], [zero, one]],
+         "not factorable: matrix is not of canonical-product form"),
+    ]:
+        W = MatrixPolynomial(entries)
+        assert validate_transfer(W).failures == (reason,)
+        with pytest.raises(ValueError, match=f"^not a transfer matrix: {re.escape(reason)}$"):
+            factorize(W)
 
 
 def test_float_coefficients_fail_validation_without_crashing():
@@ -456,7 +510,8 @@ def test_integer_chain_equals_the_segment_product(H, data):
     assert factorize(fundamental_solution(H, H.total_length)) == H
 
 
-def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
+def _thirty_two_segments() -> Hamiltonian:
+    """32 segments of Pythagorean directions and lengths k/4, k <= 7."""
     pairs = ((1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
     segments = []
     for k in range(32):
@@ -464,7 +519,11 @@ def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
         r = m * m + n * n
         c, s = Fraction(m * m - n * n, r), Fraction(2 * m * n, r)
         segments.append(Segment(Fraction(k % 7 + 1, 4), (c * c, c * s, s * s)))
-    H = Hamiltonian(segments)
+    return Hamiltonian(segments)
+
+
+def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
+    H = _thirty_two_segments()
     calls = []
     mat_mul, poly_mul = MatrixPolynomial.__mul__, Polynomial.__mul__
 

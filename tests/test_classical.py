@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction, ab_split
+from screwfn import classical
 from screwfn.canonical import bezout_complete, factorize
 from screwfn.classical import (
     KreinString,
@@ -204,6 +205,17 @@ def test_levy_roundtrip_pointwise():
 def test_density_series_converges():
     t = levy_triplet(G0)
     assert abs(idd_density(t, 0.0, K=20) - idd_density(t, 0.0, K=40)) < 1e-12
+
+
+def test_density_rejects_a_float_jump_point_before_building_an_array(monkeypatch):
+    # Fraction(0.1) has denominator 2^55: the lattice would need 1.44e17 entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(classical.np, "zeros", refuse)
+    t = LevyTriplet(1.0, 0.0, DiscreteMeasure([0.1], [1.0]))
+    with pytest.raises(TypeError, match="rational jump points"):
+        idd_density(t, 0.0)
 
 
 def test_density_normalization_and_symmetry():

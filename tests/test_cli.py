@@ -171,6 +171,18 @@ def test_cli_bad_paley_wiener_arguments_are_input_errors(capsys, command, args):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", ['{"points": [1e400], "masses": [1.0]}',
+                                  '{"points": [NaN, 1.0], "masses": [1.0, 1.0]}'],
+                         ids=["1e400", "nan"])
+def test_cli_pd_check_names_a_non_finite_point(tmp_path, capsys, text):
+    # JSON reads 1e400 as inf; the parent ran the kernel on it and failed in the eigensolver
+    path = tmp_path / "tau.json"
+    path.write_text(text)
+    assert main(["pd-check", "--tau", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad measure JSON: support point ") and err.endswith(" is not finite\n")
+
+
 def test_cli_unknown_example_is_input_error():
     assert main(["pipeline", "--example", "zeta"]) == 2
 

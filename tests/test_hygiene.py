@@ -4,7 +4,8 @@ Every module-level import is used, no function repeats a relative import
 from a module its file already imports from at module level, every
 module-level definition is either exported or read somewhere in the
 package, every def or class of the package is named in the package, its
-tests or the benchmark, no while loop outside ``algebra`` runs a Euclid of
+tests or the benchmark, every parameter with a default is passed at some
+call there, no while loop outside ``algebra`` runs a Euclid of
 its own, no module but ``exact`` reads the ``re`` or ``im`` of a scalar,
 every name the benchmark's tracer wraps exists, and importing the command
 line and every module of the package loads no scipy.
@@ -189,6 +190,69 @@ def test_guard_flags_an_unreferenced_definition():
     )
     b = ast.parse('"""unused is named in a docstring only."""\nTRACED = ("C.traced",)\n')
     assert _unreferenced_definitions({"a.py": a}, [a, b]) == ["a.py unused", "a.py inner"]
+
+
+def _call_arguments(trees) -> dict[str, list]:
+    """Per called name, (positional count, keyword names, starred) of each call.
+
+    A call is matched by its function's name or attribute, so obj.f(x) and f(x) both count for f.
+    """
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _idle_options(defining: dict[str, ast.Module], reading: list[ast.Module]) -> list[str]:
+    """"file def parameter" for every parameter with a default that no call passes.
+
+    A class name stands for its __init__; self and cls are bound, not passed.
+    A call with *args or **kwargs passes every parameter.
+    """
+    calls = _call_arguments(reading)
+    idle = []
+    for file, tree in defining.items():
+        init_of = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if positional and positional[0] in ("self", "cls"):
+                positional = positional[1:]
+            sites = calls.get(init_of.get(id(fn), fn.name), [])
+            idle += [
+                f"{file} {fn.name} {p}" for p in defaulted
+                if p not in ("self", "cls") and not any(
+                    starred or p in keywords or p in positional[:n] for n, keywords, starred in sites)
+            ]
+    return idle
+
+
+def test_no_idle_options():
+    defining = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    readers = [*SOURCES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert _idle_options(defining, [ast.parse(p.read_text()) for p in readers]) == []
+
+
+def test_guard_flags_an_idle_option():
+    a = ast.parse(
+        "class C:\n    def __init__(self, x=1, y=2):\n        pass\n"
+        "    def m(self, p, q=0, *, k=None):\n        pass\n"
+        "def f(a, b=1, c=2):\n    pass\n"
+        "def g(u=0):\n    pass\n"
+    )
+    b = ast.parse("C(5)\nC().m(1, 2)\nf(0, c=3)\ng(*args)\n")
+    assert _idle_options({"a.py": a}, [a, b]) == ["a.py f b", "a.py __init__ y", "a.py m k"]
 
 
 def _euclid_loops(tree: ast.Module) -> list[str]:

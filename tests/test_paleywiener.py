@@ -254,7 +254,7 @@ def test_g_r_truncation_within_tail_bound():
 
 
 def test_g_r_laplace_residual():
-    assert g_r_laplace_check(PWFrame(1.0, 2000), 2j, T=100.0) < 1e-4
+    assert g_r_laplace_check(PWFrame(1.0, 2000), 2j) < 1e-4
 
 
 def test_g_r_laplace_requires_upper_half_plane():

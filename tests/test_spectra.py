@@ -287,3 +287,22 @@ def test_measure_validation():
         DiscreteMeasure([Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)])
     with pytest.raises(ValueError, match="positive"):
         DiscreteMeasure([Fraction(0)], [Fraction(-1)])
+
+
+def test_measure_orders_and_separates_points_by_exact_value():
+    # the two Fractions share one float, 1.0; the parent sorted and compared floats
+    near = 1 + Fraction(1, 10**30)
+    mu = DiscreteMeasure([near, Fraction(1), 0.5], [1, 2, 3.0])
+    assert mu.points == (0.5, Fraction(1), near)
+    assert mu.mass_at(near) == PiScalar(1) and mu.mass_at(Fraction(1)) == PiScalar(2)
+    # a pair with a float point keeps the float-equality rule
+    for pts in ([Fraction(1), 1.0], [near, 1.0], [Fraction(1, 3), 1 / 3]):
+        with pytest.raises(ValueError, match="support points must be distinct"):
+            DiscreteMeasure(pts, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("points", [[math.inf], [-math.inf, 0.0], [math.nan, 1.0]],
+                         ids=["inf", "minus-inf", "nan"])
+def test_measure_rejects_a_non_finite_point(points):
+    with pytest.raises(ValueError, match=r"^support point (-?inf|nan) is not finite$"):
+        DiscreteMeasure(points, [1.0] * len(points))
