@@ -51,6 +51,15 @@ def test_validate_detects_sign_flip():
     assert not rep.ok and any("det" in f for f in rep.failures)
 
 
+def test_transfer_matrix_wrapper():
+    # factorize is the validating wrapper: it accepts w0 and rejects W(0) != I
+    factorize(w0_matrix())
+    with pytest.raises(ValueError, match="not a transfer matrix"):
+        bad = MatrixPolynomial([[Polynomial([2]), Polynomial.zero()],
+                                [Polynomial.zero(), Polynomial([Fraction(1, 2)])]])
+        factorize(bad)
+
+
 def test_bezout_reproduces_reference_completion():
     A, B = bezout_complete(C0, D0)
     assert A == Polynomial([1, 0, -2])
