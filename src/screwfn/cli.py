@@ -46,10 +46,10 @@ from .classical import (
 )
 from .debranges import (
     HermiteBiehlerFrame,
+    _sampled_inner,
     boundary_value,
     extension_eigenbasis,
     gram_schmidt_basis,
-    inner_product,
     kernel_ab,
     kernel_moment,
     moments,
@@ -157,13 +157,17 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
             lambda: tau_from_mu(frame().mu) == tau)
 
     def debranges_tables() -> bool:
+        # inner_product's sums, from each polynomial's values at the level points taken once
         fr = frame()
         n, m = fr.dim, moments(fr).moments
-        monos = [Polynomial.monomial(k) for k in range(n)]
-        basis = gram_schmidt_basis(fr)
+        points = [g for g, _ in fr.weights]
+        monos = [[Polynomial.monomial(k)(g) for g in points] for k in range(n)]
+        basis = [[p(g) for g in points] for p in gram_schmidt_basis(fr)]
+        monos_conj = [[x.conjugate() for x in row] for row in monos]
+        basis_conj = [[x.conjugate() for x in row] for row in basis]
         return all(
-            inner_product(fr, monos[i], monos[j]) == m[i + j]
-            and inner_product(fr, basis[i], basis[j]) == int(i == j)
+            _sampled_inner(fr, monos[i], monos_conj[j]) == m[i + j]
+            and _sampled_inner(fr, basis[i], basis_conj[j]) == int(i == j)
             for i in range(n)
             for j in range(n)
         )

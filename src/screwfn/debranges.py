@@ -24,6 +24,12 @@ hankel[k] = h_0 ... h_k, the orthonormal basis p_k / sqrt(h_k) and the
 Christoffel-Darboux kernel (Szego, *Orthogonal Polynomials*)
 sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
 
+inner_product evaluates p and q once at each level point and adds
+p(g) conj(q(g)) w(g) in level-set order in _sampled_inner; a check that
+forms many inner products, such as the CLI's polynomial-space tables,
+takes each polynomial's values once and calls _sampled_inner per pair,
+with the same sums in the same order.
+
 A frame builds its sampling weights, its moment table and its pi/2
 eigenbasis once, on first use, and keeps them; every reader gets the same
 instance.  This is sound only because every part of a frame, and every
@@ -140,7 +146,13 @@ def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
     n = frame.dim
     if p.degree >= n or q.degree >= n:
         raise ValueError(f"not a member of H(E): degree must be < {n}")
-    return sum(p(g) * q(g).conjugate() * w for g, w in frame.weights)
+    points = [g for g, _ in frame.weights]
+    return _sampled_inner(frame, [p(g) for g in points], [q(g).conjugate() for g in points])
+
+
+def _sampled_inner(frame: HermiteBiehlerFrame, p_values, q_conj_values):
+    """sum p(g) conj(q(g)) w(g) over the level set, from p's values and q's conjugated values there."""
+    return sum(a * b * w for a, b, (_, w) in zip(p_values, q_conj_values, frame.weights))
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,14 @@ finite t.
 Test functions are uniform-grid sampled; all their integrals use composite
 Simpson rule, so quadrature-limited identities hold to ~1e-8 on smooth data
 while measure-side sums are exact up to the same sampling error.
+random_test_function is one draw of _random_draws, a generator that forms
+cos(kt), sin(kt), the window and the window's Simpson integral once and
+then yields draw after draw from one rng; each draw reads rng in the same
+order and takes the same IEEE operations as a single call, so
+weyl.diagram_check's samples are bit for bit those of successive calls.
+aligned_test_function is one row of _aligned_test_functions, which samples
+the windowed monomials and builds their functional matrix once and solves
+it per row of targets.
 """
 from __future__ import annotations
 
@@ -373,16 +381,35 @@ def phi1(phi: TestFunction, z: complex) -> complex:
 
 def random_test_function(rng: np.random.Generator, support=(-3.0, 3.0), n: int = 2049) -> TestFunction:
     """Smooth random zero-mean test function: windowed random trig polynomial."""
+    return next(_random_draws(rng, support, n))
+
+
+def _random_draws(rng: np.random.Generator, support, n: int):
+    """Successive random_test_function(rng, support, n) draws, with the grid's tables taken once.
+
+    cos(kt), sin(kt), the window and its Simpson integral (on TestFunction's
+    weights for the grid) do not depend on the draw.  Each draw reads rng in
+    the same order and forms its samples by the same IEEE operations as a
+    windowed trig polynomial made zero-mean by TestFunction.zero_mean.
+    """
     lo, hi = support
     ts = np.linspace(lo, hi, n)
     window = _bump(ts, lo, hi)
-    vals = np.zeros(n, dtype=complex)
-    for k in range(1, 4):
-        a = rng.normal() + 1j * rng.normal()
-        b = rng.normal() + 1j * rng.normal()
-        vals += a * np.cos(k * ts) + b * np.sin(k * ts)
-    vals += rng.normal() + 1j * rng.normal()
-    return TestFunction(vals * window, support).zero_mean()
+    waves = [(np.cos(k * ts), np.sin(k * ts)) for k in range(1, 4)]
+    weights = TestFunction(window, support)._weights  # rejects a bad support or n
+    window_integral = complex(np.sum(weights * window))
+    while True:
+        vals = np.zeros(n, dtype=complex)
+        for cos_k, sin_k in waves:
+            a = rng.normal() + 1j * rng.normal()
+            b = rng.normal() + 1j * rng.normal()
+            vals += a * cos_k + b * sin_k
+        vals += rng.normal() + 1j * rng.normal()
+        samples = vals * window
+        total = complex(np.sum(weights * samples))
+        if total != 0:
+            samples = samples - total / window_integral * window
+        yield TestFunction(samples, support)
 
 
 def aligned_test_function(points, targets) -> TestFunction:
@@ -392,13 +419,25 @@ def aligned_test_function(points, targets) -> TestFunction:
     the functionals integral(phi) and Phi1(phi, gamma) over the windowed
     monomials w(t) t^j, j <= len(points).
     """
+    return _aligned_test_functions(points, [targets])[0]
+
+
+def _aligned_test_functions(points, target_rows) -> list[TestFunction]:
+    """aligned_test_function(points, targets) for each row of targets.
+
+    The windowed monomials and their functional matrix M are built once;
+    each row is one solve of M.
+    """
     support = (-3.0, 3.0)
     ts = np.linspace(*support, 4097)
     window = _bump(ts, *support)
     basis = [TestFunction(window * ts**j, support) for j in range(len(points) + 1)]
     M = np.array([[f.integral(), *(phi1(f, p) for p in points)] for f in basis]).T
-    coef = np.linalg.solve(M, np.array([0, *targets], dtype=complex))
-    return TestFunction(sum(c * f.samples for c, f in zip(coef, basis)), support)
+    out = []
+    for targets in target_rows:
+        coef = np.linalg.solve(M, np.array([0, *targets], dtype=complex))
+        out.append(TestFunction(sum(c * f.samples for c, f in zip(coef, basis)), support))
+    return out
 
 
 def _fft_length(m: int) -> int:

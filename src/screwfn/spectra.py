@@ -48,7 +48,8 @@ __all__ = [
 class DiscreteMeasure:
     """Finitely many support points with positive masses.
 
-    Points are Fractions (exact) or finite floats; masses are PiScalars
+    Points are Fractions within float range (exact) or finite floats, so
+    that every float view converts them; masses are PiScalars
     (exact, possibly pi-graded) or floats.  Points are stored in increasing
     exact value.  Two Fraction points are distinct when unequal; a pair with
     a float point, when their floats differ.
@@ -69,6 +70,11 @@ class DiscreteMeasure:
                 raise TypeError(f"unsupported point type {type(p).__name__}")
             if isinstance(p, float) and not math.isfinite(p):
                 raise ValueError(f"support point {p} is not finite")
+            if isinstance(p, Fraction):
+                try:
+                    float(p)  # every float view converts the point
+                except OverflowError:
+                    raise ValueError(f"support point {p} is beyond float range") from None
             if isinstance(m, (int, Fraction, ExactComplex)):
                 m = PiScalar.coerce(m)
             if isinstance(m, PiScalar):

@@ -22,6 +22,17 @@ so the pi/2 eigenvector F_x is read at x alone.
 inverse_weyl and L0_map weight each level point g by de Branges' sampling
 weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
 
+Each check computes what does not change within one call once.  l2h_inner
+conjugates the second vector once and integrates each segment's form from
+the coefficients, with no Polynomial product.  diagram_check builds its
+level-point maps, including the triangle matrix from one
+solution_rows_affine, before its loop; it takes its random samples from
+one screw._random_draws generator, which forms the grid's trig tables and
+window once, and its aligned functions from one screw._aligned_test_functions
+call, which samples the windowed monomials once.  l2h_inner's exact values
+equal those of the Polynomial-product form, and diagram_check's floats are
+bit for bit those of building each sample and aligned function alone.
+
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
 pi/2 (limit i*t at g = 0); its Gram matrix reproduces pi * G(t, s) exactly.
@@ -35,17 +46,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, sharp
+from .algebra import Polynomial
 from .canonical import Hamiltonian, _affine_rows, _polys, solution_rows_affine
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import PiScalar, PI
 from .screw import (
     ScrewFunctionData,
     TestFunction,
+    _aligned_test_functions,
     _kernel_form,
-    aligned_test_function,
+    _random_draws,
     phi1,
-    random_test_function,
 )
 
 __all__ = [
@@ -167,15 +178,30 @@ def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
-    """(1/pi) sum_k integral (F1 . P_k conj(F2)) over the segment; exact for exact data."""
+    """(1/pi) sum_k integral (F1 . P_k conj(F2)) over the segment; exact for exact data.
+
+    On a segment of length L the integrand is
+    pa f1 conj(f2) + pb (f1 conj(g2) + g1 conj(f2)) + pc g1 conj(g2), and
+    t^(j+k) integrates to I_(j+k) = L^(j+k+1)/(j+k+1), so each term
+    p a conj(b) with p nonzero adds p sum_k conj(b_k) sum_j a_j I_(j+k),
+    read off the coefficients.  F2's components are conjugated once, and
+    no Polynomial product or antiderivative is built.
+    """
     _check_on(H, F1)
     _check_on(H, F2)
     total = 0
     for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
         pa, pb, pc = seg.proj
-        f2c, g2c = sharp(f2), sharp(g2)
-        integrand = (f1 * f2c) * pa + (f1 * g2c + g1 * f2c) * pb + (g1 * g2c) * pc
-        total = total + integrand.integrate(Fraction(0), seg.length)
+        f1, g1 = f1.coeffs, g1.coeffs
+        f2, g2 = [c.conjugate() for c in f2.coeffs], [c.conjugate() for c in g2.coeffs]
+        L = seg.length
+        moments = [Fraction(L ** (m + 1), m + 1)
+                   for m in range(max(len(f1), len(g1)) + max(len(f2), len(g2)) - 1)]
+        for p, a, b in ((pa, f1, f2), (pb, f1, g2), (pb, g1, f2), (pc, g1, g2)):
+            if p and a and b:
+                total = total + p * sum(
+                    y * sum(x * moments[j + k] for j, x in enumerate(a)) for k, y in enumerate(b)
+                )
     return total / PI
 
 
@@ -343,7 +369,8 @@ def diagram_check(
       at each level point minus that point's term of E_times.
 
     The loop draws the n_samples random test functions, each sampled at
-    2049 points of [-3, 3], in order from one seeded rng, one at a time,
+    2049 points of [-3, 3], in order from one seeded rng, one at a time
+    from one _random_draws generator (the grid's tables formed once),
     and keeps only each one's Phi1 values and kernel norm; the five
     residuals are then array expressions over all samples.  phat, E_times,
     L0_map and inner_product_Hg are the same maps for one sample.  All
@@ -371,11 +398,10 @@ def diagram_check(
     integrand = _phi1_matrix(np.linspace(*support, _DIAGRAM_GRID), points)
     _, quadratic = _kernel_form(g, support, _DIAGRAM_GRID)
 
-    rng = np.random.default_rng(seed)
+    draws = _random_draws(np.random.default_rng(seed), support, _DIAGRAM_GRID)
     at_points = np.empty((n_samples, len(points)), dtype=complex)
     norm_kernel = np.empty(n_samples)
-    for s in range(n_samples):
-        phi = random_test_function(rng, support=support, n=_DIAGRAM_GRID)
+    for s, phi in zip(range(n_samples), draws):
         v = phi._weights * phi.samples
         at_points[s] = v @ integrand
         norm_kernel[s] = quadratic(v)
@@ -419,9 +445,9 @@ def _triangle_matrix(frame: HermiteBiehlerFrame, H: Hamiltonian, model) -> np.nd
     L0_map's term at g_k is w sqrt(mu) F_k(g_k) Phi1 times the row vector
     [C(t, g_k); D(t, g_k)], and E_times' is sqrt(mu) Phi1 F_k.
     """
-    rows = []
+    rows, affine = [], solution_rows_affine(H)
     for (gam, m, F), (_, w) in zip(model, frame.weights):
-        l0_term = StepVector.from_row_values(H, gam, float(w) * math.sqrt(m) * complex(F(complex(gam))))
+        l0_term = _step_from_rows(H, affine, gam, float(w) * math.sqrt(m) * complex(F(complex(gam))))
         rows.append(weyl_transform(H, l0_term) - Polynomial([complex(c) for c in F.coeffs]) * math.sqrt(m))
     out = np.zeros((len(rows), max((len(p.coeffs) for p in rows), default=0)), dtype=complex)
     for k, p in enumerate(rows):
@@ -430,13 +456,18 @@ def _triangle_matrix(frame: HermiteBiehlerFrame, H: Hamiltonian, model) -> np.nd
 
 
 def _aligned_basis_gram(g, frame, model):
-    """Measured Gram of the aligned basis functions; constant reported, not asserted."""
+    """Measured Gram of the aligned basis functions; constant reported, not asserted.
+
+    The aligned functions share one windowed-monomial basis and one solve
+    matrix, built once; their profiles are Phi1 at g's atoms.
+    """
     points = [gam for gam, _, _ in model]
-    aligned = []
+    target_rows = []
     for k, (gam, _, F) in enumerate(model):
         targets = [0j] * len(model)
         targets[k] = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        aligned.append(aligned_test_function(points, targets))
+        target_rows.append(targets)
+    aligned = _aligned_test_functions(points, target_rows)
     profiles = np.array([[phi1(phi, p) for p, _ in g.float_atoms] for phi in aligned])
     gram = (profiles * [m for _, m in g.float_atoms]) @ profiles.conj().T
     diag = float(np.mean(np.abs(np.diag(gram))))

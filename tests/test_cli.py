@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,14 @@ from screwfn import serialization as ser
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction
 from screwfn.canonical import factorize, w0_matrix
 from screwfn.classical import KreinString, q_substitute
-from screwfn.cli import main, run_g0_pipeline, run_pw_pipeline, run_spectral_pipeline
+from screwfn.cli import (
+    VerificationReport,
+    main,
+    run_g0_pipeline,
+    run_pw_pipeline,
+    run_spectral_pipeline,
+)
+from screwfn.debranges import HermiteBiehlerFrame
 from screwfn.exact import ExactComplex, PI, PiScalar
 from screwfn.screw import q0_function
 from screwfn.spectra import DiscreteMeasure, level_set_masses
@@ -183,6 +191,15 @@ def test_cli_pd_check_names_a_non_finite_point(tmp_path, capsys, text):
     assert err.startswith("error: bad measure JSON: support point ") and err.endswith(" is not finite\n")
 
 
+def test_cli_pd_check_names_a_point_beyond_float_range(tmp_path, capsys):
+    # the parent ended in an OverflowError traceback from the first float view of tau
+    path = tmp_path / "tau.json"
+    path.write_text('{"points": ["1' + "0" * 400 + '"], "masses": ["1"]}')
+    assert main(["pd-check", "--tau", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad measure JSON: support point 1" + "0" * 400 + " is beyond float range\n"
+
+
 def test_cli_unknown_example_is_input_error():
     assert main(["pipeline", "--example", "zeta"]) == 2
 
@@ -265,6 +282,50 @@ def test_spectral_pipeline_passes_on_odd_quarter_atoms(atoms):
     rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
     assert len([c for c in rep.checks if c.tolerance == 0]) == 7
+
+
+def test_polynomial_space_tables_evaluates_each_polynomial_once_per_level_point(monkeypatch):
+    # n monomials and n basis polynomials at n level points: 2 n^2 evaluations, not one per pair
+    points, masses = [0], [Fraction(1)]
+    for k in range(1, 4):
+        x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
+        points += [-x, x]
+        masses += [m, m]
+    frames, calls, check = [], [], [None]
+    from_e, evaluate, run = HermiteBiehlerFrame.from_e, Polynomial.__call__, VerificationReport.run
+
+    def from_e_with_weights(E):
+        fr = from_e(E)
+        fr.weights  # the sampling weights evaluate B, before the counted check
+        frames.append(fr)
+        return fr
+
+    def counted(self, z):
+        calls.append(check[0])
+        return evaluate(self, z)
+
+    def named_run(self, name, provenance, fn):
+        check[0] = name
+        run(self, name, provenance, fn)
+        check[0] = None
+
+    monkeypatch.setattr(HermiteBiehlerFrame, "from_e", staticmethod(from_e_with_weights))
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    monkeypatch.setattr(VerificationReport, "run", named_run)
+    rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
+    n = frames[0].dim
+    assert n == 7 and {c.name: c.status for c in rep.checks}["polynomial-space-tables"] == "pass"
+    assert calls.count("polynomial-space-tables") == 2 * n * n
+
+
+@pytest.mark.parametrize("example", ["g0", "pw"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pipeline_report_matches_the_committed_one(tmp_path, capsys, example, seed):
+    # tests/reports holds the reports as first written; every field, float bits included, stays
+    out = tmp_path / "report.json"
+    main(["--seed", str(seed), "pipeline", "--example", example, "--out", str(out)])
+    committed = pathlib.Path(__file__).parent / "reports" / f"{example}_seed{seed}.json"
+    assert json.loads(out.read_text()) == json.loads(committed.read_text())
 
 
 @st.composite

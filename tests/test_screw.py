@@ -568,3 +568,29 @@ def test_zero_mean_projection():
     vals[0] = vals[-1] = 0
     phi = TestFunction(vals, (-2.0, 2.0)).zero_mean()
     assert abs(phi.integral()) < 1e-14
+
+
+def _reference_random_test_function(rng, support=(-3.0, 3.0), n=2049):
+    """The windowed random trig polynomial, tables formed per draw, made zero-mean by zero_mean."""
+    lo, hi = support
+    ts = np.linspace(lo, hi, n)
+    window = screw._bump(ts, lo, hi)
+    vals = np.zeros(n, dtype=complex)
+    for k in range(1, 4):
+        a = rng.normal() + 1j * rng.normal()
+        b = rng.normal() + 1j * rng.normal()
+        vals += a * np.cos(k * ts) + b * np.sin(k * ts)
+    vals += rng.normal() + 1j * rng.normal()
+    return TestFunction(vals * window, support).zero_mean()
+
+
+@pytest.mark.parametrize("support, n", [((-3.0, 3.0), 2049), ((-2.0, 3.0), 513), ((-1, 4), 1025)])
+def test_random_draws_are_bit_identical_to_per_draw_tables(support, n):
+    # the tables are taken once per generator; each draw reads rng as one call did
+    rng, ref_rng, one_rng = (np.random.default_rng(11) for _ in range(3))
+    draws = screw._random_draws(rng, support, n)
+    for _ in range(4):
+        want = _reference_random_test_function(ref_rng, support, n)
+        for got in (next(draws), random_test_function(one_rng, support=support, n=n)):
+            assert got.support == want.support
+            assert _bits(got.samples).tobytes() == _bits(want.samples).tobytes()

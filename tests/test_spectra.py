@@ -306,3 +306,14 @@ def test_measure_orders_and_separates_points_by_exact_value():
 def test_measure_rejects_a_non_finite_point(points):
     with pytest.raises(ValueError, match=r"^support point (-?inf|nan) is not finite$"):
         DiscreteMeasure(points, [1.0] * len(points))
+
+
+@pytest.mark.parametrize("points", [[Fraction(10**400)], [-Fraction(10**400), 1.0]],
+                         ids=["huge", "minus-huge-with-float"])
+def test_measure_rejects_a_fraction_point_beyond_float_range(points):
+    # every float view converts the points; the parent took the first and raised OverflowError
+    with pytest.raises(ValueError, match=r"^support point -?10{400} is beyond float range$"):
+        DiscreteMeasure(points, [1] * len(points))
+    # a point that rounds to the largest float still converts
+    big = Fraction(2**1024 - 2**970 - 1)
+    assert DiscreteMeasure([big], [1]).float_points() == [float(big)]

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from test_canonical import _segment_product, pythagorean_hamiltonian
 from test_screw import _dense_kernel_side
 
-from screwfn import canonical, weyl
-from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split
+from screwfn import canonical, screw, weyl
+from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split, sharp
 from screwfn.canonical import Hamiltonian, Segment, bezout_complete, factorize, w0_matrix
 from screwfn.debranges import HermiteBiehlerFrame, e0_frame, extension_eigenbasis
-from screwfn.exact import ExactComplex, PiScalar
+from screwfn.exact import PI, ExactComplex, PiScalar
 from screwfn.screw import (
     ScrewFunctionData,
     aligned_test_function,
@@ -444,22 +444,22 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-2, 2))  # sign
 
 
 @st.composite
-def step_vectors(draw, H):
-    """A step vector on H, zero on a random set of segments, of one kind.
+def step_vectors(draw, H, kinds=("exact", "pi", "float", "mixed"), max_degree=2):
+    """A step vector on H, zero on a random set of segments, of one of kinds.
 
     On each segment (f, g) = a (c, s) + q(t) (-s, c) for the direction (c, s):
     exact rationals, the same times a pi-graded scalar, complex floats with
     the float direction that basis_vector uses (|a| >= 1/2 there, so the
     rounding left in the constrained component stays below the 1e-9 check),
-    or exact and float segments mixed.
+    or exact and float segments mixed.  Components have degree <= max_degree.
     """
-    kind = draw(st.sampled_from(["exact", "pi", "float", "mixed"]))
+    kind = draw(st.sampled_from(list(kinds)))
     comps = []
     for seg in H.segments:
         if draw(st.booleans()):
             comps.append((Polynomial.zero(), Polynomial.zero()))
             continue
-        n_free = draw(st.integers(0, 3))
+        n_free = draw(st.integers(0, max_degree + 1))
         if kind == "float" or kind == "mixed" and draw(st.booleans()):
             pa, pb, pc = seg.proj
             c, s = math.sqrt(float(pa)), math.copysign(math.sqrt(float(pc)), float(pb))
@@ -556,3 +556,70 @@ def test_weyl_transform_reads_the_integer_rows(monkeypatch):
     assert [repr(_poly_weyl(H, F)) for F in vectors] == [repr(img) for img in images]
     _segment_product(H, Fraction(1))
     assert "solution_rows_affine" in calls and "Polynomial" in calls
+
+
+def _product_l2h_inner(H, F1, F2):
+    """l2h_inner by Polynomial products and an antiderivative on each segment: the reference."""
+    total = 0
+    for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
+        pa, pb, pc = seg.proj
+        f2c, g2c = sharp(f2), sharp(g2)
+        integrand = (f1 * f2c) * pa + (f1 * g2c + g1 * f2c) * pb + (g1 * g2c) * pc
+        total = total + integrand.integrate(Fraction(0), seg.length)
+    return total / PI
+
+
+@settings(max_examples=60)
+@given(pythagorean_hamiltonian(), st.data())
+def test_l2h_inner_equals_the_polynomial_product_formula(H, data):
+    F1, F2 = (data.draw(step_vectors(H, kinds=("exact", "pi"), max_degree=3)) for _ in range(2))
+    # a nonreal factor, so that a missing conjugation would show
+    re, im = (data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(2))
+    F2 = F2 * ExactComplex(re, im)
+    for u, v in ((F1, F2), (F2, F1), (F1, F1)):
+        got, want = l2h_inner(H, u, v), _product_l2h_inner(H, u, v)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_aligned_basis_gram_samples_the_windowed_monomials_once(monkeypatch):
+    # k aligned functions over k + 1 windowed monomials: k (k + 1) phi1 calls for the solve
+    # matrix and k |atoms| for the profiles, 21 on g0 where one matrix per target made 45
+    model = weyl._model_basis(FR)
+    points = [gam for gam, _, _ in model]
+    aligned = []
+    for k, (gam, _, F) in enumerate(model):
+        targets = [0j] * len(model)
+        targets[k] = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(FR.E(complex(gam)))
+        aligned.append(aligned_test_function(points, targets))
+    profiles = np.array([[phi1(phi, p) for p, _ in G0.float_atoms] for phi in aligned])
+    gram = (profiles * [m for _, m in G0.float_atoms]) @ profiles.conj().T
+    want = (float(np.mean(np.abs(np.diag(gram)))), float(np.max(np.abs(gram - np.diag(np.diag(gram))))))
+    calls = []
+
+    def counted(phi, z):
+        calls.append(z)
+        return phi1(phi, z)
+
+    monkeypatch.setattr(screw, "phi1", counted)
+    monkeypatch.setattr(weyl, "phi1", counted)
+    assert weyl._aligned_basis_gram(G0, FR, model) == want  # one aligned sample per target
+    k, atoms = len(model), len(G0.float_atoms)
+    assert len(calls) == k * (k + 1) + k * atoms == 21
+
+
+def test_diagram_check_draws_the_successive_random_test_functions(monkeypatch):
+    drawn, draws = [], screw._random_draws
+
+    def recorded(rng, support, n):
+        for phi in draws(rng, support, n):
+            drawn.append(phi)
+            yield phi
+
+    monkeypatch.setattr(weyl, "_random_draws", recorded)
+    rep = diagram_check(G0, FR, H0, n_samples=5, seed=4)
+    assert rep.passed and len(drawn) == 5
+    rng = np.random.default_rng(4)
+    for phi in drawn:
+        want = random_test_function(rng, support=(-3.0, 3.0), n=2049)
+        assert phi.support == want.support
+        assert phi.samples.tobytes() == want.samples.tobytes()
