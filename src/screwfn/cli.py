@@ -210,8 +210,9 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
         fr, (_, H) = frame(), transfer()
         basis = extension_eigenbasis(fr, math.pi / 2).normalized
         invs = [inverse_weyl(fr, H, F) for F in basis]
+        # l2h_inner(v, u) = conj(l2h_inner(u, v)) exactly: each unordered pair once
         orthonormal = all(l2h_inner(H, u, v) == int(i == j)
-                          for i, u in enumerate(invs) for j, v in enumerate(invs))
+                          for i, u in enumerate(invs) for j, v in enumerate(invs[i:], i))
         return orthonormal and all(weyl_transform(H, v) == F for v, F in zip(invs, basis))
 
     rep.run("weyl-transform-images", "canonical-system-transform", weyl_images)

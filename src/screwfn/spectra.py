@@ -48,11 +48,11 @@ __all__ = [
 class DiscreteMeasure:
     """Finitely many support points with positive masses.
 
-    Points are Fractions within float range (exact) or finite floats, so
-    that every float view converts them; masses are PiScalars
-    (exact, possibly pi-graded) or floats.  Points are stored in increasing
-    exact value.  Two Fraction points are distinct when unequal; a pair with
-    a float point, when their floats differ.
+    Points are Fractions within float range (exact) or finite floats, and
+    masses are PiScalars (exact, possibly pi-graded) or floats with a
+    finite float value, so that every float view converts them.  Points are
+    stored in increasing exact value.  Two Fraction points are distinct when
+    unequal; a pair with a float point, when their floats differ.
     """
 
     __slots__ = ("points", "masses", "is_exact")
@@ -77,14 +77,16 @@ class DiscreteMeasure:
                     raise ValueError(f"support point {p} is beyond float range") from None
             if isinstance(m, (int, Fraction, ExactComplex)):
                 m = PiScalar.coerce(m)
-            if isinstance(m, PiScalar):
-                if not m.is_real() or not m > 0:
-                    raise ValueError("masses must be positive")
-            elif isinstance(m, float):
-                if not m > 0:
-                    raise ValueError("masses must be positive")
-            else:
+            if not isinstance(m, (PiScalar, float)):
                 raise TypeError(f"unsupported mass type {type(m).__name__}")
+            if isinstance(m, PiScalar) and not m.is_real() or not m > 0:
+                raise ValueError("masses must be positive")
+            try:
+                finite = math.isfinite(float(m))  # every float view converts the mass
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"mass {m} is beyond float range")
             pairs.append((p, m))
         pairs.sort(key=lambda pm: pm[0])  # Fraction and float compare exactly
         for (p1, _), (p2, _) in zip(pairs, pairs[1:]):

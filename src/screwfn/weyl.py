@@ -8,30 +8,30 @@ the canonical system,
 
     (W F)(z) = (1/pi) * integral [C(t, z) D(t, z)] H(t) F(t) dt,
 
-and is evaluated exactly: on each segment the row is affine in t with
-matrix-polynomial coefficients, so the integral is a finite moment sum.
-The kernel identity of that row makes W unitary onto the de Branges space.
-The sum adds the row Polynomials of each segment where F is not zero, from
-the integer rows of canonical's chain.  L0_map, inverse_weyl and
-StepVector.from_row_values take the row values at a level point from the
-Polynomials of canonical.solution_rows_affine, built once per call:
-Fractions at a rational point, complex numbers at a float point.
-inverse_weyl reads the rows only at the level points where F is not zero,
-so the pi/2 eigenvector F_x is read at x alone.
+and is evaluated exactly.  On a segment H = e e^T kills the free part of
+F, so only F's constant there, StepVector.constrained, counts, and the row,
+affine in t, integrates to two row terms per nonzero component of P F.  The
+kernel identity of that row makes W unitary onto the de Branges space.  The
+rows come from canonical's integer rows, only where F's constant is not
+zero.  L0_map, inverse_weyl and StepVector.from_row_values take the row
+values at a level point from the Polynomials of
+canonical.solution_rows_affine, built once per call: Fractions at a
+rational point, complex numbers at a float point.  inverse_weyl reads the
+rows only at the level points where F is not zero, so the pi/2
+eigenvector F_x is read at x alone.
 
 inverse_weyl and L0_map weight each level point g by de Branges' sampling
 weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
 
 Each check computes what does not change within one call once.  l2h_inner
-conjugates the second vector once and integrates each segment's form from
-the coefficients, with no Polynomial product.  diagram_check builds its
+multiplies segment constants; on exact data it and weyl_transform equal the
+Polynomial-product form and the full moment sum.  diagram_check builds its
 level-point maps, including the triangle matrix from one
 solution_rows_affine, before its loop; it takes its random samples from
 one screw._random_draws generator, which forms the grid's trig tables and
 window once, and its aligned functions from one screw._aligned_test_functions
-call, which samples the windowed monomials once.  l2h_inner's exact values
-equal those of the Polynomial-product form, and diagram_check's floats are
-bit for bit those of building each sample and aligned function alone.
+call, which samples the windowed monomials once; its floats are bit for
+bit those of building each sample and aligned function alone.
 
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
@@ -80,16 +80,17 @@ _DIAGRAM_GRID = 2049  # samples per random test function of diagram_check
 class StepVector:
     """Per-segment (f, g) polynomial pairs in the local segment coordinate.
 
-    On a segment with normalized projector (pa, pb, pc) the component along
-    the segment direction must be constant; this is checked exactly for
-    exact coefficients and, for floats, to 1e-9 of the largest coefficient
-    of f and g, the scale of the rounding the component carries.
+    On a segment with projector (pa, pb, pc) = (c^2, cs, s^2), e = (c, s),
+    the component pa f + pb g, or g when pa = 0, is c (e . F), or e . F, and
+    must be constant: exactly for exact coefficients, for floats to 1e-9 of
+    the largest coefficient of f and g.  ``constrained`` holds its constant
+    term per segment; H = e e^T kills the rest.
     """
 
-    __slots__ = ("H", "components")
+    __slots__ = ("H", "components", "constrained")
 
     def __init__(self, H: Hamiltonian, components):
-        comps = []
+        comps, consts = [], []
         if len(components) != len(H.segments):
             raise ValueError("need one (f, g) pair per segment")
         for seg, (f, g) in zip(H.segments, components):
@@ -105,8 +106,10 @@ class StepVector:
             if varies:
                 raise ValueError("not in L-hat: constrained component varies on an indivisible interval")
             comps.append((f, g))
+            consts.append(constrained.coeff(0))
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "constrained", tuple(consts))
 
     def __setattr__(self, *a):
         raise AttributeError("StepVector is immutable")
@@ -118,7 +121,9 @@ class StepVector:
 
     @staticmethod
     def basis_vector(H: Hamiltonian, k: int) -> "StepVector":
-        """Constrained component 1 on segment k, zero elsewhere, free parts zero."""
+        """The unit direction e on segment k, zero elsewhere: e . F = 1 there.
+
+        Its constrained constant is cos(theta), or 1 when pa = 0."""
         comps = []
         for j, seg in enumerate(H.segments):
             if j != k:
@@ -178,30 +183,20 @@ def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
-    """(1/pi) sum_k integral (F1 . P_k conj(F2)) over the segment; exact for exact data.
+    """(1/pi) sum_s L_s c_s(F1) conj(c_s(F2)) / p_s, c_s = StepVector.constrained.
 
-    On a segment of length L the integrand is
-    pa f1 conj(f2) + pb (f1 conj(g2) + g1 conj(f2)) + pc g1 conj(g2), and
-    t^(j+k) integrates to I_(j+k) = L^(j+k+1)/(j+k+1), so each term
-    p a conj(b) with p nonzero adds p sum_k conj(b_k) sum_j a_j I_(j+k),
-    read off the coefficients.  F2's components are conjugated once, and
-    no Polynomial product or antiderivative is built.
+    H = e e^T on segment s, so the integrand is (e . F1) conj(e . F2), and
+    c_s = cos(theta) (e . F) with p_s = pa, or c_s = e . F with p_s = pc = 1
+    when pa = 0.  Exact for exact data; a float vector's constrained
+    coefficients above degree 0 (below 1e-9 of its scale) are ignored.
     """
     _check_on(H, F1)
     _check_on(H, F2)
     total = 0
-    for seg, (f1, g1), (f2, g2) in zip(H.segments, F1.components, F2.components):
-        pa, pb, pc = seg.proj
-        f1, g1 = f1.coeffs, g1.coeffs
-        f2, g2 = [c.conjugate() for c in f2.coeffs], [c.conjugate() for c in g2.coeffs]
-        L = seg.length
-        moments = [Fraction(L ** (m + 1), m + 1)
-                   for m in range(max(len(f1), len(g1)) + max(len(f2), len(g2)) - 1)]
-        for p, a, b in ((pa, f1, f2), (pb, f1, g2), (pb, g1, f2), (pc, g1, g2)):
-            if p and a and b:
-                total = total + p * sum(
-                    y * sum(x * moments[j + k] for j, x in enumerate(a)) for k, y in enumerate(b)
-                )
+    for seg, c1, c2 in zip(H.segments, F1.constrained, F2.constrained):
+        if c1 and c2:
+            pa, _, pc = seg.proj
+            total = total + seg.length / (pa or pc) * c1 * c2.conjugate()
     return total / PI
 
 
@@ -213,28 +208,26 @@ def l2h_norm(H: Hamiltonian, F: StepVector):
 def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
     """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z.
 
-    Each moment term, a row Polynomial times uc * I_j, is added in segment,
-    j, u/v, R0/R1 order.  The rows stop at the last segment where F is not
-    zero, and a segment's row Polynomials are built only where F is not zero.
+    On a segment, P F is (c, c pb/pa), or (0, c) when pa = 0, for c its
+    StepVector.constrained, and the row is R0 + t R1: each nonzero x of P F
+    adds R0 (x L) + R1 (x L^2/2).  Rows stop at the last nonzero c and are
+    built only where c is not zero; as in l2h_inner, a float vector's
+    constrained coefficients above degree 0 are ignored.
     """
     _check_on(H, F)
-    comps = list(F.components)
-    while comps and comps[-1][0].is_zero() and comps[-1][1].is_zero():
-        comps.pop()
+    consts = list(F.constrained)
+    while consts and not consts[-1]:
+        consts.pop()
     acc = Polynomial.zero()
-    for (f, g), seg, (r0, den0, r1, den1) in zip(comps, H.segments, _affine_rows(H)):
-        if f.is_zero() and g.is_zero():
+    for c, seg, (r0, den0, r1, den1) in zip(consts, H.segments, _affine_rows(H)):
+        if not c:
             continue
-        pa, pb, pc = seg.proj
-        u = f * pa + g * pb  # first component of P F
-        v = f * pb + g * pc
+        pa, pb, _ = seg.proj
         L = seg.length
         R0, R1 = _polys(r0, den0), _polys(r1, den1)
-        for j in range(max(u.degree, v.degree) + 1):
-            Ij, Ij1 = Fraction(L ** (j + 1), j + 1), Fraction(L ** (j + 2), j + 2)
-            for k, c in enumerate((u.coeff(j), v.coeff(j))):
-                if c:
-                    acc = acc + R0[k] * (c * Ij) + R1[k] * (c * Ij1)
+        for k, x in enumerate((c, c * (pb / pa)) if pa else (0, c)):
+            if x:
+                acc = acc + R0[k] * (x * L) + R1[k] * (x * (L * L / 2))
     return acc * PiScalar(1, 1, -2)
 
 

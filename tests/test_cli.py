@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from screwfn import cli, weyl
 from screwfn import serialization as ser
 from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction
 from screwfn.canonical import factorize, w0_matrix
@@ -200,6 +201,15 @@ def test_cli_pd_check_names_a_point_beyond_float_range(tmp_path, capsys):
     assert err == "error: bad measure JSON: support point 1" + "0" * 400 + " is beyond float range\n"
 
 
+def test_cli_pd_check_names_a_mass_beyond_float_range(tmp_path, capsys):
+    # unchecked, the first float view of the masses ends in an OverflowError traceback
+    path = tmp_path / "tau.json"
+    path.write_text('{"points": ["1"], "masses": ["1' + "0" * 400 + '"]}')
+    assert main(["pd-check", "--tau", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad measure JSON: mass 1" + "0" * 400 + " is beyond float range\n"
+
+
 def test_cli_unknown_example_is_input_error():
     assert main(["pipeline", "--example", "zeta"]) == 2
 
@@ -348,6 +358,21 @@ def symmetric_measures(draw):
 def test_spectral_pipeline_passes_on_random_symmetric_measures(tau):
     rep = run_spectral_pipeline(tau, seed=1)
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
+
+
+def test_weyl_images_check_reads_each_unordered_pair_once(monkeypatch):
+    # l2h_inner(v, u) = conj(l2h_inner(u, v)) exactly, so n (n + 1)/2 calls give the n^2 verdict
+    calls = []
+
+    def counted(H, u, v):
+        calls.append((u, v))
+        return weyl.l2h_inner(H, u, v)
+
+    monkeypatch.setattr(cli, "l2h_inner", counted)
+    tau = DiscreteMeasure([-2, -1, 0, 1, 2], [1, Fraction(1, 2), 2, Fraction(1, 2), 1])
+    status = {c.name: c.status for c in run_spectral_pipeline(tau, seed=1).checks}
+    assert status["weyl-transform-images"] == "pass"
+    assert len(calls) == 5 * 6 // 2
 
 
 def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():

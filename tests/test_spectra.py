@@ -317,3 +317,15 @@ def test_measure_rejects_a_fraction_point_beyond_float_range(points):
     # a point that rounds to the largest float still converts
     big = Fraction(2**1024 - 2**970 - 1)
     assert DiscreteMeasure([big], [1]).float_points() == [float(big)]
+
+
+@pytest.mark.parametrize("masses", [[Fraction(10**400)], [1.0, PiScalar(Fraction(10**308), 1, 2)],
+                                    [math.inf]], ids=["huge", "huge-times-pi", "inf"])
+def test_measure_rejects_a_mass_beyond_float_range(masses):
+    # float_masses converts every mass: unchecked, these raise OverflowError there or give inf
+    points = list(range(len(masses)))
+    with pytest.raises(ValueError, match=r"^mass (10{400}|10{308}\*pi|inf) is beyond float range$"):
+        DiscreteMeasure(points, masses)
+    # a mass that rounds to the largest float still converts
+    big = Fraction(2**1024 - 2**970 - 1)
+    assert DiscreteMeasure([0], [big]).float_masses() == [float(big)]

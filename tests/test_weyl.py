@@ -398,7 +398,26 @@ def test_weyl_transform_and_l2h_inner_reject_a_vector_on_another_hamiltonian():
 
 
 def _poly_weyl(H, F):
-    """The moment sum over the Polynomial rows of solution_rows_affine, term by term."""
+    """The rank-one formula over the Polynomial rows of solution_rows_affine, term by term.
+
+    P F is the constant (c, c pb/pa), or (0, c) when pa = 0, on each segment,
+    for c = F.constrained, and the row R0 + t R1 integrates to R0 L + R1 L^2/2.
+    """
+    acc = Polynomial.zero()
+    rows = canonical.solution_rows_affine(H)
+    for seg, (r0, r1), c in zip(H.segments, rows, F.constrained):
+        pa, pb, _ = seg.proj
+        L = seg.length
+        u, v = (c, c * (pb / pa)) if pa else (0, c)
+        if u:
+            acc = acc + r0[0] * (u * L) + r1[0] * (u * (L * L / 2))
+        if v:
+            acc = acc + r0[1] * (v * L) + r1[1] * (v * (L * L / 2))
+    return acc * PiScalar(1, 1, -2)
+
+
+def _moment_weyl(H, F):
+    """The full moment sum over every coefficient of P F and the Polynomial rows."""
     acc = Polynomial.zero()
     rows = canonical.solution_rows_affine(H)
     for seg, ((r0c, r0d), (r1c, r1d)), (f, g) in zip(H.segments, rows, F.components):
@@ -578,6 +597,39 @@ def test_l2h_inner_equals_the_polynomial_product_formula(H, data):
     F2 = F2 * ExactComplex(re, im)
     for u, v in ((F1, F2), (F2, F1), (F1, F1)):
         got, want = l2h_inner(H, u, v), _product_l2h_inner(H, u, v)
+        assert got == want and hash(got) == hash(want)
+    # Hermitian exactly, which lets the weyl-transform-images check read each pair once
+    assert l2h_inner(H, F2, F1) == l2h_inner(H, F1, F2).conjugate()
+
+
+@settings(max_examples=40)
+@given(pythagorean_hamiltonian(), st.data())
+def test_weyl_transform_equals_the_full_moment_sum(H, data):
+    F = data.draw(step_vectors(H, kinds=("exact", "pi"), max_degree=3))
+    got, want = weyl_transform(H, F), _moment_weyl(H, F)
+    assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=40)
+@given(pythagorean_hamiltonian(), st.data())
+def test_a_free_part_changes_no_segment_constant(H, data):
+    # H = e e^T kills q(t) (-s, c): the constants, inner products and images stay exactly
+    F, G = (data.draw(step_vectors(H, kinds=("exact",), max_degree=3)) for _ in range(2))
+    free = []
+    for seg in H.segments:
+        c, s = _direction(seg)
+        q = Polynomial([data.draw(st.fractions(-3, 3, max_denominator=5))
+                        for _ in range(data.draw(st.integers(0, 4)))])
+        free.append((q * -s, q * c))
+    free = StepVector(H, free)
+    assert all(not c for c in free.constrained)
+    scale = data.draw(st.sampled_from([1, PiScalar(Fraction(-3, 2), 2, 1), PiScalar(Fraction(1, 3), 3, -2)]))
+    F, moved = F * scale, (F + free) * scale
+    assert moved.constrained == F.constrained
+    for got, want in ((l2h_inner(H, moved, G), l2h_inner(H, F, G)),
+                      (l2h_inner(H, G, moved), l2h_inner(H, G, F)),
+                      (l2h_norm(H, moved), l2h_norm(H, F)),
+                      (weyl_transform(H, moved), weyl_transform(H, F))):
         assert got == want and hash(got) == hash(want)
 
 
