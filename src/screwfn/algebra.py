@@ -343,13 +343,18 @@ def _primitive_remainders(f: list[int], g: list[int]):
         f, g = g, [-c // content for c in r]
 
 
+def _largest(coeffs) -> float:
+    """The largest |c| over the coefficients: 0.0 exactly when all vanish."""
+    return max((abs(complex(c)) for c in coeffs), default=0.0)
+
+
 def effective_degree(p: Polynomial, rel: float) -> int:
     """Degree of p; for float coefficients, ignoring leading ones below rel * max|c|."""
     if p.mode != "float":
         return p.degree
     if p.is_zero():
         return -1
-    scale = max(abs(complex(c)) for c in p.coeffs)
+    scale = _largest(p.coeffs)
     deg = p.degree
     while deg >= 0 and abs(complex(p.coeffs[deg])) <= rel * scale:
         deg -= 1

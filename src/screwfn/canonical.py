@@ -22,7 +22,8 @@ I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
 e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
 den*e, and all of them and den*e are divided by their gcd once per step.
 fundamental_solution, subspace_chain, solution_rows_affine and the peel all
-take this step, carrying only the rows they return.  weyl_transform reads
+take this step, carrying only the rows they return: subspace_chain and
+solution_rows_affine carry the bottom (C, D) row alone.  weyl_transform reads
 the integer rows of solution_rows_affine too, through _affine_rows, and
 builds a segment's row Polynomials only where it integrates against them.
 A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
@@ -408,14 +409,14 @@ def fundamental_solution(H: Hamiltonian, t, z=None):
     return W if z is None else W(z)
 
 
-def _affine_rows(H: Hamiltonian, row: str = "bottom"):
-    """Yield, per segment, (R0, den0, R1, den1): the affine row as integer rows.
+def _affine_rows(H: Hamiltonian):
+    """Yield, per segment, (R0, den0, R1, den1): the affine bottom row as integer rows.
 
     On segment k the row is R0/den0 + (t - t_{k-1}) * R1/den1, component by
     component, as in solution_rows_affine; den1 is den0 * e for the X = Y/e
     of the segment.  No integer list carries a trailing zero.
     """
-    r, den = (([1], []) if row == "top" else ([], [1])), 1
+    r, den = ([], [1]), 1
     for seg in H.segments:
         Y, e = _cleared(_segment_x(seg.proj, 1))
         zr = _z_times(r, Y)
@@ -427,23 +428,20 @@ def _affine_rows(H: Hamiltonian, row: str = "bottom"):
         (r,), den = _reduced([_lin(d * e, r, n, zr)], den * e * d)  # R0 + L_k * R1
 
 
-def solution_rows_affine(H: Hamiltonian, row: str = "bottom"):
-    """Per-segment affine representation of a solution row.
+def solution_rows_affine(H: Hamiltonian):
+    """Per-segment affine representation of the bottom solution row.
 
     Returns a list of ((R0_first, R0_second), (R1_first, R1_second)) with
 
         row(t, z) = R0(z) + (t - t_{k-1}) * R1(z)   on segment k,
 
-    R0 the row of W(t_{k-1}, z) and R1 = -z * R0 * P_k J.  The bottom row is
-    the (C, D) pair used by the worked example's Weyl transform; "top" gives
-    (A, B), and any other row is a ValueError.  Only that row is carried, and
-    the next R0 is R0 + L_k * R1.  These are the Polynomials of _affine_rows,
-    which weyl_transform reads as integers; the Weyl layer's other maps
-    evaluate these.
+    R0 the bottom (C, D) row of W(t_{k-1}, z), the row of the Weyl transform,
+    and R1 = -z * R0 * P_k J.  Only that row is carried, and the next R0 is
+    R0 + L_k * R1.  These are the Polynomials of _affine_rows, which
+    weyl_transform reads as integers; the Weyl layer's other maps evaluate
+    these.
     """
-    if row not in ("top", "bottom"):
-        raise ValueError(f"row must be 'top' or 'bottom', not {row!r}")
-    return [(_polys(r0, den0), _polys(r1, den1)) for r0, den0, r1, den1 in _affine_rows(H, row)]
+    return [(_polys(r0, den0), _polys(r1, den1)) for r0, den0, r1, den1 in _affine_rows(H)]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite
 
-from .algebra import Polynomial, RationalFunction, _signed_remainders
+from .algebra import Polynomial, RationalFunction, _largest, _signed_remainders
 from .exact import I, ExactComplex, PiScalar
 from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
@@ -331,11 +331,6 @@ class MeanPeriodicReport:
     def max_residual(self) -> float:
         return max(self.convolution_residual, self.one_sided_residual,
                    self.fourier_carleman_residual)
-
-
-def _largest(coeffs) -> float:
-    """The largest |c| over exact coefficients: 0.0 exactly when all vanish."""
-    return max((abs(complex(c)) for c in coeffs), default=0.0)
 
 
 def _kernel_and_convolution(g: ScrewFunctionData):

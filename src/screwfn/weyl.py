@@ -25,13 +25,15 @@ weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
 
 Each check computes what does not change within one call once.  l2h_inner
 multiplies segment constants; on exact data it and weyl_transform equal the
-Polynomial-product form and the full moment sum.  diagram_check builds its
-level-point maps, including the triangle matrix from one
-solution_rows_affine, before its loop; it takes its random samples from
-one screw._random_draws generator, which forms the grid's trig tables and
-window once, and its aligned functions from one screw._aligned_test_functions
-call, which samples the windowed monomials once; its floats are bit for
-bit those of building each sample and aligned function alone.
+Polynomial-product form and the full moment sum.  diagram_check keeps float
+arithmetic only where an integral is taken: before its loop it evaluates
+the eigenbasis over E at the exact level points, converting each value
+once, and reads the triangle from W(inverse_weyl F) = F in exact
+arithmetic.  It takes its random samples from one screw._random_draws
+generator, which forms the grid's trig tables and window once, and its
+aligned functions from one screw._aligned_test_functions call, which
+samples the windowed monomials once; its floats are bit for bit those of
+building each sample and aligned function alone.
 
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
@@ -46,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import Polynomial, _largest
 from .canonical import Hamiltonian, _affine_rows, _polys, solution_rows_affine
 from .debranges import HermiteBiehlerFrame, extension_eigenbasis
 from .exact import PiScalar, PI
@@ -101,7 +103,7 @@ class StepVector:
             constrained = f * row[0] + g * row[1]
             varies = constrained.degree > 0
             if varies and constrained.mode == "float":
-                scale = max(abs(complex(c)) for c in f.coeffs + g.coeffs)
+                scale = _largest(f.coeffs + g.coeffs)
                 varies = any(abs(c) > 1e-9 * scale for c in constrained.coeffs[1:])
             if varies:
                 raise ValueError("not in L-hat: constrained component varies on an indivisible interval")
@@ -321,6 +323,13 @@ def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> Ste
 class DiagramReport:
     """Residuals of the isometry square and the transform triangle.
 
+    isometry_kernel_vs_measure and isometry_measure_vs_model integrate
+    random test functions on a grid and are quadrature-limited.  The other
+    legs are algebraic: isometry_model_vs_restriction and
+    square_phi1_vs_restriction read values taken at the exact level points,
+    so they hold up to rounding, and on exact data triangle_weyl_l0_vs_model
+    is exact, 0.0 when the triangle commutes.
+
     The restriction of the model image to the level set equals Phi1 times a
     fixed unimodular diagonal determined by the eigenbasis phases; that
     constant is reported (square_phase_constant), and the square residual is
@@ -348,28 +357,30 @@ def diagram_check(
 ) -> DiagramReport:
     """Verify the isometry chain and both commutative triangles on random data.
 
-    Every leg is linear in a sample's Phi1 at the level points, or, for the
-    kernel leg, quadratic in the sample, so the maps that do not depend on
-    the sample are built once, before the loop:
+    Float arithmetic is left where an integral is taken, in the kernel vs
+    measure and measure vs model legs.  The maps that do not depend on the
+    sample are built once, before the loop:
 
+    - the k x k restriction matrix F_j(x_l)/E(x_l), E_times restricted to
+      the level set over E, each entry taken at the exact level point x_l
+      and converted once: diagonal exactly, as F_j = c_j A/(z - x_j) and
+      A(x_l) = 0; sqrt(mu) times its diagonal is the square's phase;
+    - the triangle residual max_k sqrt(mu_k) |W(inverse_weyl F_k) - F_k|
+      over z's coefficients, exact and converted once: F_k vanishes at
+      every level point but x_k, so W(L0 phi) - E phat(phi) is
+      sum_k sqrt(mu_k) Phi1(phi, x_k) (W(inverse_weyl F_k) - F_k);
     - g's kernel as _kernel_form, the FFT Toeplitz form of inner_product_Hg,
-      whose quadratic form costs one FFT per sample;
-    - the (grid x points) integrand matrix of phi1 at the level points and
-      at g's atoms;
-    - the k x k restriction matrix F_j(gamma_l)/E(gamma_l): E_times, then
-      restriction to the level set, over E;
-    - the k x D triangle matrix: the Weyl transform of L0_map's row vector
-      at each level point minus that point's term of E_times.
+      whose quadratic form costs one FFT per sample, and the (grid x
+      points) integrand matrix of phi1 at the level points and at g's atoms.
 
     The loop draws the n_samples random test functions, each sampled at
     2049 points of [-3, 3], in order from one seeded rng, one at a time
     from one _random_draws generator (the grid's tables formed once),
-    and keeps only each one's Phi1 values and kernel norm; the five
-    residuals are then array expressions over all samples.  phat, E_times,
-    L0_map and inner_product_Hg are the same maps for one sample.  All
-    comparisons are quadrature-limited.  The Gram matrix of the aligned
-    basis functions is measured and its diagonal constant reported rather
-    than asserted.
+    and keeps only each one's Phi1 values and kernel norm; the other four
+    residuals are then array expressions over all samples.  phat, E_times
+    and inner_product_Hg are the same maps for one sample.  The Gram matrix
+    of the aligned basis functions is measured and its diagonal constant
+    reported rather than asserted.
     """
     support = (-3.0, 3.0)
     model = _model_basis(frame)
@@ -377,17 +388,19 @@ def diagram_check(
     mass = np.array([m for _, m, _ in model])
     root = np.sqrt(mass)
 
-    # predicted unimodular diagonal sqrt(mu) F_g(g)/E(g) of the square
-    phases = np.array([
-        math.sqrt(m) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        for gam, m, F in model
-    ])
-    restrict = np.array([[complex(F(complex(gam))) for gam, _, _ in model] for _, _, F in model])
-    restrict /= [complex(frame.E(complex(gam))) for gam, _, _ in model]
-    triangle = _triangle_matrix(frame, H, model)
+    level = [(x, frame.E(x)) for x in frame.pi_half_eigenbasis.eigenvalues]
+    restrict = np.array([[complex(F(x) / e) for x, e in level] for _, _, F in model])
+    boundary = np.diag(restrict)
+    phases = root * boundary  # the predicted unimodular diagonal of the square
+    triangle = max(
+        (math.sqrt(m) * _largest((weyl_transform(H, inverse_weyl(frame, H, F)) - F).coeffs)
+         for _, m, F in model),
+        default=0.0,
+    )
 
+    level_points = [gam for gam, _, _ in model]
     atoms = np.array(g.float_atoms, dtype=float).reshape(-1, 2)
-    points = np.concatenate([[gam for gam, _, _ in model], atoms[:, 0]])
+    points = np.concatenate([level_points, atoms[:, 0]])
     integrand = _phi1_matrix(np.linspace(*support, _DIAGRAM_GRID), points)
     _, quadratic = _kernel_form(g, support, _DIAGRAM_GRID)
 
@@ -406,21 +419,20 @@ def diagram_check(
     norm_model = np.sum(np.abs(coeffs) ** 2, axis=1) / math.pi
     restricted = coeffs @ restrict  # E * phat at the level set, over E
     norm_restr = np.abs(restricted) ** 2 @ mass / math.pi
-    r1, r2, r3, r4, r5 = (
+    r1, r2, r3, r4 = (
         float(np.max(r, initial=0.0))
         for r in (
             np.abs(norm_kernel - norm_measure) / scale,
             np.abs(norm_measure - norm_model) / scale,
             np.abs(norm_model - norm_restr) / scale,
             np.abs(restricted - phases * at_level),
-            np.abs(at_level @ triangle),
         )
     )
 
-    diag, off = _aligned_basis_gram(g, frame, model)
-    passed = max(r1, r2, r3, r4, r5) < tol
+    diag, off = _aligned_basis_gram(g, level_points, boundary)
+    passed = max(r1, r2, r3, r4, triangle) < tol
     return DiagramReport(
-        r1, r2, r3, r4, r5, complex(np.mean(phases)), diag, off, passed
+        r1, r2, r3, r4, triangle, complex(np.mean(phases)), diag, off, passed
     )
 
 
@@ -432,34 +444,15 @@ def _phi1_matrix(ts: np.ndarray, points) -> np.ndarray:
     return out
 
 
-def _triangle_matrix(frame: HermiteBiehlerFrame, H: Hamiltonian, model) -> np.ndarray:
-    """Row k: W(L0 phi) - E_times(phat phi) per unit Phi1(phi, g_k), over z's coefficients.
-
-    L0_map's term at g_k is w sqrt(mu) F_k(g_k) Phi1 times the row vector
-    [C(t, g_k); D(t, g_k)], and E_times' is sqrt(mu) Phi1 F_k.
-    """
-    rows, affine = [], solution_rows_affine(H)
-    for (gam, m, F), (_, w) in zip(model, frame.weights):
-        l0_term = _step_from_rows(H, affine, gam, float(w) * math.sqrt(m) * complex(F(complex(gam))))
-        rows.append(weyl_transform(H, l0_term) - Polynomial([complex(c) for c in F.coeffs]) * math.sqrt(m))
-    out = np.zeros((len(rows), max((len(p.coeffs) for p in rows), default=0)), dtype=complex)
-    for k, p in enumerate(rows):
-        out[k, : len(p.coeffs)] = [complex(c) for c in p.coeffs]
-    return out
-
-
-def _aligned_basis_gram(g, frame, model):
+def _aligned_basis_gram(g, points, boundary):
     """Measured Gram of the aligned basis functions; constant reported, not asserted.
 
-    The aligned functions share one windowed-monomial basis and one solve
-    matrix, built once; their profiles are Phi1 at g's atoms.
+    Function k is aligned to sqrt(pi) F_k(x_k)/E(x_k), boundary[k], at level
+    point k and to 0 at the others.  The aligned functions share one
+    windowed-monomial basis and one solve matrix, built once; their
+    profiles are Phi1 at g's atoms.
     """
-    points = [gam for gam, _, _ in model]
-    target_rows = []
-    for k, (gam, _, F) in enumerate(model):
-        targets = [0j] * len(model)
-        targets[k] = math.sqrt(math.pi) * complex(F(complex(gam))) / complex(frame.E(complex(gam)))
-        target_rows.append(targets)
+    target_rows = np.diag(boundary) * math.sqrt(math.pi)
     aligned = _aligned_test_functions(points, target_rows)
     profiles = np.array([[phi1(phi, p) for p, _ in g.float_atoms] for phi in aligned])
     gram = (profiles * [m for _, m in g.float_atoms]) @ profiles.conj().T

@@ -483,7 +483,7 @@ def test_real_chain_data_hold_fractions(xs, ms):
     A, B = ab_split(E / ab_split(E)[1](0))
     top = bezout_complete(A, B)
     H = factorize(MatrixPolynomial([top, (A, B)]))
-    rows = [p for row in ("top", "bottom") for r0, r1 in solution_rows_affine(H, row) for p in r0 + r1]
+    rows = [p for r0, r1 in solution_rows_affine(H) for p in r0 + r1]
     assert _exact_rational([Q.num, Q.den, A, B, *top, *rows])
     assert _exact_rational([E], real=False)
 
@@ -507,15 +507,14 @@ def test_integer_chain_equals_the_segment_product(H, data):
         C, D = products[entry.t].entries[1]
         assert entry.E == C - D * I and entry.dim == max(entry.E.degree, 0)
         assert _exact_rational([entry.E], real=False)
-    for idx, row in ((0, "top"), (1, "bottom")):
-        rows = solution_rows_affine(H, row=row)
-        assert len(rows) == len(H)
-        for seg, t, (r0, r1) in zip(H.segments, H.breakpoints, rows):
-            pa, pb, pc = seg.proj
-            R0 = products[t].entries[idx]
-            assert r0 == R0
-            assert r1 == (-(R0[0] * pb + R0[1] * pc) * z, (R0[0] * pa + R0[1] * pb) * z)
-            assert _exact_rational(r0 + r1)
+    rows = solution_rows_affine(H)
+    assert len(rows) == len(H)
+    for seg, t, (r0, r1) in zip(H.segments, H.breakpoints, rows):
+        pa, pb, pc = seg.proj
+        R0 = products[t].entries[1]
+        assert r0 == R0
+        assert r1 == (-(R0[0] * pb + R0[1] * pc) * z, (R0[0] * pa + R0[1] * pb) * z)
+        assert _exact_rational(r0 + r1)
     assert factorize(fundamental_solution(H, H.total_length)) == H
 
 
@@ -550,20 +549,13 @@ def test_chain_and_peel_form_no_polynomial_products(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted_poly)
     W = fundamental_solution(H, H.total_length)
     chain = subspace_chain(H)
-    rows = solution_rows_affine(H), solution_rows_affine(H, row="top")
+    rows = solution_rows_affine(H)
     H2 = factorize(W)
     assert calls == []
-    assert W.degree == 32 and len(chain) == 33 and len(rows[0]) == 32 and H2 == H
+    assert W.degree == 32 and len(chain) == 33 and len(rows) == 32 and H2 == H
     # the counters see the products the reference forms
     _segment_product(H, Fraction(1))
     assert calls and set(calls) == {"MatrixPolynomial", "Polynomial"}
-
-
-def test_solution_rows_affine_rejects_an_unknown_row():
-    H = factorize(w0_matrix())
-    for row in ("middle", "Bottom", None):
-        with pytest.raises(ValueError, match="row must be 'top' or 'bottom'"):
-            solution_rows_affine(H, row=row)
 
 
 def test_equal_hamiltonians_hash_equal():

@@ -279,11 +279,12 @@ def test_spectral_pipeline_passes_on_other_symmetric_measures(points, masses):
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
 
 
-@pytest.mark.parametrize("atoms", [7, 9, 11])
+@pytest.mark.parametrize("atoms", [7, 9, 11, 15])
 def test_spectral_pipeline_passes_on_odd_quarter_atoms(atoms):
     # {0: 1} and {+-(2k-1)/4: (2(k mod 3)+1)/8}: the Hankel matrix of these moments is so
     # ill-conditioned that a float determinant form of the kernel misses the tolerance 1e-10,
-    # and the surds of the exact norms carry radicands of 45 bits and more from 9 atoms
+    # and the surds of the exact norms carry radicands of 45 bits and more from 9 atoms;
+    # the diagram's algebraic legs, taken at the exact level points, stay at rounding
     points, masses = [0], [Fraction(1)]
     for k in range(1, atoms // 2 + 1):
         x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
@@ -292,6 +293,7 @@ def test_spectral_pipeline_passes_on_odd_quarter_atoms(atoms):
     rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
     assert len([c for c in rep.checks if c.tolerance == 0]) == 7
+    assert {c.name: c.residual for c in rep.checks}["isometry-diagram-closure"] < 1e-13
 
 
 def test_polynomial_space_tables_evaluates_each_polynomial_once_per_level_point(monkeypatch):
