@@ -21,10 +21,10 @@ rational 2x2 X (for a segment I - z*delta*P*J, X = -delta*P*J; for a peel
 I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
 e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
 den*e, and all of them and den*e are divided by their gcd once per step.
-fundamental_solution, subspace_chain, solution_rows_affine and the peel all
-take this step, carrying only the rows they return: subspace_chain and
-solution_rows_affine carry the bottom (C, D) row alone.  weyl_transform reads
-the integer rows of solution_rows_affine too, through _affine_rows, and
+fundamental_solution, the peel and _breakpoint_rows take this step,
+carrying only the rows they return.  _breakpoint_rows carries the bottom
+(C, D) row alone, from breakpoint to breakpoint; subspace_chain,
+solution_rows_affine and the Weyl transform all read it, and weyl_transform
 builds a segment's row Polynomials only where it integrates against them.
 A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
 built from the rows hold, coefficient for coefficient, the Fractions that
@@ -119,11 +119,9 @@ def _z_times(row, Y):
             [0] + [y01 * a + y11 * b for a, b in pairs])
 
 
-def _lin(s: int, row, t: int, zrow):
-    """s * row + t * zrow, component by component."""
-    return tuple(
-        [s * a + t * b for a, b in zip_longest(u, v, fillvalue=0)] for u, v in zip(row, zrow)
-    )
+def _lin(s: int, row, zrow):
+    """s * row + zrow, component by component."""
+    return tuple([s * a + b for a, b in zip_longest(u, v, fillvalue=0)] for u, v in zip(row, zrow))
 
 
 def _reduced(rows, den: int):
@@ -145,7 +143,7 @@ def _reduced(rows, den: int):
 def _step(rows, den: int, X):
     """One segment step: integer rows (p, q) over den times I + zX, X a rational 2x2."""
     Y, e = _cleared(X)
-    return _reduced([_lin(e, row, 1, _z_times(row, Y)) for row in rows], den * e)
+    return _reduced([_lin(e, row, _z_times(row, Y)) for row in rows], den * e)
 
 
 def _segment_x(proj, delta):
@@ -409,23 +407,16 @@ def fundamental_solution(H: Hamiltonian, t, z=None):
     return W if z is None else W(z)
 
 
-def _affine_rows(H: Hamiltonian):
-    """Yield, per segment, (R0, den0, R1, den1): the affine bottom row as integer rows.
+def _breakpoint_rows(H: Hamiltonian):
+    """Yield (row, den), the bottom (C, D) row of W(t_k, z), at t_0, ..., t_n.
 
-    On segment k the row is R0/den0 + (t - t_{k-1}) * R1/den1, component by
-    component, as in solution_rows_affine; den1 is den0 * e for the X = Y/e
-    of the segment.  No integer list carries a trailing zero.
+    One segment step per breakpoint, computed as far as the rows are read.
     """
     r, den = ([], [1]), 1
+    yield r, den
     for seg in H.segments:
-        Y, e = _cleared(_segment_x(seg.proj, 1))
-        zr = _z_times(r, Y)
-        for u in zr:
-            while u and not u[-1]:
-                u.pop()
-        yield r, den, zr, den * e
-        n, d = seg.length.numerator, seg.length.denominator
-        (r,), den = _reduced([_lin(d * e, r, n, zr)], den * e * d)  # R0 + L_k * R1
+        (r,), den = _step([r], den, _segment_x(seg.proj, seg.length))
+        yield r, den
 
 
 def solution_rows_affine(H: Hamiltonian):
@@ -435,13 +426,14 @@ def solution_rows_affine(H: Hamiltonian):
 
         row(t, z) = R0(z) + (t - t_{k-1}) * R1(z)   on segment k,
 
-    R0 the bottom (C, D) row of W(t_{k-1}, z), the row of the Weyl transform,
-    and R1 = -z * R0 * P_k J.  Only that row is carried, and the next R0 is
-    R0 + L_k * R1.  These are the Polynomials of _affine_rows, which
-    weyl_transform reads as integers; the Weyl layer's other maps evaluate
-    these.
+    R0 the bottom (C, D) row of W(t_{k-1}, z) and R1 = -z * R0 * P_k J,
+    read as (R0(t_k) - R0(t_{k-1}))/L_k off _breakpoint_rows.
     """
-    return [(_polys(r0, den0), _polys(r1, den1)) for r0, den0, r1, den1 in _affine_rows(H)]
+    rows = [_polys(r, den) for r, den in _breakpoint_rows(H)]
+    return [
+        (R0, tuple((b - a) / seg.length for a, b in zip(R0, R1)))
+        for seg, R0, R1 in zip(H.segments, rows, rows[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -454,15 +446,11 @@ class ChainEntry:
 def subspace_chain(H: Hamiltonian) -> list[ChainEntry]:
     """The de Branges subspace chain E(t, z) = C(t, z) - i D(t, z) at regular points.
 
-    The bottom row (C, D) of W(t, z) is carried from one breakpoint to the
-    next by one segment step, the product fundamental_solution forms at each t.
+    The bottom row (C, D) of W(t, z) at each breakpoint is read from
+    _breakpoint_rows.
     """
     out = []
-    r, den = ([], [1]), 1
-    for k, t in enumerate(H.breakpoints):
-        if k:
-            seg = H.segments[k - 1]
-            (r,), den = _step([r], den, _segment_x(seg.proj, seg.length))
+    for t, (r, den) in zip(H.breakpoints, _breakpoint_rows(H)):
         E = Polynomial([
             ExactComplex(Fraction(c, den), Fraction(-d, den))
             for c, d in zip_longest(*r, fillvalue=0)

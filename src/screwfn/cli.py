@@ -75,7 +75,7 @@ from .spectra import (
     tau_from_mu,
     theta_to_e,
 )
-from .weyl import diagram_check, inverse_weyl, l2h_inner, screw_line_S, weyl_transform
+from .weyl import _inverse_images, _weyl_images, diagram_check, l2h_inner, screw_line_S
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
@@ -209,11 +209,11 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     def weyl_images() -> bool:
         fr, (_, H) = frame(), transfer()
         basis = extension_eigenbasis(fr, math.pi / 2).normalized
-        invs = [inverse_weyl(fr, H, F) for F in basis]
+        invs = _inverse_images(fr, H, basis)  # one row table, and one rho_s per segment below
         # l2h_inner(v, u) = conj(l2h_inner(u, v)) exactly: each unordered pair once
         orthonormal = all(l2h_inner(H, u, v) == int(i == j)
                           for i, u in enumerate(invs) for j, v in enumerate(invs[i:], i))
-        return orthonormal and all(weyl_transform(H, v) == F for v, F in zip(invs, basis))
+        return orthonormal and _weyl_images(H, invs) == list(basis)
 
     rep.run("weyl-transform-images", "canonical-system-transform", weyl_images)
 

@@ -8,20 +8,19 @@ the canonical system,
 
     (W F)(z) = (1/pi) * integral [C(t, z) D(t, z)] H(t) F(t) dt,
 
-and is evaluated exactly.  On a segment H = e e^T kills the free part of
-F, so only F's constant there, StepVector.constrained, counts, and the row,
-affine in t, integrates to two row terms per nonzero component of P F.  The
-kernel identity of that row makes W unitary onto the de Branges space.  The
-rows come from canonical's integer rows, only where F's constant is not
-zero.  L0_map, inverse_weyl and StepVector.from_row_values take the row
-values at a level point from the Polynomials of
-canonical.solution_rows_affine, built once per call: Fractions at a
-rational point, complex numbers at a float point.  inverse_weyl reads the
-rows only at the level points where F is not zero, so the pi/2
-eigenvector F_x is read at x alone.
+and is evaluated exactly.  On segment s, H = e e^T kills the free part of
+F: P F is c_s (1, pb/pa), or (0, c_s) when pa = 0, for F's constant c_s =
+StepVector.constrained.  It is parallel to e, and the row R0 + t R1 has
+R1 = -z R0 P J with e^T J e = 0, so W F = sum_s c_s rho_s with rho_s =
+(L_s/pi) (C_s + (pb/pa) D_s), or (L_s/pi) D_s, for (C_s, D_s) the bottom
+row at t_{s-1} (de Branges 1968, ch. 2).  The kernel identity of that row
+makes W unitary onto the de Branges space.
 
-inverse_weyl and L0_map weight each level point g by de Branges' sampling
-weight mu({g})/|E(g)|^2 (Hilbert Spaces of Entire Functions, 1968).
+inverse_weyl weights each level point g by de Branges' sampling weight
+mu({g})/|E(g)|^2 and reads the rows of canonical.solution_rows_affine only
+where F(g) is not zero, so the pi/2 eigenvector F_x is read at x alone.
+_weyl_images and _inverse_images are the batched forms: each rho_s and the
+row table are built once per batch.
 
 Each check computes what does not change within one call once.  l2h_inner
 multiplies segment constants; on exact data it and weyl_transform equal the
@@ -29,7 +28,7 @@ Polynomial-product form and the full moment sum.  diagram_check keeps float
 arithmetic only where an integral is taken: before its loop it evaluates
 the eigenbasis over E at the exact level points, converting each value
 once, and reads the triangle from W(inverse_weyl F) = F in exact
-arithmetic.  It takes its random samples from one screw._random_draws
+arithmetic, in one batch of each.  It takes its random samples from one screw._random_draws
 generator, which forms the grid's trig tables and window once, and its
 aligned functions from one screw._aligned_test_functions call, which
 samples the windowed monomials once; its floats are bit for bit those of
@@ -49,8 +48,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Polynomial, _largest
-from .canonical import Hamiltonian, _affine_rows, _polys, solution_rows_affine
-from .debranges import HermiteBiehlerFrame, extension_eigenbasis
+from .canonical import Hamiltonian, _breakpoint_rows, _polys, solution_rows_affine
+from .debranges import HermiteBiehlerFrame
 from .exact import PiScalar, PI
 from .screw import (
     ScrewFunctionData,
@@ -144,7 +143,10 @@ class StepVector:
     @staticmethod
     def from_row_values(H: Hamiltonian, gamma, scale=1) -> "StepVector":
         """scale * [C(t, gamma); D(t, gamma)] as a step vector."""
-        return _step_from_rows(H, solution_rows_affine(H), gamma, scale)
+        return StepVector(H, [
+            tuple(Polynomial([R0[k](gamma) * scale, R1[k](gamma) * scale]) for k in (0, 1))
+            for R0, R1 in solution_rows_affine(H)
+        ])
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -176,10 +178,11 @@ def _check_on(H: Hamiltonian, F: StepVector) -> None:
         raise ValueError("step vectors live on different Hamiltonians")
 
 
-def _step_from_rows(H: Hamiltonian, rows, gamma, scale) -> StepVector:
-    """scale * rows(t, gamma) as a step vector, for rows = canonical.solution_rows_affine(H)."""
+def _step_from_rows(H: Hamiltonian, rows, samples) -> StepVector:
+    """sum of scale * rows(t, gamma) over (gamma, scale) samples, rows = solution_rows_affine(H)."""
     return StepVector(H, [
-        tuple(Polynomial([R0[k](gamma) * scale, R1[k](gamma) * scale]) for k in (0, 1))
+        tuple(sum((Polynomial([R0[k](g) * s, R1[k](g) * s]) for g, s in samples), Polynomial.zero())
+              for k in (0, 1))
         for R0, R1 in rows
     ])
 
@@ -208,42 +211,50 @@ def l2h_norm(H: Hamiltonian, F: StepVector):
 
 
 def weyl_transform(H: Hamiltonian, F: StepVector) -> Polynomial:
-    """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt, exact in z.
+    """(W F)(z) = (1/pi) integral [C(t,z) D(t,z)] H(t) F(t) dt = sum_s c_s rho_s, exact in z.
 
-    On a segment, P F is (c, c pb/pa), or (0, c) when pa = 0, for c its
-    StepVector.constrained, and the row is R0 + t R1: each nonzero x of P F
-    adds R0 (x L) + R1 (x L^2/2).  Rows stop at the last nonzero c and are
-    built only where c is not zero; as in l2h_inner, a float vector's
-    constrained coefficients above degree 0 are ignored.
+    rho_s reads the bottom row at t_{s-1} alone (module docstring).  As in
+    l2h_inner, a float vector's constrained coefficients above degree 0 are
+    ignored.
     """
-    _check_on(H, F)
-    consts = list(F.constrained)
-    while consts and not consts[-1]:
-        consts.pop()
-    acc = Polynomial.zero()
-    for c, seg, (r0, den0, r1, den1) in zip(consts, H.segments, _affine_rows(H)):
-        if not c:
-            continue
-        pa, pb, _ = seg.proj
-        L = seg.length
-        R0, R1 = _polys(r0, den0), _polys(r1, den1)
-        for k, x in enumerate((c, c * (pb / pa)) if pa else (0, c)):
-            if x:
-                acc = acc + R0[k] * (x * L) + R1[k] * (x * (L * L / 2))
-    return acc * PiScalar(1, 1, -2)
+    return _weyl_images(H, [F])[0]
+
+
+def _weyl_images(H: Hamiltonian, vectors) -> list:
+    """[weyl_transform(H, F) for F in vectors], rho_s built once where some c_s is not 0."""
+    for F in vectors:
+        _check_on(H, F)
+    used = {s for F in vectors for s, c in enumerate(F.constrained) if c}
+    rhos = {}  # pi rho_s; the 1/pi is taken once per image
+    for s, seg, (r, den) in zip(range(max(used, default=-1) + 1), H.segments, _breakpoint_rows(H)):
+        if s in used:
+            pa, pb, _ = seg.proj
+            C, D = _polys(r, den)
+            rhos[s] = (C + D * (pb / pa) if pa else D) * seg.length
+    return [
+        sum((rhos[s] * c for s, c in enumerate(F.constrained) if c), Polynomial.zero())
+        * PiScalar(1, 1, -2)
+        for F in vectors
+    ]
 
 
 def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> StepVector:
-    """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] w(g), w = mu/|E|^2 from frame.weights."""
-    if F.degree >= frame.dim:
+    """(W^{-1} F)(t) = sum_g F(g) [C(t,g); D(t,g)] w(g), w = mu/|E|^2 from frame.weights.
+
+    Level points where F vanishes add nothing and are not read.
+    """
+    return _inverse_images(frame, H, [F])[0]
+
+
+def _inverse_images(frame: HermiteBiehlerFrame, H: Hamiltonian, polys) -> list:
+    """[inverse_weyl(frame, H, F) for F in polys], solution_rows_affine(H) built once."""
+    if any(F.degree >= frame.dim for F in polys):
         raise ValueError("not a member of H(E)")
     rows = solution_rows_affine(H)
-    total = StepVector.zero(H)
-    for g, w in frame.weights:
-        Fg = F(g)
-        if Fg:  # a zero sample adds nothing
-            total = total + _step_from_rows(H, rows, g, Fg * w)
-    return total
+    return [
+        _step_from_rows(H, rows, [(g, Fg * w) for g, w in frame.weights if (Fg := F(g))])
+        for F in polys
+    ]
 
 
 @dataclass(frozen=True)
@@ -262,11 +273,10 @@ class ModelVector:
 
 
 def _model_basis(frame: HermiteBiehlerFrame) -> list:
-    """(g, mu({g}), F_g) over the orthonormal eigenbasis at angle pi/2, as floats."""
-    basis = extension_eigenbasis(frame, math.pi / 2)
+    """(g, mu({g}), F_g) as floats over the orthonormal pi/2 eigenbasis, whose eigenvalues are mu's points."""
     return [
-        (float(ev), float(frame.mu.mass_at(ev)), F)
-        for ev, F in zip(basis.eigenvalues, basis.normalized)
+        (float(g), float(m), F)
+        for g, m, F in zip(frame.mu.points, frame.mu.masses, frame.pi_half_eigenbasis.normalized)
     ]
 
 
@@ -308,15 +318,10 @@ def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> Ste
 
     (L0 phi)(t) = sum_g w(g) sqrt(mu({g})) F_g(g) Phi1(phi, g) [C(t,g); D(t,g)],
 
-    with w = mu/|E|^2 the sampling weight: inverse_weyl of E * phat(phi).
+    with w = mu/|E|^2 the sampling weight: inverse_weyl of E * phat(phi),
+    since F_g vanishes at every level point but g.
     """
-    rows = solution_rows_affine(H)
-    total = StepVector.zero(H)
-    for (g, m, F), (_, w) in zip(_model_basis(frame), frame.weights):
-        Fg = complex(F(complex(g)))
-        coef = float(w) * math.sqrt(m) * Fg * phi1(phi, g)
-        total = total + _step_from_rows(H, rows, g, coef)
-    return total
+    return inverse_weyl(frame, H, E_times(frame, phat(frame, phi)))
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,9 @@ class DiagramReport:
     random test functions on a grid and are quadrature-limited.  The other
     legs are algebraic: isometry_model_vs_restriction and
     square_phi1_vs_restriction read values taken at the exact level points,
-    so they hold up to rounding, and on exact data triangle_weyl_l0_vs_model
-    is exact, 0.0 when the triangle commutes.
+    so they hold up to rounding, and on exact data triangle_weyl_l0_vs_model,
+    read from batched inverse images and transforms, is exact, 0.0 when the
+    triangle commutes.
 
     The restriction of the model image to the level set equals Phi1 times a
     fixed unimodular diagonal determined by the eigenbasis phases; that
@@ -368,7 +374,8 @@ def diagram_check(
     - the triangle residual max_k sqrt(mu_k) |W(inverse_weyl F_k) - F_k|
       over z's coefficients, exact and converted once: F_k vanishes at
       every level point but x_k, so W(L0 phi) - E phat(phi) is
-      sum_k sqrt(mu_k) Phi1(phi, x_k) (W(inverse_weyl F_k) - F_k);
+      sum_k sqrt(mu_k) Phi1(phi, x_k) (W(inverse_weyl F_k) - F_k), one
+      _inverse_images and one _weyl_images call for all k;
     - g's kernel as _kernel_form, the FFT Toeplitz form of inner_product_Hg,
       whose quadratic form costs one FFT per sample, and the (grid x
       points) integrand matrix of phi1 at the level points and at g's atoms.
@@ -392,9 +399,9 @@ def diagram_check(
     restrict = np.array([[complex(F(x) / e) for x, e in level] for _, _, F in model])
     boundary = np.diag(restrict)
     phases = root * boundary  # the predicted unimodular diagonal of the square
+    images = _weyl_images(H, _inverse_images(frame, H, [F for _, _, F in model]))
     triangle = max(
-        (math.sqrt(m) * _largest((weyl_transform(H, inverse_weyl(frame, H, F)) - F).coeffs)
-         for _, m, F in model),
+        (math.sqrt(m) * _largest((W - F).coeffs) for (_, m, F), W in zip(model, images)),
         default=0.0,
     )
 

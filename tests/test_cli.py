@@ -377,6 +377,35 @@ def test_weyl_images_check_reads_each_unordered_pair_once(monkeypatch):
     assert len(calls) == 5 * 6 // 2
 
 
+def test_weyl_images_check_builds_the_row_table_and_each_segment_image_once(monkeypatch):
+    # one batch of inverse images reads one solution_rows_affine(H), and one batch of
+    # transforms builds each segment's breakpoint-row image rho_s once, from one _polys
+    counts, current, run = {}, [None], cli.VerificationReport.run
+    rows, polys = weyl.solution_rows_affine, weyl._polys
+    sizes = []
+
+    def tracked(self, name, provenance, fn):
+        current[0] = name
+        return run(self, name, provenance, fn)
+
+    def counted(kind, build):
+        def call(H, *args):
+            counts[current[0], kind] = counts.get((current[0], kind), 0) + 1
+            if kind == "rows":
+                sizes.append(len(H))
+            return build(H, *args)
+        return call
+
+    monkeypatch.setattr(cli.VerificationReport, "run", tracked)
+    monkeypatch.setattr(weyl, "solution_rows_affine", counted("rows", rows))
+    monkeypatch.setattr(weyl, "_polys", counted("rho", polys))
+    tau = DiscreteMeasure([-2, -1, 0, 1, 2], [1, Fraction(1, 2), 2, Fraction(1, 2), 1])
+    status = {c.name: c.status for c in run_spectral_pipeline(tau, seed=1).checks}
+    assert status["weyl-transform-images"] == "pass"
+    assert counts["weyl-transform-images", "rows"] == 1
+    assert counts["weyl-transform-images", "rho"] == sizes[0] == 5
+
+
 def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():
     # jumps of +-3 put 7e-6 of the law's mass past |x| = 12, more than the check's 1e-6
     tau = DiscreteMeasure([-3, -1, 0, 1, 3], [1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), 1])

@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from test_canonical import _segment_product, pythagorean_hamiltonian
+from test_canonical import _segment_product, _thirty_two_segments, pythagorean_hamiltonian
 from test_screw import _dense_kernel_side
 
 from screwfn import canonical, screw, weyl
 from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split, sharp
-from screwfn.canonical import Hamiltonian, Segment, bezout_complete, factorize, w0_matrix
+from screwfn.canonical import (
+    Hamiltonian,
+    Segment,
+    bezout_complete,
+    factorize,
+    fundamental_solution,
+    w0_matrix,
+)
 from screwfn.debranges import HermiteBiehlerFrame, e0_frame, extension_eigenbasis
 from screwfn.exact import PI, ExactComplex, PiScalar
 from screwfn.screw import (
@@ -272,15 +279,15 @@ def test_inverse_weyl_reads_each_pi_half_eigenvector_at_its_point_alone(monkeypa
     basis = extension_eigenbasis(fr, math.pi / 2)
     calls, step = [], weyl._step_from_rows
 
-    def counted(H, rows, gamma, scale):
-        calls.append(gamma)
-        return step(H, rows, gamma, scale)
+    def counted(H, rows, samples):
+        calls.append([gamma for gamma, _ in samples])
+        return step(H, rows, samples)
 
     monkeypatch.setattr(weyl, "_step_from_rows", counted)
     for x, F in zip(basis.eigenvalues, basis.normalized):
         calls.clear()
         assert weyl_transform(H, inverse_weyl(fr, H, F)) == F
-        assert calls == [x]
+        assert calls == [[x]]
 
 
 def _reference_diagram(g, frame, H, K, n_samples, seed, support=(-3.0, 3.0)):
@@ -428,21 +435,18 @@ def test_weyl_transform_and_l2h_inner_reject_a_vector_on_another_hamiltonian():
 
 
 def _poly_weyl(H, F):
-    """The rank-one formula over the Polynomial rows of solution_rows_affine, term by term.
+    """The breakpoint-row formula over the Polynomial rows of solution_rows_affine.
 
     P F is the constant (c, c pb/pa), or (0, c) when pa = 0, on each segment,
-    for c = F.constrained, and the row R0 + t R1 integrates to R0 L + R1 L^2/2.
+    for c = F.constrained; it is parallel to e, so R1 P F = 0 and the row
+    R0 = (C, D) integrates to c L (C + (pb/pa) D), or c L D.
     """
     acc = Polynomial.zero()
     rows = canonical.solution_rows_affine(H)
-    for seg, (r0, r1), c in zip(H.segments, rows, F.constrained):
+    for seg, ((C, D), _), c in zip(H.segments, rows, F.constrained):
         pa, pb, _ = seg.proj
-        L = seg.length
-        u, v = (c, c * (pb / pa)) if pa else (0, c)
-        if u:
-            acc = acc + r0[0] * (u * L) + r1[0] * (u * (L * L / 2))
-        if v:
-            acc = acc + r0[1] * (v * L) + r1[1] * (v * (L * L / 2))
+        if c:
+            acc = acc + ((C + D * (pb / pa) if pa else D) * seg.length) * c
     return acc * PiScalar(1, 1, -2)
 
 
@@ -609,6 +613,34 @@ def test_weyl_transform_reads_the_integer_rows(monkeypatch):
     assert [repr(_poly_weyl(H, F)) for F in vectors] == [repr(img) for img in images]
     _segment_product(H, Fraction(1))
     assert "solution_rows_affine" in calls and "Polynomial" in calls
+
+
+def test_float_basis_image_reads_the_breakpoint_row_alone():
+    # P F is parallel to e, so the t R1 half of the row adds e^T J e = 0; summed in floats it
+    # left this image a z-coefficient of -2.2e-18
+    H = _thirty_two_segments()
+    F = StepVector.basis_vector(H, 1)
+    seg = H.segments[1]
+    pa, pb, _ = seg.proj
+    C, D = fundamental_solution(H, H.breakpoints[1]).entries[1]
+    want = ((C + D * (pb / pa)) * seg.length) * F.constrained[1] * PiScalar(1, 1, -2)
+    got = weyl_transform(H, F)
+    assert repr(got) == repr(want) and got.degree == 0
+
+
+@settings(UNSHRUNK, max_examples=30)
+@given(pythagorean_hamiltonian(), st.data())
+def test_batched_weyl_maps_equal_their_one_element_calls(H, data):
+    vectors = data.draw(st.lists(step_vectors(H, kinds=("exact", "pi")), max_size=4))
+    got, want = weyl._weyl_images(H, vectors), [weyl_transform(H, F) for F in vectors]
+    assert got == want and [hash(p) for p in got] == [hash(p) for p in want]
+    frame = data.draw(level_set_frames())
+    polys = [Polynomial([data.draw(st.fractions(-3, 3, max_denominator=5)) for _ in range(frame.dim)])
+             for _ in range(data.draw(st.integers(0, 4)))]
+    got = weyl._inverse_images(frame, H, polys)
+    want = [inverse_weyl(frame, H, P) for P in polys]
+    assert [repr(V.components) for V in got] == [repr(V.components) for V in want]
+    assert [V.constrained for V in got] == [V.constrained for V in want]
 
 
 def _product_l2h_inner(H, F1, F2):
