@@ -24,8 +24,7 @@ den*e, and all of them and den*e are divided by their gcd once per step.
 fundamental_solution, the peel and _breakpoint_rows take this step,
 carrying only the rows they return.  _breakpoint_rows carries the bottom
 (C, D) row alone, from breakpoint to breakpoint; subspace_chain,
-solution_rows_affine and the Weyl transform all read it, and weyl_transform
-builds a segment's row Polynomials only where it integrates against them.
+solution_rows_affine and both directions of the Weyl transform read it.
 A Fraction(c, den) is in lowest terms whatever den is, so the Polynomials
 built from the rows hold, coefficient for coefficient, the Fractions that
 the products of the segment factors in Fraction arithmetic would.  The peel
@@ -386,8 +385,8 @@ def factorize(W: MatrixPolynomial) -> Hamiltonian:
     return Hamiltonian(segments)
 
 
-def fundamental_solution(H: Hamiltonian, t, z=None):
-    """W(t, z) with W(0, z) = I; symbolic in z when z is None.
+def fundamental_solution(H: Hamiltonian, t) -> MatrixPolynomial:
+    """W(t, z) with W(0, z) = I, symbolic in z.
 
     Piecewise product of the segment factors, one segment step each on both
     integer rows; exact matrix polynomial for exact t, coefficient-wise.
@@ -403,8 +402,7 @@ def fundamental_solution(H: Hamiltonian, t, z=None):
         if tf <= lo:
             break
         rows, den = _step(rows, den, _segment_x(seg.proj, min(tf, hi) - lo))
-    W = MatrixPolynomial([_polys(row, den) for row in rows])
-    return W if z is None else W(z)
+    return MatrixPolynomial([_polys(row, den) for row in rows])
 
 
 def _breakpoint_rows(H: Hamiltonian):
@@ -427,7 +425,8 @@ def solution_rows_affine(H: Hamiltonian):
         row(t, z) = R0(z) + (t - t_{k-1}) * R1(z)   on segment k,
 
     R0 the bottom (C, D) row of W(t_{k-1}, z) and R1 = -z * R0 * P_k J,
-    read as (R0(t_k) - R0(t_{k-1}))/L_k off _breakpoint_rows.
+    read as (R0(t_k) - R0(t_{k-1}))/L_k off _breakpoint_rows: the public
+    reference for the affine form, which the Weyl layer reads there itself.
     """
     rows = [_polys(r, den) for r, den in _breakpoint_rows(H)]
     return [

@@ -240,14 +240,9 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
         rep.constants["basis_gram_offdiag"] = out.basis_gram_offdiag
         phase = out.square_phase_constant
         rep.constants["square_phase_constant"] = [phase.real, phase.imag]
-        worst = max(
-            out.isometry_kernel_vs_measure,
-            out.isometry_measure_vs_model,
-            out.isometry_model_vs_restriction,
-            out.square_phi1_vs_restriction,
-            out.triangle_weyl_l0_vs_model,
-        )
-        return worst, tol
+        return max(out.isometry_kernel_vs_measure, out.isometry_measure_vs_model,
+                   out.isometry_model_vs_restriction, out.square_phi1_vs_restriction,
+                   out.triangle_weyl_l0_vs_model), tol
 
     rep.run("isometry-diagram-closure", "commuting-transform-square", diagram)
 
@@ -315,12 +310,8 @@ def run_pw_pipeline(r: float = 1.0, trunc: int = 100, tol: float = 1e-4,
     rep.run("norm-defect-halving", "truncation-convergence-rate", defect_halving)
 
     def ode():
-        worst = 0.0
-        for _ in range(5):
-            t = rng.uniform(0, r)
-            z = complex(rng.normal(), rng.normal())
-            worst = max(worst, pw_ode_residual(r, t, z))
-        return worst, 1e-6
+        probes = [(rng.uniform(0, r), complex(rng.normal(), rng.normal())) for _ in range(5)]
+        return max(pw_ode_residual(r, t, z) for t, z in probes), 1e-6
 
     rep.run("canonical-system-residual", "rotation-fundamental-solution", ode)
 
@@ -432,6 +423,11 @@ def main(argv=None) -> int:
     p_pw.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    if getattr(args, "tol", None) is not None:
+        # pd-check reads a negative tol as lambda_min >= |tol|; elsewhere tol bounds a residual
+        signed = args.command == "pd-check"
+        if not math.isfinite(args.tol) or args.tol < 0 and not signed:
+            return _input_error(f"--tol must be finite{'' if signed else ' and >= 0'}, not {args.tol}")
 
     if args.command == "pipeline":
         if args.example == "g0":

@@ -17,10 +17,11 @@ row at t_{s-1} (de Branges 1968, ch. 2).  The kernel identity of that row
 makes W unitary onto the de Branges space.
 
 inverse_weyl weights each level point g by de Branges' sampling weight
-mu({g})/|E(g)|^2 and reads the rows of canonical.solution_rows_affine only
-where F(g) is not zero, so the pi/2 eigenvector F_x is read at x alone.
-_weyl_images and _inverse_images are the batched forms: each rho_s and the
-row table are built once per batch.
+mu({g})/|E(g)|^2 and samples the row only where F(g) is not zero, so the
+pi/2 eigenvector F_x is read at x alone.  Both directions read
+canonical._breakpoint_rows.  _weyl_images and _inverse_images are the
+batched forms: each rho_s, and the row table of _row_vectors, the one
+builder of row samples, are built once per batch.
 
 Each check computes what does not change within one call once.  l2h_inner
 multiplies segment constants; on exact data it and weyl_transform equal the
@@ -48,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Polynomial, _largest
-from .canonical import Hamiltonian, _breakpoint_rows, _polys, solution_rows_affine
+from .canonical import Hamiltonian, _breakpoint_rows, _polys
 from .debranges import HermiteBiehlerFrame
 from .exact import PiScalar, PI
 from .screw import (
@@ -125,6 +126,8 @@ class StepVector:
         """The unit direction e on segment k, zero elsewhere: e . F = 1 there.
 
         Its constrained constant is cos(theta), or 1 when pa = 0."""
+        if k not in range(len(H)):
+            raise ValueError(f"segment k={k} outside range({len(H)})")
         comps = []
         for j, seg in enumerate(H.segments):
             if j != k:
@@ -142,11 +145,8 @@ class StepVector:
 
     @staticmethod
     def from_row_values(H: Hamiltonian, gamma, scale=1) -> "StepVector":
-        """scale * [C(t, gamma); D(t, gamma)] as a step vector."""
-        return StepVector(H, [
-            tuple(Polynomial([R0[k](gamma) * scale, R1[k](gamma) * scale]) for k in (0, 1))
-            for R0, R1 in solution_rows_affine(H)
-        ])
+        """scale * [C(t, gamma); D(t, gamma)], one _row_vectors sample: a -0.0 part is +0.0."""
+        return _row_vectors(H, [[(gamma, scale)]])[0]
 
     def value(self, t):
         """(f, g) at global time t."""
@@ -178,13 +178,25 @@ def _check_on(H: Hamiltonian, F: StepVector) -> None:
         raise ValueError("step vectors live on different Hamiltonians")
 
 
-def _step_from_rows(H: Hamiltonian, rows, samples) -> StepVector:
-    """sum of scale * rows(t, gamma) over (gamma, scale) samples, rows = solution_rows_affine(H)."""
-    return StepVector(H, [
-        tuple(sum((Polynomial([R0[k](g) * s, R1[k](g) * s]) for g, s in samples), Polynomial.zero())
-              for k in (0, 1))
-        for R0, R1 in rows
-    ])
+def _row_vectors(H: Hamiltonian, batch) -> list:
+    """[sum of s [C(t, g); D(t, g)] over the (g, s) in samples, for samples in batch].
+
+    The row table is the breakpoint rows b_k, each evaluated once per sample
+    point.  On segment k the row is b_{k-1} + (t - t_{k-1}) (b_k - b_{k-1})/L_k,
+    so a sample adds s b_{k-1} and ((b_k - b_{k-1})/L_k) s, summed from 0: at
+    an exact g, R0(g) s and R1(g) s of the affine row R0 + (t - t_{k-1}) R1.
+    """
+    table = [_polys(r, den) for r, den in _breakpoint_rows(H)]
+    vectors = []
+    for samples in batch:
+        values = [(s, [(C(g), D(g)) for C, D in table]) for g, s in samples]
+        vectors.append(StepVector(H, [
+            tuple(Polynomial([sum(b[j - 1][k] * s for s, b in values),
+                              sum((b[j][k] - b[j - 1][k]) / seg.length * s for s, b in values)])
+                  for k in (0, 1))
+            for j, seg in enumerate(H.segments, 1)
+        ]))
+    return vectors
 
 
 def l2h_inner(H: Hamiltonian, F1: StepVector, F2: StepVector):
@@ -247,14 +259,10 @@ def inverse_weyl(frame: HermiteBiehlerFrame, H: Hamiltonian, F: Polynomial) -> S
 
 
 def _inverse_images(frame: HermiteBiehlerFrame, H: Hamiltonian, polys) -> list:
-    """[inverse_weyl(frame, H, F) for F in polys], solution_rows_affine(H) built once."""
+    """[inverse_weyl(frame, H, F) for F in polys], one _row_vectors batch."""
     if any(F.degree >= frame.dim for F in polys):
         raise ValueError("not a member of H(E)")
-    rows = solution_rows_affine(H)
-    return [
-        _step_from_rows(H, rows, [(g, Fg * w) for g, w in frame.weights if (Fg := F(g))])
-        for F in polys
-    ]
+    return _row_vectors(H, [[(g, Fg * w) for g, w in frame.weights if (Fg := F(g))] for F in polys])
 
 
 @dataclass(frozen=True)
@@ -287,14 +295,11 @@ def screw_line_S(frame: HermiteBiehlerFrame, t: float) -> ModelVector:
     limit value i t at g = 0; the Gram of these vectors is pi*G(t,s).
     """
     model = _model_basis(frame)
-    coeffs = []
-    for g, m, _ in model:
-        root = math.sqrt(m)
-        if g == 0.0:
-            coeffs.append(root * 1j * t)
-        else:
-            coeffs.append(root * (cmath.exp(1j * t * g) - 1.0) / g)
-    return ModelVector(frame, tuple(g for g, _, _ in model), tuple(coeffs))
+    coeffs = tuple(
+        math.sqrt(m) * 1j * t if g == 0.0 else math.sqrt(m) * (cmath.exp(1j * t * g) - 1.0) / g
+        for g, m, _ in model
+    )
+    return ModelVector(frame, tuple(g for g, _, _ in model), coeffs)
 
 
 def phat(frame: HermiteBiehlerFrame, phi: TestFunction) -> ModelVector:
@@ -307,10 +312,8 @@ def phat(frame: HermiteBiehlerFrame, phi: TestFunction) -> ModelVector:
 
 def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
     """Map a model vector to H(E): multiply by E, i.e. expand over the eigenbasis."""
-    acc = Polynomial.zero()
-    for c, (_, _, F) in zip(v.coeffs, _model_basis(frame)):
-        acc = acc + Polynomial([complex(x) for x in F.coeffs]) * complex(c)
-    return acc
+    return sum((Polynomial([complex(x) for x in F.coeffs]) * complex(c)
+                for c, (_, _, F) in zip(v.coeffs, _model_basis(frame))), Polynomial.zero())
 
 
 def L0_map(frame: HermiteBiehlerFrame, H: Hamiltonian, phi: TestFunction) -> StepVector:

@@ -222,7 +222,7 @@ def test_fundamental_solution_range_check():
 
 def test_fundamental_solution_numeric_eval():
     H = factorize(w0_matrix())
-    vals = fundamental_solution(H, 5, 0.5 + 0.25j)
+    vals = fundamental_solution(H, 5)(0.5 + 0.25j)
     W0 = w0_matrix()
     for i in range(2):
         for j in range(2):

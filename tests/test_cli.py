@@ -173,11 +173,24 @@ def test_cli_bad_json_values_are_input_errors(tmp_path, capsys, command, obj):
 
 
 @pytest.mark.parametrize("command", [["pipeline", "--example", "pw"], ["pw"]], ids=["pipeline", "pw"])
-@pytest.mark.parametrize("args", [["--r", "0"], ["--r", "-1"], ["--r", "inf"], ["--trunc", "0"]],
-                         ids=["r0", "r-1", "r-inf", "trunc0"])
+@pytest.mark.parametrize("args", [["--r", "0"], ["--r", "-1"], ["--r", "inf"], ["--trunc", "0"],
+                                  ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]],
+                         ids=["r0", "r-1", "r-inf", "trunc0", "tol-nan", "tol-1", "tol-inf"])
 def test_cli_bad_paley_wiener_arguments_are_input_errors(capsys, command, args):
     assert main([*command, *args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["pipeline", "--example", "g0", "--tol", "nan"],
+                                     ["pipeline", "--example", "g0", "--tol", "-1"],
+                                     ["pipeline", "--example", "g0", "--tol", "inf"],
+                                     ["pd-check", "--tol", "nan"], ["pd-check", "--tol", "-inf"]],
+                         ids=["g0-nan", "g0-1", "g0-inf", "pd-check-nan", "pd-check-minus-inf"])
+def test_cli_bad_tolerance_is_an_input_error(capsys, command):
+    # the parent read nan and -1 as a failed verdict and inf as a pass; pd-check takes any
+    # finite tol, a negative one asking for lambda_min >= |tol|
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: --tol must be finite")
 
 
 @pytest.mark.parametrize("text", ['{"points": [1e400], "masses": [1.0]}',
@@ -378,10 +391,11 @@ def test_weyl_images_check_reads_each_unordered_pair_once(monkeypatch):
 
 
 def test_weyl_images_check_builds_the_row_table_and_each_segment_image_once(monkeypatch):
-    # one batch of inverse images reads one solution_rows_affine(H), and one batch of
-    # transforms builds each segment's breakpoint-row image rho_s once, from one _polys
+    # one batch of inverse images is one _row_vectors call, whose row table is the n + 1
+    # breakpoint rows, and one batch of transforms builds each segment's image rho_s once:
+    # two passes of _breakpoint_rows and 2n + 1 _polys in all
     counts, current, run = {}, [None], cli.VerificationReport.run
-    rows, polys = weyl.solution_rows_affine, weyl._polys
+    rows, breakpoints, polys = weyl._row_vectors, weyl._breakpoint_rows, weyl._polys
     sizes = []
 
     def tracked(self, name, provenance, fn):
@@ -397,13 +411,15 @@ def test_weyl_images_check_builds_the_row_table_and_each_segment_image_once(monk
         return call
 
     monkeypatch.setattr(cli.VerificationReport, "run", tracked)
-    monkeypatch.setattr(weyl, "solution_rows_affine", counted("rows", rows))
-    monkeypatch.setattr(weyl, "_polys", counted("rho", polys))
+    monkeypatch.setattr(weyl, "_row_vectors", counted("rows", rows))
+    monkeypatch.setattr(weyl, "_breakpoint_rows", counted("breakpoints", breakpoints))
+    monkeypatch.setattr(weyl, "_polys", counted("polys", polys))
     tau = DiscreteMeasure([-2, -1, 0, 1, 2], [1, Fraction(1, 2), 2, Fraction(1, 2), 1])
     status = {c.name: c.status for c in run_spectral_pipeline(tau, seed=1).checks}
     assert status["weyl-transform-images"] == "pass"
     assert counts["weyl-transform-images", "rows"] == 1
-    assert counts["weyl-transform-images", "rho"] == sizes[0] == 5
+    assert counts["weyl-transform-images", "breakpoints"] == 2
+    assert counts["weyl-transform-images", "polys"] == 2 * sizes[0] + 1 == 11
 
 
 def test_spectral_pipeline_integrates_the_levy_density_over_the_whole_law():

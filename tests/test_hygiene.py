@@ -6,7 +6,8 @@ module-level definition is either exported or read somewhere in the
 package, every def or class of the package is named in the package, its
 tests or the benchmark, every parameter with a default is passed at some
 call there, no while loop outside ``algebra`` runs a Euclid of
-its own, no module but ``exact`` reads the ``re`` or ``im`` of a scalar,
+its own, no module but ``canonical`` names ``solution_rows_affine``, no
+module but ``exact`` reads the ``re`` or ``im`` of a scalar,
 every name the benchmark's tracer wraps exists, and importing the command
 line and every module of the package loads no scipy.
 """
@@ -286,6 +287,35 @@ def test_guard_flags_a_euclid_loop():
         "while x:\n    x -= 1\n"
     )
     assert _euclid_loops(tree) == ["line 2", "line 4"]
+
+
+def _affine_row_reads(tree: ast.Module) -> list[str]:
+    """Lines that name solution_rows_affine: an import, a name or an attribute.
+
+    The Weyl layer reads canonical._breakpoint_rows; solution_rows_affine
+    stays in canonical as the public reference for the affine form of the
+    row.  A docstring is prose and names nothing.
+    """
+    return [f"line {n}" for n in sorted({
+        n.lineno for n in ast.walk(tree)
+        if "solution_rows_affine" in (getattr(n, "id", None), getattr(n, "attr", None))
+        or isinstance(n, ast.ImportFrom) and any(a.name == "solution_rows_affine" for a in n.names)})]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "canonical.py"],
+                         ids=lambda p: p.name)
+def test_no_affine_rows_outside_canonical(path):
+    assert _affine_row_reads(ast.parse(path.read_text())) == []
+
+
+def test_guard_flags_an_affine_row_read():
+    tree = ast.parse(
+        '"""Reads no solution_rows_affine."""\n'
+        "from .canonical import Hamiltonian, solution_rows_affine\n"
+        "rows = canonical.solution_rows_affine(H)\n"
+        "f = solution_rows_affine\n"
+    )
+    assert _affine_row_reads(tree) == ["line 2", "line 3", "line 4"]
 
 
 def _part_reads(tree: ast.Module) -> list[str]:
