@@ -734,11 +734,23 @@ class MatrixPolynomial:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _monic_from_roots(roots) -> list:
+    """Ascending coefficients of prod (z - r) over roots, by one running product."""
+    out = [Fraction(1)]
+    for r in roots:
+        out = [-r * out[0]] + [lo - r * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def _cleared(xs) -> tuple[list[int], int]:
+    """(ints, den) with xs = ints/den, for rationals xs and den > 0 the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _integer_row(row) -> list[int]:
     """A rational row times the lcm of its denominators, divided by its content."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (scale // x.denominator) for x in row]
+    ints, _ = _cleared([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import MatrixPolynomial, Polynomial, _signed_remainders
+from .algebra import MatrixPolynomial, Polynomial, _cleared, _signed_remainders
 from .exact import ExactComplex
 
 __all__ = [
@@ -84,12 +84,9 @@ def _int_rows(W: MatrixPolynomial):
         raise ValueError("not factorable: coefficients are not exact rationals")
     if not all(p.is_real() for p in polys):
         raise ValueError("not factorable: matrix is not real")
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    rows = [
-        tuple([c.numerator * (den // c.denominator) for c in e.coeffs] for e in row)
-        for row in W.entries
-    ]
-    return rows, den
+    ints, den = _cleared([c for p in polys for c in p.coeffs])
+    it = iter(ints)
+    return [tuple([next(it) for _ in e.coeffs] for e in row) for row in W.entries], den
 
 
 def _polys(row, den) -> tuple[Polynomial, ...]:
@@ -104,15 +101,9 @@ def _degree(rows) -> int:
     return max(len(u) for row in rows for u in row) - 1
 
 
-def _cleared(X):
-    """(Y, e) with X = Y/e, Y an integer 2x2 matrix and e > 0, for a rational X."""
-    e = math.lcm(*(x.denominator for r in X for x in r))
-    return [[x.numerator * (e // x.denominator) for x in r] for r in X], e
-
-
 def _z_times(row, Y):
-    """z * (p, q) Y for an integer row (p, q) and an integer 2x2 Y."""
-    (y00, y01), (y10, y11) = Y
+    """z * (p, q) Y for an integer row (p, q) and an integer 2x2 Y, flat (y00, y01, y10, y11)."""
+    y00, y01, y10, y11 = Y
     pairs = list(zip_longest(*row, fillvalue=0))
     return ([0] + [y00 * a + y10 * b for a, b in pairs],
             [0] + [y01 * a + y11 * b for a, b in pairs])
@@ -141,7 +132,7 @@ def _reduced(rows, den: int):
 
 def _step(rows, den: int, X):
     """One segment step: integer rows (p, q) over den times I + zX, X a rational 2x2."""
-    Y, e = _cleared(X)
+    Y, e = _cleared([x for r in X for x in r])  # X = Y/e
     return _reduced([_lin(e, row, _z_times(row, Y)) for row in rows], den * e)
 
 
@@ -224,16 +215,12 @@ def validate_transfer(W: MatrixPolynomial) -> ValidationReport:
     return ValidationReport(True, ())
 
 
-def bezout_complete(
-    C: Polynomial, D: Polynomial, validate: bool = True
-) -> tuple[Polynomial, Polynomial]:
+def bezout_complete(C: Polynomial, D: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Minimal-degree real (A, B) with A*D - B*C = 1 completing a transfer matrix.
 
-    Requires C odd, D even (both real) and gcd(C, D) constant; the completed
-    matrix [[A,B],[C,D]] must pass validate_transfer's exact J-inner check unless
-    validate=False, which returns the bare extended-Euclid solution.  Pairs
-    whose ratio D/C is not Herglotz have no J-inner completion at all, so the
-    error is surfaced rather than searching the solution family.
+    Requires C odd, D even (both real) and gcd(C, D) constant.  The bare
+    extended-Euclid solution is returned; factorize and validate_transfer
+    certify [[A,B],[C,D]] as J-inner, which fails when D/C is not Herglotz.
     """
     if not (C.is_real() and C.is_odd()):
         raise ValueError("C must be a real odd polynomial")
@@ -253,11 +240,6 @@ def bezout_complete(
         raise ValueError("Bezout completion failed to satisfy A*D - B*C = 1")
     if C.degree >= 1 and not (A.degree < C.degree and B.degree < D.degree):
         raise ValueError("no minimal-degree completion exists")
-    if validate:
-        W = MatrixPolynomial([[A, B], [C, D]])
-        report = validate_transfer(W)
-        if not report.ok:
-            raise ValueError("completion not J-inner: " + "; ".join(report.failures))
     return A, B
 
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite
 
-from .algebra import Polynomial, RationalFunction, _largest, _signed_remainders
+from .algebra import Polynomial, RationalFunction, _largest, _monic_from_roots, _signed_remainders
 from .exact import I, ExactComplex, PiScalar
 from .screw import ScrewFunctionData, _simpson_weights, eval_screw, g0_data
 from .spectra import DiscreteMeasure, NevanlinnaData, q_from_measure
@@ -343,10 +343,7 @@ def _kernel_and_convolution(g: ScrewFunctionData):
     if not g.tau.is_exact:
         raise TypeError("mean periodicity requires an exact measure")
     atoms = [(gam, m.as_fraction()) for gam, m in g.tau]
-    p = [Fraction(0)] * 3 + [Fraction(1)]  # P = z^3 prod (z + gamma), ascending
-    for gam, _ in atoms:
-        if gam:
-            p = [gam * p[0]] + [lo + gam * hi for lo, hi in zip(p, p[1:])] + [p[-1]]
+    p = [Fraction(0)] * 3 + _monic_from_roots([-gam for gam, _ in atoms if gam])  # z^3 prod (z + gamma)
     c = [pk * (-I) ** k for k, pk in enumerate(p)]
     derivs = [  # g(0), g'(0), ..., g^(deg P - 1)(0)
         Fraction(g.g0),

@@ -145,7 +145,7 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     @functools.cache
     def transfer():
         fr = frame()
-        W = MatrixPolynomial([bezout_complete(fr.A, fr.B, validate=False), (fr.A, fr.B)])
+        W = MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)])
         return W, factorize(W)
 
     def spectral_measure() -> bool:

@@ -12,7 +12,11 @@ functions with vanishing integral embed isometrically into L^2(tau) via
 
     Phi1(phi, z) = integral phi(t) (exp(izt) - 1)/z dt,
 
-which is the identity every quadrature check below exercises.
+which is the identity every quadrature check below exercises.  Its
+integrand is the screw line (exp(izt) - 1)/z, whose Gram over L^2(tau) is
+G(t, s) (von Neumann & Schoenberg, 1941).  _screw_line, its one evaluator,
+forms one exp per point; phi1, inner_product_Hg, _aligned_test_functions
+and weyl's phat, screw_line_S and diagram_check read its columns.
 
 On a uniform grid t_i = lo + i h the kernel matrix is a Toeplitz matrix
 [g((i-j) h)] plus the rank-two terms -g(t_i) - g(-t_j) and the constant
@@ -371,12 +375,23 @@ def _bump(ts: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (1.0 - u * u) ** 2
 
 
+def _screw_line(ts, points) -> np.ndarray:
+    """The screw line [(exp(i g t) - 1)/g] over rows t and columns g, i t at g = 0: Phi1's integrand."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((len(ts), len(points)), dtype=complex)
+    for j, gam in enumerate(points):
+        out[:, j] = 1j * ts if gam == 0 else (np.exp(1j * gam * ts) - 1.0) / gam
+    return out
+
+
+def _phi1_columns(phi: TestFunction, line: np.ndarray) -> np.ndarray:
+    """[Phi1(phi, g)] over the columns of line = _screw_line(phi.grid, points), by phi.quad each."""
+    return np.array([phi.quad(phi.samples * column) for column in line.T], dtype=complex)
+
+
 def phi1(phi: TestFunction, z: complex) -> complex:
     """Phi1(phi, z) = integral phi(t) (exp(izt) - 1)/z dt; the z=0 limit is i t."""
-    z = complex(z)
-    if z == 0:
-        return phi.quad(phi.samples * 1j * phi.grid)
-    return phi.quad(phi.samples * (np.exp(1j * z * phi.grid) - 1.0) / z)
+    return complex(_phi1_columns(phi, _screw_line(phi.grid, [complex(z)]))[0])
 
 
 def random_test_function(rng: np.random.Generator, support=(-3.0, 3.0), n: int = 2049) -> TestFunction:
@@ -425,14 +440,15 @@ def aligned_test_function(points, targets) -> TestFunction:
 def _aligned_test_functions(points, target_rows) -> list[TestFunction]:
     """aligned_test_function(points, targets) for each row of targets.
 
-    The windowed monomials and their functional matrix M are built once;
-    each row is one solve of M.
+    The windowed monomials, one screw-line column per point and their
+    functional matrix M are built once; each row is one solve of M.
     """
     support = (-3.0, 3.0)
     ts = np.linspace(*support, 4097)
     window = _bump(ts, *support)
     basis = [TestFunction(window * ts**j, support) for j in range(len(points) + 1)]
-    M = np.array([[f.integral(), *(phi1(f, p) for p in points)] for f in basis]).T
+    line = _screw_line(ts, points)
+    M = np.array([[f.integral(), *_phi1_columns(f, line)] for f in basis]).T
     out = []
     for targets in target_rows:
         coef = np.linalg.solve(M, np.array([0, *targets], dtype=complex))
@@ -502,17 +518,18 @@ def inner_product_Hg(
     it is quadrature-limited, not exact.  Both test functions must be
     sampled on one grid (ValueError otherwise): the kernel side applies
     [G(t_i, t_j)] by _kernel_form, the FFT Toeplitz form of the module
-    docstring.
+    docstring; the measure side reads one screw-line column per atom.
     """
     phi_1._check_same_grid(phi_2)
     apply, _ = _kernel_form(g, phi_1.support, len(phi_1.samples))
     inner_s = apply(phi_1._weights * phi_1.samples)
     via_kernel = complex(np.sum(phi_2._weights * np.conj(phi_2.samples) * inner_s))
 
-    via_measure = 0j
-    for gamma, mass in g.float_atoms:
-        via_measure += phi1(phi_1, gamma) * np.conj(phi1(phi_2, gamma)) * mass
-    return InnerProductComparison(via_kernel, complex(via_measure))
+    atoms = np.array(g.float_atoms, dtype=float).reshape(-1, 2)
+    line = _screw_line(phi_1.grid, atoms[:, 0])
+    at_1, at_2 = (_phi1_columns(phi, line) for phi in (phi_1, phi_2))
+    via_measure = complex(np.sum(at_1 * np.conj(at_2) * atoms[:, 1]))
+    return InnerProductComparison(via_kernel, via_measure)
 
 
 def laplace_check(

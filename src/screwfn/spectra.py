@@ -25,6 +25,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     _hb_test_split,
+    _monic_from_roots,
     ab_split,
     hb_test,
     real_zeros,
@@ -186,9 +187,7 @@ def q_from_measure(d: NevanlinnaData) -> RationalFunction:
     ms = [m.as_fraction() for m in d.measure.masses]
     a = Fraction(d.a)
     b = Fraction(d.b) - sum(m * g / (1 + g * g) for g, m in zip(pts, ms))
-    den = [Fraction(1)]  # ascending coefficients of the monic running product
-    for g in pts:
-        den = [-g * den[0]] + [lo - g * hi for lo, hi in zip(den, den[1:])] + [den[-1]]
+    den = _monic_from_roots(pts)  # ascending
     num = [b * lo + a * hi for lo, hi in zip(den + [0], [0] + den)]
     for g, m in zip(pts, ms):
         quot = den[1:]  # D/(z - g) by synthetic division, from the top degree down

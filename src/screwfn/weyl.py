@@ -26,23 +26,24 @@ builder of row samples, are built once per batch.
 Each check computes what does not change within one call once.  l2h_inner
 multiplies segment constants; on exact data it and weyl_transform equal the
 Polynomial-product form and the full moment sum.  diagram_check keeps float
-arithmetic only where an integral is taken: before its loop it evaluates
-the eigenbasis over E at the exact level points, converting each value
-once, and reads the triangle from W(inverse_weyl F) = F in exact
-arithmetic, in one batch of each.  It takes its random samples from one screw._random_draws
-generator, which forms the grid's trig tables and window once, and its
-aligned functions from one screw._aligned_test_functions call, which
-samples the windowed monomials once; its floats are bit for bit those of
-building each sample and aligned function alone.
+arithmetic only where an integral is taken.  Before its loop it reads each
+pi/2 eigenvector F_k once, at its own level point x_k (it vanishes at the
+others): F_k(x_k) is the restriction's diagonal entry and gives the row
+(x_k, w_k F_k(x_k)) of inverse_weyl F_k, so the triangle is read exactly.
+Its random samples come from one screw._random_draws generator and its
+aligned functions from one screw._aligned_test_functions call, which form
+the grid's tables and the windowed monomials once; its floats are bit for
+bit those of building each sample and aligned function alone.
 
 The model-space screw line has coefficients c_g(t) = sqrt(mu({g})) *
 (exp(itg) - 1)/g, with mu = pi tau, over the orthonormal eigenbasis at angle
 pi/2 (limit i*t at g = 0); its Gram matrix reproduces pi * G(t, s) exactly.
+weyl forms no exponential: it reads the line from screw._screw_line.
 """
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,14 +52,15 @@ import numpy as np
 from .algebra import Polynomial, _largest
 from .canonical import Hamiltonian, _breakpoint_rows, _polys
 from .debranges import HermiteBiehlerFrame
-from .exact import PiScalar, PI
+from .exact import PI, PiScalar, sqrt
 from .screw import (
     ScrewFunctionData,
     TestFunction,
     _aligned_test_functions,
     _kernel_form,
+    _phi1_columns,
     _random_draws,
-    phi1,
+    _screw_line,
 )
 
 __all__ = [
@@ -85,8 +87,9 @@ class StepVector:
     On a segment with projector (pa, pb, pc) = (c^2, cs, s^2), e = (c, s),
     the component pa f + pb g, or g when pa = 0, is c (e . F), or e . F, and
     must be constant: exactly for exact coefficients, for floats to 1e-9 of
-    the largest coefficient of f and g.  ``constrained`` holds its constant
-    term per segment; H = e e^T kills the rest.
+    the largest coefficient of f and g, or of the least normal float, below
+    which rounding is absolute.  ``constrained`` holds its constant term per
+    segment; H = e e^T kills the rest.
     """
 
     __slots__ = ("H", "components", "constrained")
@@ -103,7 +106,7 @@ class StepVector:
             constrained = f * row[0] + g * row[1]
             varies = constrained.degree > 0
             if varies and constrained.mode == "float":
-                scale = _largest(f.coeffs + g.coeffs)
+                scale = max(_largest(f.coeffs + g.coeffs), sys.float_info.min)
                 varies = any(abs(c) > 1e-9 * scale for c in constrained.coeffs[1:])
             if varies:
                 raise ValueError("not in L-hat: constrained component varies on an indivisible interval")
@@ -125,22 +128,14 @@ class StepVector:
     def basis_vector(H: Hamiltonian, k: int) -> "StepVector":
         """The unit direction e on segment k, zero elsewhere: e . F = 1 there.
 
-        Its constrained constant is cos(theta), or 1 when pa = 0."""
+        e = (sqrt(pa), sign(pb) sqrt(pc)) exactly, in Fractions for rational squares
+        and PiScalar surds otherwise.  Its constrained constant is c, or 1 when pa = 0."""
         if k not in range(len(H)):
             raise ValueError(f"segment k={k} outside range({len(H)})")
-        comps = []
-        for j, seg in enumerate(H.segments):
-            if j != k:
-                comps.append((Polynomial.zero(), Polynomial.zero()))
-                continue
-            pa, pb, pc = seg.proj
-            if pc == 0:
-                comps.append((Polynomial.one(), Polynomial.zero()))
-            elif pa == 0:
-                comps.append((Polynomial.zero(), Polynomial.one()))
-            else:
-                c, s = math.sqrt(float(pa)), math.copysign(math.sqrt(float(pc)), float(pb))
-                comps.append((Polynomial([complex(c)]), Polynomial([complex(s)])))
+        comps = [(Polynomial.zero(), Polynomial.zero())] * len(H)
+        pa, pb, pc = H.segments[k].proj
+        c, s = (r.as_fraction() if r.is_rational() else r for r in map(sqrt, map(PiScalar, (pa, pc))))
+        comps[k] = (Polynomial([c]), Polynomial([s if pb >= 0 else -s]))
         return StepVector(H, comps)
 
     @staticmethod
@@ -295,19 +290,18 @@ def screw_line_S(frame: HermiteBiehlerFrame, t: float) -> ModelVector:
     limit value i t at g = 0; the Gram of these vectors is pi*G(t,s).
     """
     model = _model_basis(frame)
-    coeffs = tuple(
-        math.sqrt(m) * 1j * t if g == 0.0 else math.sqrt(m) * (cmath.exp(1j * t * g) - 1.0) / g
-        for g, m, _ in model
-    )
-    return ModelVector(frame, tuple(g for g, _, _ in model), coeffs)
+    points = tuple(g for g, _, _ in model)
+    line = _screw_line([t], points)[0]
+    return ModelVector(frame, points, tuple(math.sqrt(m) * S for (_, m, _), S in zip(model, line)))
 
 
 def phat(frame: HermiteBiehlerFrame, phi: TestFunction) -> ModelVector:
     """Integrate the test function against the screw line: coefficients
-    sqrt(mu({g})) * Phi1(phi, g) over the eigenbasis."""
+    sqrt(mu({g})) * Phi1(phi, g) over the eigenbasis, one screw-line column per g."""
     model = _model_basis(frame)
-    coeffs = tuple(math.sqrt(m) * phi1(phi, g) for g, m, _ in model)
-    return ModelVector(frame, tuple(g for g, _, _ in model), coeffs)
+    points = tuple(g for g, _, _ in model)
+    at_points = _phi1_columns(phi, _screw_line(phi.grid, points))
+    return ModelVector(frame, points, tuple(math.sqrt(m) * v for (_, m, _), v in zip(model, at_points)))
 
 
 def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
@@ -370,18 +364,18 @@ def diagram_check(
     measure and measure vs model legs.  The maps that do not depend on the
     sample are built once, before the loop:
 
-    - the k x k restriction matrix F_j(x_l)/E(x_l), E_times restricted to
-      the level set over E, each entry taken at the exact level point x_l
-      and converted once: diagonal exactly, as F_j = c_j A/(z - x_j) and
-      A(x_l) = 0; sqrt(mu) times its diagonal is the square's phase;
+    - F_k(x_k) at the exact level points, k evaluations: F_k = c_k A/(z - x_k)
+      and A(x_l) = 0, so the restriction matrix F_j(x_l)/E(x_l), E_times on
+      the level set over E, is the diagonal F_k(x_k)/E(x_k), converted once;
+      sqrt(mu) times it is the square's phase;
     - the triangle residual max_k sqrt(mu_k) |W(inverse_weyl F_k) - F_k|
       over z's coefficients, exact and converted once: F_k vanishes at
       every level point but x_k, so W(L0 phi) - E phat(phi) is
-      sum_k sqrt(mu_k) Phi1(phi, x_k) (W(inverse_weyl F_k) - F_k), one
-      _inverse_images and one _weyl_images call for all k;
+      sum_k sqrt(mu_k) Phi1(phi, x_k) (W(inverse_weyl F_k) - F_k), with
+      inverse_weyl F_k the row (x_k, w_k F_k(x_k)), one batch for all k;
     - g's kernel as _kernel_form, the FFT Toeplitz form of inner_product_Hg,
       whose quadratic form costs one FFT per sample, and the (grid x
-      points) integrand matrix of phi1 at the level points and at g's atoms.
+      points) _screw_line matrix at the level points and at g's atoms.
 
     The loop draws the n_samples random test functions, each sampled at
     2049 points of [-3, 3], in order from one seeded rng, one at a time
@@ -398,11 +392,10 @@ def diagram_check(
     mass = np.array([m for _, m, _ in model])
     root = np.sqrt(mass)
 
-    level = [(x, frame.E(x)) for x in frame.pi_half_eigenbasis.eigenvalues]
-    restrict = np.array([[complex(F(x) / e) for x, e in level] for _, _, F in model])
-    boundary = np.diag(restrict)
+    own = [(x, w, F(x)) for (x, w), F in zip(frame.weights, frame.pi_half_eigenbasis.normalized)]
+    boundary = np.array([complex(Fx / frame.E(x)) for x, _, Fx in own])  # the restriction's diagonal
     phases = root * boundary  # the predicted unimodular diagonal of the square
-    images = _weyl_images(H, _inverse_images(frame, H, [F for _, _, F in model]))
+    images = _weyl_images(H, _row_vectors(H, [[(x, Fx * w)] for x, w, Fx in own]))
     triangle = max(
         (math.sqrt(m) * _largest((W - F).coeffs) for (_, m, F), W in zip(model, images)),
         default=0.0,
@@ -411,7 +404,7 @@ def diagram_check(
     level_points = [gam for gam, _, _ in model]
     atoms = np.array(g.float_atoms, dtype=float).reshape(-1, 2)
     points = np.concatenate([level_points, atoms[:, 0]])
-    integrand = _phi1_matrix(np.linspace(*support, _DIAGRAM_GRID), points)
+    integrand = _screw_line(np.linspace(*support, _DIAGRAM_GRID), points)
     _, quadratic = _kernel_form(g, support, _DIAGRAM_GRID)
 
     draws = _random_draws(np.random.default_rng(seed), support, _DIAGRAM_GRID)
@@ -427,7 +420,7 @@ def diagram_check(
     scale = np.maximum(1.0, np.abs(norm_measure))
     coeffs = at_level * root  # phat
     norm_model = np.sum(np.abs(coeffs) ** 2, axis=1) / math.pi
-    restricted = coeffs @ restrict  # E * phat at the level set, over E
+    restricted = coeffs * boundary  # E * phat at the level set, over E
     norm_restr = np.abs(restricted) ** 2 @ mass / math.pi
     r1, r2, r3, r4 = (
         float(np.max(r, initial=0.0))
@@ -439,33 +432,26 @@ def diagram_check(
         )
     )
 
-    diag, off = _aligned_basis_gram(g, level_points, boundary)
+    diag, off = _aligned_basis_gram(atoms, level_points, boundary)
     passed = max(r1, r2, r3, r4, triangle) < tol
     return DiagramReport(
         r1, r2, r3, r4, triangle, complex(np.mean(phases)), diag, off, passed
     )
 
 
-def _phi1_matrix(ts: np.ndarray, points) -> np.ndarray:
-    """[(exp(i g t) - 1)/g] over grid rows and point columns, i t at g = 0: phi1's integrand."""
-    out = np.empty((len(ts), len(points)), dtype=complex)
-    for j, gam in enumerate(points):
-        out[:, j] = 1j * ts if gam == 0 else (np.exp(1j * gam * ts) - 1.0) / gam
-    return out
-
-
-def _aligned_basis_gram(g, points, boundary):
+def _aligned_basis_gram(atoms, points, boundary):
     """Measured Gram of the aligned basis functions; constant reported, not asserted.
 
     Function k is aligned to sqrt(pi) F_k(x_k)/E(x_k), boundary[k], at level
     point k and to 0 at the others.  The aligned functions share one
     windowed-monomial basis and one solve matrix, built once; their
-    profiles are Phi1 at g's atoms.
+    profiles are Phi1 at the (point, mass) rows of atoms, one screw-line column each.
     """
     target_rows = np.diag(boundary) * math.sqrt(math.pi)
     aligned = _aligned_test_functions(points, target_rows)
-    profiles = np.array([[phi1(phi, p) for p, _ in g.float_atoms] for phi in aligned])
-    gram = (profiles * [m for _, m in g.float_atoms]) @ profiles.conj().T
+    line = _screw_line(aligned[0].grid, atoms[:, 0])
+    profiles = np.array([_phi1_columns(phi, line) for phi in aligned])
+    gram = (profiles * atoms[:, 1]) @ profiles.conj().T
     diag = float(np.mean(np.abs(np.diag(gram))))
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     return diag, off

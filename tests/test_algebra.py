@@ -15,7 +15,9 @@ from screwfn.algebra import (
     MatrixPolynomial,
     Polynomial,
     RationalFunction,
+    _cleared,
     _integer_row,
+    _monic_from_roots,
     _primitive_remainders,
     _signed_remainders,
     ab_split,
@@ -591,3 +593,17 @@ def test_fraction_free_solve_equals_fraction_gauss_jordan(system):
     sol, status = solve_exact(rows, rhs)
     assert (sol, status) == _fraction_gauss_jordan(rows, rhs)
     assert sol is None or all(type(x) is Fraction for x in sol)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.fractions(-3, 3, max_denominator=7), max_size=6))
+def test_exact_helpers_equal_their_polynomial_forms(xs):
+    # the running product of linear factors, and the rationals cleared over one denominator
+    want = Polynomial.one()
+    for r in xs:
+        want = want * Polynomial([-r, 1])
+    assert Polynomial(_monic_from_roots(xs)) == want
+    ints, den = _cleared(xs)
+    assert den > 0 and all(type(k) is int for k in ints)
+    assert [Fraction(k, den) for k in ints] == xs
+    assert den == math.lcm(*(x.denominator for x in xs))

@@ -69,10 +69,11 @@ def test_bezout_reproduces_reference_completion():
 def test_bezout_unit_case():
     # the bare Euclid solution is (1, 0); the pair (z, 1) admits no J-inner
     # completion because the bottom-row quotient is identically negative
-    A, B = bezout_complete(Polynomial([0, 1]), Polynomial([1]), validate=False)
+    C, D = Polynomial([0, 1]), Polynomial([1])
+    A, B = bezout_complete(C, D)
     assert A == Polynomial.one() and B.is_zero()
-    with pytest.raises(ValueError, match="not J-inner"):
-        bezout_complete(Polynomial([0, 1]), Polynomial([1]))
+    report = validate_transfer(MatrixPolynomial([[A, B], [C, D]]))
+    assert not report.ok and report.failures[0].startswith("not factorable")
 
 
 def test_bezout_identity_on_generated_pairs():
@@ -82,7 +83,7 @@ def test_bezout_identity_on_generated_pairs():
         d = Polynomial([Fraction(1), 0, Fraction(int(rng.integers(-4, 5)))])
         if not c.gcd(d).degree == 0:
             continue
-        A, B = bezout_complete(c, d, validate=False)
+        A, B = bezout_complete(c, d)
         assert A * d - B * c == Polynomial.one()
         assert A.degree < c.degree and B.degree < d.degree
         assert A.is_even() and B.is_odd()

@@ -6,7 +6,8 @@ module-level definition is either exported or read somewhere in the
 package, every def or class of the package is named in the package, its
 tests or the benchmark, every parameter with a default is passed at some
 call there, no while loop outside ``algebra`` runs a Euclid of
-its own, no module but ``canonical`` names ``solution_rows_affine``, no
+its own, no module but ``canonical`` names ``solution_rows_affine``,
+``weyl`` imports no cmath and calls no exp, no
 module but ``exact`` reads the ``re`` or ``im`` of a scalar,
 every name the benchmark's tracer wraps exists, and importing the command
 line and every module of the package loads no scipy.
@@ -316,6 +317,36 @@ def test_guard_flags_an_affine_row_read():
         "f = solution_rows_affine\n"
     )
     assert _affine_row_reads(tree) == ["line 2", "line 3", "line 4"]
+
+
+def _own_exponentials(tree: ast.Module) -> list[str]:
+    """Lines that import cmath or call an exp: a copy of the screw line's exponential.
+
+    weyl reads the screw line (exp(i g t) - 1)/g, and Phi1's integrand, from
+    screw._screw_line, its one evaluator.  A docstring is prose and calls nothing.
+    """
+    return [f"line {n}" for n in sorted({
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "exp" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        or isinstance(n, ast.Import) and any(a.name == "cmath" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and n.module == "cmath"})]
+
+
+def test_weyl_forms_no_exponential_of_its_own():
+    assert _own_exponentials(ast.parse((ROOT / "src" / "screwfn" / "weyl.py").read_text())) == []
+
+
+def test_guard_flags_an_own_exponential():
+    tree = ast.parse(
+        '"""Coefficients sqrt(m) (exp(itg) - 1)/g, read from screw."""\n'
+        "import cmath\n"
+        "from cmath import exp\n"
+        "a = cmath.exp(1j * t * g)\n"
+        "b = np.exp(1j * g * ts)\n"
+        "c = exp(x)\n"
+        "d = np.expm1(x) + self.exponent\n"
+    )
+    assert _own_exponentials(tree) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
 
 
 def _part_reads(tree: ast.Module) -> list[str]:

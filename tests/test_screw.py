@@ -169,6 +169,31 @@ def test_inner_product_two_ways_agree():
         assert cmp1.difference < 1e-6
 
 
+def _pointwise_phi1(phi, z):
+    """Phi1 by its own exponential, the samples multiplied before the division by z: the reference."""
+    if z == 0:
+        return phi.quad(phi.samples * 1j * phi.grid)
+    return phi.quad(phi.samples * (np.exp(1j * z * phi.grid) - 1.0) / z)
+
+
+def test_screw_line_columns_equal_the_pointwise_formulas():
+    # the one evaluator divides by z before the samples multiply, and the measure side sums
+    # its atoms by np.sum: each value within 16 rounding units of the sum of its moduli
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    phi_a, phi_b = random_test_function(rng, n=1025), random_test_function(rng, n=1025)
+    for z in (0.0, 0.25, -1.3, 2.0, 0.5 + 0.5j):
+        column = screw._screw_line(phi_a.grid, [z])[:, 0]
+        assert abs(phi1(phi_a, z) - _pointwise_phi1(phi_a, z)) <= 16 * eps * phi_a.quad(
+            np.abs(phi_a.samples * column)).real
+    tau = DiscreteMeasure([Fraction(k, 4) for k in (-5, -1, 0, 1, 5)],
+                          [Fraction(1, 8), Fraction(3, 8), 1, Fraction(3, 8), Fraction(1, 8)])
+    g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
+    terms = [_pointwise_phi1(phi_a, x) * np.conj(_pointwise_phi1(phi_b, x)) * m for x, m in g.float_atoms]
+    got = inner_product_Hg(g, phi_a, phi_b).via_measure
+    assert abs(got - sum(terms)) <= 16 * eps * sum(abs(t) for t in terms)
+
+
 def test_inner_product_zero():
     phi0 = TestFunction(np.zeros(513), (-3.0, 3.0))
     out = inner_product_Hg(G0, phi0, phi0)

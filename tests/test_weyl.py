@@ -77,6 +77,36 @@ def test_basis_vector_rejects_a_segment_outside_the_hamiltonian(k):
         StepVector.basis_vector(H0, k)
 
 
+def test_basis_vector_image_is_exact():
+    # a Pythagorean direction (3/5, -4/5) and 45 degrees, whose pa = 1/2 is no rational square
+    H = Hamiltonian([Segment(Fraction(1), (1, 0, 0)),
+                     Segment(Fraction(1, 2), (Fraction(9, 25), Fraction(-12, 25), Fraction(16, 25))),
+                     Segment(Fraction(2), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))])
+    root_half = PiScalar(Fraction(1, 2), 2)
+    for k, (c, s) in ((1, (Fraction(3, 5), Fraction(-4, 5))), (2, (root_half, root_half))):
+        F = StepVector.basis_vector(H, k)
+        assert F.components[k] == (Polynomial([c]), Polynomial([s]))
+        assert l2h_norm(H, F) == H.segments[k].length / PI
+        C, D = fundamental_solution(H, H.breakpoints[k]).entries[1]
+        want = (C * c + D * s) * H.segments[k].length * PiScalar(1, 1, -2)
+        got = weyl_transform(H, F)
+        assert got == want
+        assert all(isinstance(x, (Fraction, PiScalar)) for x in got.coeffs)
+    assert type(StepVector.basis_vector(H, 1).constrained[1]) is Fraction
+
+
+def test_step_vector_accepts_a_subnormal_scale():
+    # rounding below the least normal float is absolute, so a test relative to the scale alone
+    # rejects this row sample, whose constrained slope rounds to 5e-324
+    H = Hamiltonian([Segment(Fraction(2), (Fraction(16, 25), Fraction(-12, 25), Fraction(9, 25)))])
+    for scale in (5e-324j, 1e-320j, 1e-300j, 1j):
+        assert isinstance(StepVector.from_row_values(H, 3.0, scale).constrained[0], complex)
+    # a float component that varies is still rejected, at a normal and a tiny normal scale
+    for size in (1.0, 1e-300):
+        with pytest.raises(ValueError, match="L-hat"):
+            StepVector(H, [(Polynomial([0j, complex(size)]), Polynomial([0j]))])
+
+
 def test_step_vector_free_component_allowed():
     comps = [(Polynomial([0, 1]), Polynomial([2]))] + [(Polynomial.zero(), Polynomial.zero())] * 2
     v = StepVector(H0, comps)
@@ -343,18 +373,24 @@ def _triangle_terms(frame, H):
     ]
 
 
+def _diagram_case(case):
+    """(g, frame, H) of g0, of the five-atom tau, or "crossed": g0 with the five-atom frame and H0.
+
+    On "crossed" the measure-model and triangle legs are far from 0, so a
+    batched leg that lost its sample would show.
+    """
+    if case == "g0":
+        return G0, FR, H0
+    if case == "five-atoms":
+        return _five_atoms()
+    return G0, _five_atoms()[1], H0
+
+
 @pytest.mark.parametrize("case, seeds", [
     ("g0", (0, 1, 2)), ("five-atoms", (0,)), ("crossed", (0,)),
 ], ids=["g0", "five-atoms", "crossed"])
 def test_diagram_legs_match_the_single_sample_maps(case, seeds):
-    # "crossed" pairs g0 with the five-atom frame and H0, so that the measure-model and
-    # triangle legs are far from 0 and a batched leg that lost its sample would show
-    if case == "g0":
-        g, fr, H = G0, FR, H0
-    elif case == "five-atoms":
-        g, fr, H = _five_atoms()
-    else:
-        g, fr, H = G0, _five_atoms()[1], H0
+    g, fr, H = _diagram_case(case)
     ts = np.linspace(-3.0, 3.0, 2049)
     K = kernel_g(g, ts[:, None], ts[None, :])
     terms = _triangle_terms(fr, H)
@@ -375,6 +411,35 @@ def test_diagram_legs_match_the_single_sample_maps(case, seeds):
             assert triangle > 1e-6 and not rep.passed
         else:
             assert triangle == 0.0
+
+
+@pytest.mark.parametrize("case", ["g0", "five-atoms", "crossed"])
+def test_diagram_check_reads_each_pi_half_eigenvector_at_its_own_point(case, monkeypatch):
+    # F_k = c_k A/(z - x_k) vanishes at every level point but x_k, so F_k(x_k) alone gives the
+    # restriction's diagonal and the one-sample row of inverse_weyl F_k: k evaluations, where
+    # the k x k restriction matrix and the generic _inverse_images scan took 2 k^2
+    g, fr, H = _diagram_case(case)
+    basis = fr.pi_half_eigenbasis
+    generic = weyl._weyl_images(H, weyl._inverse_images(fr, H, basis.normalized))
+    want = max(math.sqrt(m) * max((abs(complex(c)) for c in (W - F).coeffs), default=0.0)
+               for (_, m, F), W in zip(weyl._model_basis(fr), generic))
+    owner = {id(F): k for k, F in enumerate(basis.normalized)}
+    reads, call = [], Polynomial.__call__
+
+    def counted(self, x):
+        if id(self) in owner:
+            reads.append((owner[id(self)], x))
+        return call(self, x)
+
+    def refused(*args):
+        raise AssertionError("diagram_check scanned the level set through _inverse_images")
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    monkeypatch.setattr(weyl, "_inverse_images", refused)
+    rep = diagram_check(g, fr, H, n_samples=2, seed=0)
+    assert reads == list(enumerate(basis.eigenvalues))
+    assert rep.triangle_weyl_l0_vs_model == want
+    assert (want > 1e-6) if case == "crossed" else (want == 0.0)
 
 
 def test_diagram_triangle_terms_are_the_single_sample_difference():
@@ -556,9 +621,9 @@ def step_vectors(draw, H, kinds=("exact", "pi", "float", "mixed"), max_degree=2)
 
     On each segment (f, g) = a (c, s) + q(t) (-s, c) for the direction (c, s):
     exact rationals, the same times a pi-graded scalar, complex floats with
-    the float direction that basis_vector uses (|a| >= 1/2 there, so the
-    rounding left in the constrained component stays below the 1e-9 check),
-    or exact and float segments mixed.  Components have degree <= max_degree.
+    the direction rounded to floats (|a| >= 1/2 there, so the rounding left
+    in the constrained component stays below the 1e-9 check), or exact and
+    float segments mixed.  Components have degree <= max_degree.
     """
     kind = draw(st.sampled_from(list(kinds)))
     comps = []
@@ -682,9 +747,11 @@ def test_weyl_transform_reads_the_integer_rows(monkeypatch):
 
 def test_float_basis_image_reads_the_breakpoint_row_alone():
     # P F is parallel to e, so the t R1 half of the row adds e^T J e = 0; summed in floats it
-    # left this image a z-coefficient of -2.2e-18
+    # left this image a z-coefficient of -2.2e-18.  basis_vector is exact; its complex copy
+    # takes the float path
     H = _thirty_two_segments()
-    F = StepVector.basis_vector(H, 1)
+    F = StepVector.basis_vector(H, 1) * complex(1)
+    assert isinstance(F.constrained[1], complex)
     seg = H.segments[1]
     pa, pb, _ = seg.proj
     C, D = fundamental_solution(H, H.breakpoints[1]).entries[1]
@@ -765,8 +832,9 @@ def test_a_free_part_changes_no_segment_constant(H, data):
 
 
 def test_aligned_basis_gram_samples_the_windowed_monomials_once(monkeypatch):
-    # k aligned functions over k + 1 windowed monomials: k (k + 1) phi1 calls for the solve
-    # matrix and k |atoms| for the profiles, 21 on g0 where one matrix per target made 45
+    # k aligned functions over k + 1 windowed monomials: one screw-line column per level point
+    # for the solve matrix and one per atom for the profiles, 6 on g0, where 21 phi1 calls each
+    # formed a column of their own and one matrix per target made 45
     basis = FR.pi_half_eigenbasis
     points = [float(x) for x in basis.eigenvalues]
     boundary = [complex(F(x) / FR.E(x)) for x, F in zip(basis.eigenvalues, basis.normalized)]
@@ -778,17 +846,17 @@ def test_aligned_basis_gram_samples_the_windowed_monomials_once(monkeypatch):
     profiles = np.array([[phi1(phi, p) for p, _ in G0.float_atoms] for phi in aligned])
     gram = (profiles * [m for _, m in G0.float_atoms]) @ profiles.conj().T
     want = (float(np.mean(np.abs(np.diag(gram)))), float(np.max(np.abs(gram - np.diag(np.diag(gram))))))
-    calls = []
+    columns, line = [], screw._screw_line
 
-    def counted(phi, z):
-        calls.append(z)
-        return phi1(phi, z)
+    def counted(ts, at):
+        columns.append(len(at))
+        return line(ts, at)
 
-    monkeypatch.setattr(screw, "phi1", counted)
-    monkeypatch.setattr(weyl, "phi1", counted)
-    assert weyl._aligned_basis_gram(G0, points, boundary) == want  # one aligned sample per target
+    monkeypatch.setattr(screw, "_screw_line", counted)
+    monkeypatch.setattr(weyl, "_screw_line", counted)
+    assert weyl._aligned_basis_gram(np.array(G0.float_atoms), points, boundary) == want  # one aligned sample per target
     k, atoms = len(points), len(G0.float_atoms)
-    assert len(calls) == k * (k + 1) + k * atoms == 21
+    assert columns == [k, atoms] and sum(columns) == 6
 
 
 def test_diagram_check_draws_the_successive_random_test_functions(monkeypatch):
