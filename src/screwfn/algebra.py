@@ -8,9 +8,15 @@ every coefficient is a Fraction when all of them are real, and every one is
 an ExactComplex when one is not.  So ``is_real`` reads the stored type, and
 code may read ``re`` and ``im`` off each coefficient of a nonreal exact
 polynomial (perfbench's frames workload does, on E).  Zero padding past the
-top coefficient is the integer 0, which every scalar type absorbs.  Floats
-are used only to locate zeros: companion-matrix eigenvalues polished by
-Newton iteration, on coefficients converted to complex once per call.
+top coefficient is the integer 0, which every scalar type absorbs.
+``Polynomial.float_view`` is the one conversion of exact coefficients to
+complex, and ``Polynomial.values`` the one Horner evaluator: exact
+coefficients at an exact point, the float view, taken once per call, at
+float points.  So ``roots``, ``weyl.E_times`` and the level-set sums of
+``spectra`` and ``debranges`` convert a polynomial once per call, not once
+per point, and nothing is cached on it.  Floats locate zeros:
+companion-matrix eigenvalues polished by Newton iteration, on the float
+views of p and p'.
 ``real_zeros`` is the one routine for real, simple zeros:
 it returns exact Fractions where ``rational_roots`` finds them and floats for
 the rest, and it is where float input skips the exact extraction.  Two
@@ -39,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import I, ExactComplex, PiScalar, is_real
+from .exact import ExactComplex, PiScalar, is_real
 
 __all__ = [
     "Polynomial",
@@ -183,18 +189,37 @@ class Polynomial:
 
     # -- evaluation -----------------------------------------------------------
 
+    def float_view(self) -> "Polynomial":
+        """This polynomial with its coefficients converted to complex; a float one is its own view.
+
+        Converted anew on each call and kept nowhere: a caller that reads one
+        polynomial at many float points takes the view once per call.
+        """
+        if self.mode == "float":
+            return self
+        return Polynomial([complex(c) for c in self.coeffs])
+
+    def values(self, points) -> list:
+        """Horner evaluation at each point; exact when coefficients and point are exact.
+
+        A float point (or float coefficients) reads the float view, taken at
+        most once per call.  A mixed exact/complex operation converts its
+        exact operand with complex() anyway, so each value is bit for bit
+        the one a per-point conversion gives.
+        """
+        view, out = None, []
+        for z in points:
+            if self.mode == "float" or isinstance(z, (float, complex)):
+                if view is None:
+                    view = self.float_view().coeffs
+                out.append(_horner(view, complex(z), 0j))
+            else:
+                out.append(_horner(self.coeffs, z, 0))
+        return out
+
     def __call__(self, z):
-        """Horner evaluation; exact when coefficients and z are exact."""
-        if isinstance(z, (float, complex)) or self.mode == "float":
-            zc = complex(z)
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * zc + complex(c)
-            return acc
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        """Horner evaluation, exact when coefficients and z are exact: ``values`` at one point."""
+        return self.values((z,))[0]
 
     # -- calculus ---------------------------------------------------------------
 
@@ -281,6 +306,13 @@ class Polynomial:
             else:
                 terms.append(f"({cs})*z^{k}")
         return " + ".join(terms)
+
+
+def _horner(coeffs, z, acc):
+    """acc z^n + p(z) for p with ascending coeffs, n = len(coeffs): Horner from acc."""
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _as_poly(x) -> Polynomial:
@@ -370,12 +402,13 @@ def ab_split(E: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Split E = A - iB into the real polynomials A = (E+E#)/2 and B = i(E-E#)/2.
 
     Read off each coefficient c rather than divided out: A_k = Re c and
-    B_k = -Im c = (c - Re c) i, in the numeric protocol of ``exact``, so one
-    path serves exact, pi-graded and float coefficients.  A float c gives a
-    B_k with imaginary part +0.0.
+    B_k = 0 - Im c, through the ``real`` and ``imag`` of the numeric protocol
+    of ``exact``, so one path serves exact, pi-graded and float coefficients.
+    A float c gives a B_k with imaginary part +0.0, and B_k = +0.0 where
+    Im c is 0.0.
     """
     return (Polynomial([c.real for c in E.coeffs]),
-            Polynomial([(c - c.real) * I for c in E.coeffs]))
+            Polynomial([0 - c.imag for c in E.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +428,8 @@ def roots(p: Polynomial) -> list[complex]:
     """
     if p.degree < 1:
         raise ValueError("no roots: polynomial must have degree >= 1")
-    dp = Polynomial([complex(c) for c in p.derivative().coeffs])
-    p = Polynomial([complex(c) for c in p.coeffs])
+    dp = p.derivative().float_view()
+    p = p.float_view()
     raw = np.roots(np.array(p.coeffs[::-1]))
     scale = max(abs(c) for c in p.coeffs)
     polished = []

@@ -24,11 +24,17 @@ hankel[k] = h_0 ... h_k, the orthonormal basis p_k / sqrt(h_k) and the
 Christoffel-Darboux kernel (Szego, *Orthogonal Polynomials*)
 sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
 
-inner_product evaluates p and q once at each level point and adds
-p(g) conj(q(g)) w(g) in level-set order in _sampled_inner; a check that
-forms many inner products, such as the CLI's polynomial-space tables,
-takes each polynomial's values once and calls _sampled_inner per pair,
-with the same sums in the same order.
+Each polynomial read at several points is read in one
+``Polynomial.values`` call, so at float points its exact coefficients are
+converted to complex once per call, not once per point, with the same
+values to the bit: B on the level set in ``weights``, A and B at (z, w) in
+kernel_ab, each p_k at (w, z) in kernel_moment.  The pi/2 eigenbasis
+divides A by z - g, and at a float g one complex copy of A.
+inner_product evaluates p, and q unless q is p, once at each level point
+and adds p(g) conj(q(g)) w(g) in level-set order in _sampled_inner; a
+check that forms many inner products, such as the CLI's polynomial-space
+tables, takes each polynomial's values once and calls _sampled_inner per
+pair, with the same sums in the same order.
 
 A frame builds its sampling weights, its moment table and its pi/2
 eigenbasis once, on first use, and keeps them; every reader gets the same
@@ -98,7 +104,8 @@ class HermiteBiehlerFrame:
         weight takes the scalar type of its point and mass: a PiScalar at a
         Fraction point, a float at a float point.
         """
-        return tuple((g, m / abs(self.B(g)) ** 2) for g, m in self.mu)
+        bs = self.B.values(self.mu.points)
+        return tuple((g, m / abs(b) ** 2) for (g, m), b in zip(self.mu, bs))
 
     @cached_property
     def moment_table(self) -> "MomentTable":
@@ -147,7 +154,9 @@ def inner_product(frame: HermiteBiehlerFrame, p: Polynomial, q: Polynomial):
     if p.degree >= n or q.degree >= n:
         raise ValueError(f"not a member of H(E): degree must be < {n}")
     points = [g for g, _ in frame.weights]
-    return _sampled_inner(frame, [p(g) for g in points], [q(g).conjugate() for g in points])
+    p_values = p.values(points)
+    q_values = p_values if q is p else q.values(points)
+    return _sampled_inner(frame, p_values, [v.conjugate() for v in q_values])
 
 
 def _sampled_inner(frame: HermiteBiehlerFrame, p_values, q_conj_values):
@@ -177,10 +186,11 @@ def kernel_ab(frame: HermiteBiehlerFrame, z, w):
     Exact when the frame and z, w are exact, complex when z or w is a float.
     """
     A, B, d = frame.A, frame.B, w - z.conjugate()
-    az, bz = A(z).conjugate(), B(z).conjugate()
+    (az, aw), (bz, bw) = A.values((z, w)), B.values((z, w))
+    az, bz = az.conjugate(), bz.conjugate()
     if d == 0:
         return (az * B.derivative()(w) - A.derivative()(w) * bz) / PI
-    return (az * B(w) - A(w) * bz) / (PI * d)
+    return (az * bw - aw * bz) / (PI * d)
 
 
 def kernel_moment(frame: HermiteBiehlerFrame, z, w):
@@ -189,7 +199,8 @@ def kernel_moment(frame: HermiteBiehlerFrame, z, w):
     Exact when the frame and z, w are exact, complex when z or w is a float.
     """
     table = moments(frame)
-    return sum(p(w) * p(z).conjugate() / h for p, h in zip(table.polys, table.norms))
+    values = (p.values((w, z)) for p in table.polys)
+    return sum(pw * pz.conjugate() / h for (pw, pz), h in zip(values, table.norms))
 
 
 def gram_schmidt_basis(frame: HermiteBiehlerFrame) -> list[Polynomial]:
@@ -249,11 +260,10 @@ def extension_eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis
 
 
 def _eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis:
-    P = _s_theta_real(frame, theta)
-    in_space = effective_degree(P, 1e-12) < frame.dim
     if _cos_sin(theta) == (0, 1):
-        evs: list = list(frame.mu.points)  # P = A, and the level set is its zeros
+        P, evs = frame.A, list(frame.mu.points)  # the level set is the zeros of A
     else:
+        P = _s_theta_real(frame, theta)
         rats, rest = rational_roots(P)
         if len(set(rats)) != len(rats):
             raise ValueError("zeros of S_theta must be simple")
@@ -264,8 +274,10 @@ def _eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis:
                     raise ValueError(f"nonreal zero {r} of S_theta")
                 evs.append(r.real)
         evs.sort(key=float)
-    funcs = [P.divmod(Polynomial([-g, 1]))[0] for g in evs]
-    if in_space and not P.is_zero():
+    # exact P at an exact g; at a float g, one complex copy of P, as a mixed division converts it
+    view = P.float_view() if any(isinstance(g, float) for g in evs) else P
+    funcs = [(view if isinstance(g, float) else P).divmod(Polynomial([-g, 1]))[0] for g in evs]
+    if effective_degree(P, 1e-12) < frame.dim and not P.is_zero():
         evs.append(None)
         funcs.append(P)
     normalized = [f / sqrt(inner_product(frame, f, f).real) for f in funcs]

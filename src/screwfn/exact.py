@@ -25,9 +25,9 @@ does, so ``PI * 0.5`` is ``math.pi * 0.5`` to the bit; a nonreal value or a
 ``complex`` operand gives a ``complex``.  ``ExactComplex`` always degrades to
 ``complex``.  Both types provide the numeric-protocol names that
 ``complex``, ``Fraction`` and numpy scalars share: ``+ - * /`` against each
-other and against Python numbers, ``real``, ``conjugate()``, ``__complex__``
-and ``__float__``; ``ExactComplex`` also has ``imag``, so code that reads
-the parts of an exact scalar runs on a ``Fraction`` too.  ``PiScalar`` adds
+other and against Python numbers, ``real``, ``imag``, ``conjugate()``,
+``__complex__`` and ``__float__``, so code that reads the parts of an exact
+scalar runs on a ``Fraction`` too.  ``PiScalar`` adds
 the order ``< <= > >=`` of real values of one grade.  Code written against
 that protocol runs unchanged on exact and float scalars.  Two operations
 have no protocol name and are defined here: ``sqrt``, and the realness test
@@ -363,6 +363,10 @@ class PiScalar:
     @property
     def real(self) -> "PiScalar":
         return PiScalar(self.coef.real, self.root, self.pihalf)
+
+    @property
+    def imag(self) -> "PiScalar":
+        return PiScalar(self.coef.imag, self.root, self.pihalf)
 
     def abs2(self) -> "PiScalar":
         c = self.coef

@@ -296,9 +296,9 @@ def _level_set(A: Polynomial, B: Polynomial) -> DiscreteMeasure:
         raise ValueError("level_set_masses requires degree >= 1")
     if not _hb_test_split(A, B):
         raise ValueError("E is not in the Hermite-Biehler class")
-    dA = A.derivative()
     pts = real_zeros(A)
-    return DiscreteMeasure(pts, [PI * abs((B(g) / dA(g)).real) for g in pts])
+    ratios = zip(B.values(pts), A.derivative().values(pts))
+    return DiscreteMeasure(pts, [PI * abs((b / da).real) for b, da in ratios])
 
 
 def tau_from_mu(mu: DiscreteMeasure) -> DiscreteMeasure:

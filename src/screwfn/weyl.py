@@ -306,7 +306,7 @@ def phat(frame: HermiteBiehlerFrame, phi: TestFunction) -> ModelVector:
 
 def E_times(frame: HermiteBiehlerFrame, v: ModelVector) -> Polynomial:
     """Map a model vector to H(E): multiply by E, i.e. expand over the eigenbasis."""
-    return sum((Polynomial([complex(x) for x in F.coeffs]) * complex(c)
+    return sum((F.float_view() * complex(c)
                 for c, (_, _, F) in zip(v.coeffs, _model_basis(frame))), Polynomial.zero())
 
 

@@ -60,6 +60,17 @@ def test_poly_eval_zero_polynomial():
         assert complex(z(complex(val))) == 0
 
 
+def test_values_read_exact_coefficients_at_exact_points_and_the_float_view_elsewhere():
+    view = E0.float_view()
+    assert view.mode == "float" and view.coeffs == tuple(complex(c) for c in E0.coeffs)
+    assert view.float_view() is view
+    vals = E0.values([I, 0.5, Fraction(1, 2), 1 + 1j])
+    assert vals[0] == ExactComplex(0, -5) and vals[2] == E0(Fraction(1, 2))
+    assert type(vals[2]) is ExactComplex and type(vals[1]) is type(vals[3]) is complex
+    assert vals[1] == horner_oracle(view.coeffs, 0.5) and vals[3] == horner_oracle(view.coeffs, 1 + 1j)
+    assert view.values([Fraction(1, 2)]) == [complex(vals[2])]
+
+
 def test_sharp_of_e0():
     assert sharp(E0) == Polynomial([I, ExactComplex(-1), -2 * I, ExactComplex(1)])
 

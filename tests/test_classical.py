@@ -312,10 +312,14 @@ def test_mean_periodicity_is_exact_on_symmetric_measures(tau):
     assert rep.max_residual() < 1e-8
 
 
-@pytest.mark.parametrize("pairs", [10, 16], ids=["21-atoms", "33-atoms"])
+@pytest.mark.parametrize("pairs", [10, 16, pytest.param(22, marks=pytest.mark.xfail(
+    strict=True, reason="the Hermite-series float cross-check reads 5.4e-7 at 45 atoms"))],
+    ids=["21-atoms", "33-atoms", "45-atoms"])
 def test_mean_periodicity_window_grows_with_the_degree(pairs):
     # the odd-quarter family {0: 1} and {+-(2k - 1)/4: (2 (k mod 3) + 1)/8}; deg P = 2 pairs + 3,
-    # whose kernel reaches past the fixed window [-7, t]: 9.2e-8 at 21 atoms, 3.4e-4 at 33
+    # whose kernel reaches past the fixed window [-7, t]: 9.2e-8 at 21 atoms, 3.4e-4 at 33.
+    # At 45 atoms hermval's H_k coefficients grow with deg P: the float cross-check, not the
+    # window, fails, while the exact residuals stay 0.0
     xs = [Fraction(2 * k - 1, 4) for k in range(1, pairs + 1)]
     ms = [Fraction(2 * (k % 3) + 1, 8) for k in range(1, pairs + 1)]
     tau = DiscreteMeasure([Fraction(0), *xs, *(-x for x in xs)], [Fraction(1), *ms, *ms])

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -25,7 +26,7 @@ from screwfn.debranges import (
     sl2_transform,
 )
 from screwfn.exact import PI, ExactComplex, PiScalar
-from screwfn.spectra import DiscreteMeasure
+from screwfn.spectra import DiscreteMeasure, _level_set
 
 from test_spectra import random_hb_cubic
 
@@ -480,3 +481,107 @@ def test_stieltjes_recurrence_is_exact(E, x, y, u, v):
         A, B = frame.A, frame.B
         closed = (A(z).conjugate() * B(w) - A(w) * B(z).conjugate()) / (PI * (w - z.conjugate()))
         assert kernel_moment(frame, z, w) == closed
+
+
+@st.composite
+def irrational_level_set_e(draw):
+    """Exact E = prod (z - zeta_k), deg 3-7, zeta_k = (a + bi)/c in the open lower half-plane.
+
+    E is Hermite-Biehler by construction; the zeros of A = Re E are
+    irrational for almost every draw, and the test keeps only those.
+    """
+    E = Polynomial([ExactComplex(1)])
+    for _ in range(draw(st.integers(3, 7))):
+        c = draw(st.sampled_from((2, 3)))
+        zeta = ExactComplex(Fraction(draw(st.integers(-3, 3)), c), Fraction(-draw(st.integers(1, 3)), c))
+        E = E * Polynomial([-zeta, ExactComplex(1)])
+    return E
+
+
+def _per_point(p: Polynomial, z):
+    """Horner that converts every coefficient to complex again at each float point."""
+    if isinstance(z, (float, complex)) or p.mode == "float":
+        acc = 0j
+        for c in reversed(p.coeffs):
+            acc = acc * complex(z) + complex(c)
+        return acc
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+_UPPER = st.builds(complex, st.floats(-2, 2), st.floats(0.125, 2))
+
+
+@settings(max_examples=25)
+@given(irrational_level_set_e(), _UPPER, _UPPER)
+def test_float_views_give_the_per_point_values_bit_for_bit(E, z, w):
+    frame = HermiteBiehlerFrame.from_e(E)
+    pts = frame.mu.points
+    assume(any(isinstance(g, float) for g in pts))
+    A, B, h = frame.A, frame.B, _per_point
+    masses = [PI * abs((h(B, g) / h(A.derivative(), g)).real) for g in pts]
+    assert repr(list(frame.mu.masses)) == repr(masses)
+    weights = tuple((g, m / abs(h(B, g)) ** 2) for g, m in zip(pts, masses))
+    assert repr(frame.weights) == repr(weights)
+
+    def inner(p, q):
+        return sum(h(p, g) * h(q, g).conjugate() * wt for g, wt in weights)
+
+    table = moments(frame)
+    assert repr(table.moments) == repr(tuple(sum(wt * g**k for g, wt in weights)
+                                             for k in range(2 * frame.dim - 1)))
+    for p in table.polys:
+        assert repr(inner_product(frame, p, p)) == repr(inner(p, p))
+    ab = (h(A, z).conjugate() * h(B, w) - h(A, w) * h(B, z).conjugate()) / (PI * (w - z.conjugate()))
+    assert repr(kernel_ab(frame, z, w)) == repr(ab)
+    zc = z.conjugate()  # the limit at w = conj z reads A' and B'
+    ab = (h(A, z).conjugate() * h(B.derivative(), zc) - h(A.derivative(), zc) * h(B, z).conjugate()) / PI
+    assert repr(kernel_ab(frame, z, zc)) == repr(ab)
+    for zz, ww in ((z, w), (z, zc)):
+        cd = sum(h(p, ww) * h(p, zz).conjugate() / n for p, n in zip(table.polys, table.norms))
+        assert repr(kernel_moment(frame, zz, ww)) == repr(cd)
+    eig = extension_eigenbasis(frame, math.pi / 2)
+    funcs = [A.divmod(Polynomial([-g, 1]))[0] for g in pts]
+    assert eig.eigenvalues == tuple(pts)
+    assert repr(eig.eigenfunctions) == repr(tuple(funcs))
+    assert repr(eig.normalized) == repr(tuple(f / math.sqrt(inner(f, f).real) for f in funcs))
+
+
+def _counting(p: Polynomial, tally: Counter, name: str) -> Polynomial:
+    """p with Fraction coefficients that count, under tally[name], each conversion to a float."""
+
+    class Counted(Fraction):
+        def __float__(self):
+            tally[name] += 1
+            return Fraction.__float__(self)
+
+    return Polynomial([Counted(c) for c in p.coeffs])
+
+
+def test_each_exact_polynomial_is_converted_once_per_call():
+    E = Polynomial([ExactComplex(1)])
+    for zeta in (ExactComplex(Fraction(1, 2), -1), ExactComplex(-1, Fraction(-2, 3)), ExactComplex(0, -2),
+                 ExactComplex(Fraction(3, 2), Fraction(-1, 3)), ExactComplex(-2, -1)):
+        E = E * Polynomial([-zeta, ExactComplex(1)])
+    base = HermiteBiehlerFrame.from_e(E)
+    assert all(isinstance(g, float) for g in base.mu.points)
+    tally = Counter()
+    A, B = _counting(base.A, tally, "A"), _counting(base.B, tally, "B")
+    frame = HermiteBiehlerFrame(E, A, B, base.mu)
+    nA, nB = len(A.coeffs), len(B.coeffs)
+    calls = [
+        (lambda: _level_set(A, B), {"B": nB}),  # A' is a new polynomial, A is read exactly
+        (lambda: frame.weights, {"B": nB}),
+        (lambda: inner_product(frame, B, B), {"B": nB}),
+        (lambda: inner_product(frame, B, B * 2), {"B": nB}),  # B * 2 has plain coefficients
+        (lambda: kernel_ab(frame, 0.5 + 1j, -1 + 0.25j), {"A": nA, "B": nB}),
+        (lambda: debranges._eigenbasis(frame, math.pi / 2), {"A": nA}),
+    ]
+    for call, want in calls:
+        tally.clear()
+        call()
+        assert tally == want
+    assert repr(frame.weights) == repr(base.weights)
+    assert repr(frame.pi_half_eigenbasis) == repr(base.pi_half_eigenbasis)

@@ -127,6 +127,7 @@ def test_pi_scalar_numeric_protocol():
     x = PiScalar(ExactComplex(Fraction(1, 2), 3), 2, 2)
     assert x.conjugate() == PiScalar(ExactComplex(Fraction(1, 2), -3), 2, 2)
     assert x.real == PiScalar(Fraction(1, 2), 2, 2)
+    assert x.imag == PiScalar(3, 2, 2) and PI.imag == 0
     assert PI / 2 < PI and PI >= PI and -PI <= 0 < PI
     with pytest.raises(ValueError):
         PI < PiScalar(1)  # different grades have no exact order here
