@@ -8,8 +8,8 @@ Subcommands:
   ``pw`` the truncated Paley-Wiener family;
 * ``factorize W.json`` turns a transfer matrix into its step Hamiltonian;
 * ``string q.json`` expands a Herglotz function into a Krein string;
-* ``pd-check`` builds the kernel Gram matrix on a grid and reports its
-  minimum eigenvalue;
+* ``pd-check`` builds the kernel Gram matrix on a uniform grid and reports
+  its minimum eigenvalue;
 * ``pw`` runs the Paley-Wiener checks at a chosen truncation.
 
 One global --seed drives every randomized probe, so reports are
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     p_str.add_argument("input")
     p_str.add_argument("--out", default=None)
 
-    p_pd = sub.add_parser("pd-check", help="kernel Gram positivity on a grid")
+    p_pd = sub.add_parser("pd-check", help="kernel Gram positivity on a uniform grid over --range")
     # _negative_number_matcher is argparse's one hook for telling a negative number from a
     # flag; its default takes -1 and -.5 but not -1e-3 or -inf, which it reads as flags
     p_pd._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$", re.I)
@@ -470,8 +470,8 @@ def main(argv=None) -> int:
 
     if args.command == "pd-check":
         lo, hi = args.range
-        if not (math.isfinite(lo) and math.isfinite(hi)):  # linspace would warn first
-            return _input_error("grid points must be finite")
+        if not math.isfinite(hi - lo):  # a non-finite end or span: linspace would warn first
+            return _input_error("grid ends and their span hi - lo must be finite")
         if args.tau:
             obj = _load_json(args.tau)
             try:

@@ -36,12 +36,10 @@ within 7.7e-15 at n = 513, 1025 and 2049.  At n = 2049 one product costs
 core of a shared 2-vCPU x86-64 host.  Both test functions of
 inner_product_Hg must share one grid (same support and sample count).
 weyl.diagram_check builds the form once and takes the quadratic form of
-every sample; only pd_check builds the dense matrix, which it needs whole
-for its eigenvalues.  There kernel_g evaluates g once per distinct lag
-t_i - s_j (1 981 on the 300-point linspace grid of [-6, 6], not 90 000)
-and looks each entry up by searchsorted.  The result is bit for bit the
-one of evaluating every entry, because eval_screw is pointwise: each point
-takes the same IEEE operations whatever else is in the array.
+every sample.  pd_check, which needs the dense matrix whole for its
+eigenvalues, reads the same 4n - 1 samples (_uniform_kernel_samples) and
+views the Toeplitz part in the lag vector without a copy; so it takes only
+uniform grids.  kernel_g, for any t and s, evaluates g at every t - s.
 
 pd_check solves a real symmetric eigenproblem when the grid is symmetric
 about 0 (t_{n-1-i} = -t_i).  Real data make g(-x) = conj g(x), so
@@ -99,6 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import legendre
 
 from .algebra import Polynomial, RationalFunction
@@ -229,27 +228,18 @@ def _eval_blocks(g: ScrewFunctionData, t: np.ndarray, out: np.ndarray) -> None:
 
 
 def kernel_g(g: ScrewFunctionData, t, s):
-    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting.
+    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0); supports broadcasting, scalars give a Python complex.
 
-    The kernel evaluates g once per distinct lag t - s and fills the result
-    from those values by searchsorted, _BLOCK entries at a time (module
-    docstring); scalar t and s give a Python complex.  The n x n kernel allocates its result, t - s and
-    np.unique's sorted copy of it, and nothing else of that size: g(t) and
-    g(-s) are subtracted and g(0) added in place.
+    g is evaluated at every t - s; g(t) and g(-s) are subtracted and g(0)
+    added in place, so an n x n kernel holds its result and t - s alone.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    lag = t - s
-    lags = np.unique(lag)
-    at_lags = eval_screw(g, lags)
-    val = np.empty(lag.shape, dtype=complex)
-    flat_lag, flat_val = lag.reshape(-1), val.reshape(-1)
-    for lo in range(0, len(flat_lag), _BLOCK):
-        flat_val[lo : lo + _BLOCK] = at_lags[np.searchsorted(lags, flat_lag[lo : lo + _BLOCK])]
+    val = eval_screw(g, t - s)
     val -= eval_screw(g, t)
     val -= eval_screw(g, -s)
     val += complex(float(g.g0))
-    return val if val.ndim else complex(val)
+    return val
 
 
 def chord_length(g: ScrewFunctionData, t: float) -> float:
@@ -267,25 +257,33 @@ class PdReport:
 
 
 def pd_check(g: ScrewFunctionData, grid, tol: float = 1e-9) -> PdReport:
-    """Minimum eigenvalue of the Hermitian part H of [G(t_i, t_j)] on the grid.
+    """Minimum eigenvalue of the Hermitian part H of [G(t_i, t_j)] on a uniform grid.
 
-    On a grid symmetric about 0 (ts equal to -ts[::-1] within 4 ulps of
-    max|t|) H is centro-Hermitian, and its eigenvalues are those of the
-    real symmetric A - B[:, ::-1], A = Re H and B = Im H (module docstring;
-    Lee, Linear Algebra Appl. 29, 1980).  That matrix is formed in place
-    of H.  Any other grid takes the complex eigvalsh of H.  Either way G is
-    dropped before eigvalsh copies H, so at most two n x n arrays are held
-    at once.  ValueError for an empty grid and for points that are not
-    finite or not distinct.
+    The grid must lie within 4 ulps of max|t| of linspace(t_0, t_{n-1}, n);
+    G is a Toeplitz view of g at the 2n - 1 lags plus rank-one terms.  A grid
+    symmetric about 0 (to 4 ulps) takes the real eigvalsh of A - B[:, ::-1],
+    A = Re H and B = Im H, formed in place of H; any other grid the complex
+    eigvalsh of H (module docstring).  At most two n x n arrays are held at
+    once.  ValueError for an empty grid, for points that are not finite,
+    distinct and uniform, and where g overflows.
     """
     ts = np.asarray(list(grid), dtype=float)
-    if not len(ts):
+    n = len(ts)
+    if not n:
         raise ValueError("grid must hold at least one point")
     if not np.isfinite(ts).all():
         raise ValueError("grid points must be finite")
-    if len(np.unique(ts)) != len(ts):
+    if len(np.unique(ts)) != n:
         raise ValueError("grid points must be distinct")
-    G = kernel_g(g, ts[:, None], ts[None, :])
+    with np.errstate(all="ignore"):  # an overflow is named below, before any n x n work
+        at_lags, g_t, g_minus_t, g0 = _uniform_kernel_samples(g, ts[0], ts[-1], n)
+    if not all(np.isfinite(v).all() for v in (at_lags, g_t, g_minus_t)):
+        raise ValueError("grid reaches where g overflows: g(t_i - t_j) or g(+-t_i) is not finite")
+    if np.abs(ts - np.linspace(ts[0], ts[-1], n)).max() > 4 * np.spacing(np.abs(ts).max()):
+        raise ValueError("grid must be uniform")
+    G = sliding_window_view(at_lags[::-1], n)[::-1] - g_t[:, None]  # g((i - j) h) - g(t_i)
+    G -= g_minus_t
+    G += g0
     if np.abs(ts + ts[::-1]).max() <= 4 * np.spacing(np.abs(ts).max()):
         H = G.real + G.real.T  # 2 (A - B J), with 2 B J = (Im G - Im G^T)[:, ::-1]
         H -= G.imag[:, ::-1]
@@ -456,6 +454,13 @@ def _aligned_test_functions(points, target_rows) -> list[TestFunction]:
     return out
 
 
+def _uniform_kernel_samples(g: ScrewFunctionData, lo: float, hi: float, n: int):
+    """g at the lags k h, |k| < n (h = 0 if n = 1), at t_i and -t_i of linspace(lo, hi, n), and g(0)."""
+    ts = np.linspace(lo, hi, n)
+    lags = np.arange(1 - n, n) * ((hi - lo) / (n - 1) if n > 1 else 0.0)
+    return eval_screw(g, lags), eval_screw(g, ts), eval_screw(g, -ts), complex(float(g.g0))
+
+
 def _fft_length(m: int) -> int:
     """The least 2^a 3^b 5^c >= m: a length that pocketfft transforms fast."""
     while True:
@@ -476,14 +481,9 @@ def _kernel_form(g: ScrewFunctionData, support, n: int):
     _fft_length(2n - 1), whose eigenvalues are taken once.  The rank-two
     terms -g(t_i) - g(-t_j) and g(0) are added apart.
     """
-    lo, hi = support
-    ts = np.linspace(lo, hi, n)
-    lags = np.arange(1 - n, n) * ((hi - lo) / (n - 1))
-    size = _fft_length(2 * n - 1)
-    column = np.zeros(size, dtype=complex)
-    column[: 2 * n - 1] = eval_screw(g, lags)
-    eigenvalues = np.fft.fft(np.roll(column, 1 - n))
-    g_t, g_minus_t, g0 = eval_screw(g, ts), eval_screw(g, -ts), complex(float(g.g0))
+    at_lags, g_t, g_minus_t, g0 = _uniform_kernel_samples(g, *support, n)
+    size = _fft_length(2 * n - 1)  # the circulant's first column: g(m h) at m, g(-m h) at size - m
+    eigenvalues = np.fft.fft(np.roll(np.append(at_lags, np.zeros(size + 1 - 2 * n)), 1 - n))
 
     def apply(v: np.ndarray) -> np.ndarray:
         total = np.sum(v)

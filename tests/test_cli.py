@@ -234,12 +234,16 @@ def test_cli_pd_check(tmp_path, capsys):
     assert obj["pass"] and obj["min_eigenvalue"] > -1e-9
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, message", [(["--grid", "0"], "at least one point"),
                                            (["--range", "nan", "6"], "finite"),
                                            (["--range", "0", "inf"], "finite"),
-                                           (["--range", "-inf", "1"], "finite")],
-                         ids=["empty", "nan", "inf", "minus-inf"])
+                                           (["--range", "-inf", "1"], "finite"),
+                                           (["--range", "-1e200", "1e200", "--grid", "3"], "g overflows"),
+                                           (["--range", "-1e308", "1e308"], "span hi - lo must be finite")],
+                         ids=["empty", "nan", "inf", "minus-inf", "g-overflows", "span-overflows"])
 def test_cli_pd_check_bad_grid_is_input_error(capsys, args, message):
+    # g ~ t^2 overflows on +-1e200 and hi - lo on +-1e308: both are named before numpy warns
     assert main(["pd-check", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid") and message in err

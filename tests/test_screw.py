@@ -111,16 +111,18 @@ def test_pd_check_single_point():
 def test_pd_check_detects_non_screw_data(monkeypatch):
     # g(t) = +t^2 is not a screw function: its kernel (t - s)^2 - t^2 - s^2 = -2ts has the
     # one nonzero eigenvalue -2 sum t^2; the first grid takes the real path, the second not
-    monkeypatch.setattr(screw, "kernel_g", lambda g, t, s: -2.0 * t * s + 0j)
-    for grid in ([-2.0, -1.0, 1.0, 2.0], [1.0, 2.0]):
+    monkeypatch.setattr(screw, "eval_screw", lambda g, t: np.asarray(t) ** 2 + 0j)
+    for grid in ([-2.0, -1.0, 0.0, 1.0, 2.0], [1.0, 2.0]):
         rep = pd_check(G0, grid)
         assert not rep.passed
         assert rep.min_eigenvalue == pytest.approx(-2.0 * sum(t * t for t in grid), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid, message", [([], "at least one point"), ([0.0, math.nan], "finite"),
-                                           ([-1.0, math.inf], "finite")],
-                         ids=["empty", "nan", "inf"])
+                                           ([-1.0, math.inf], "finite"), ([0.0, 1.0, 3.0], "uniform"),
+                                           ([-1e200, 0.0, 1e200], "grid reaches where g overflows"),
+                                           ([-1e308, 0.0, 1e308], "grid reaches where g overflows")],
+                         ids=["empty", "nan", "inf", "non-uniform", "g-overflows", "span-overflows"])
 def test_pd_check_rejects_bad_grids(grid, message):
     with pytest.raises(ValueError, match=message):
         pd_check(G0, grid)
@@ -411,8 +413,7 @@ def test_laplace_check_still_sees_fault_3():
 
 def test_dense_kernel_makes_no_other_matrix_sized_temporaries():
     # numpy reports its buffers to tracemalloc: the complex result and the float t - s
-    # are all of size n^2 (1.5 x 16 n^2 bytes); np.unique's sorted copy of t - s is freed
-    # before the result is made, and the lag indices are taken one block at a time
+    # are all of size n^2 (1.5 x 16 n^2 bytes); g(t), g(-s) and g(0) are applied in place
     n = 1025
     pts = [Fraction(k, 4) for k in range(-6, 7)]
     g = ScrewFunctionData(Fraction(1, 3), Fraction(1, 2), DiscreteMeasure(pts, [Fraction(1)] * len(pts)))
@@ -436,20 +437,47 @@ def _kernel_per_atom(g, t, s):
     return val
 
 
-def test_kernel_g_evaluates_g_once_per_distinct_lag(monkeypatch):
+def test_pd_check_reads_g_at_4n_minus_1_points_and_never_calls_kernel_g(monkeypatch):
     points = []
 
     def counting(g, t):
         points.append(np.size(t))
         return eval_screw(g, t)
 
+    def forbidden(*args):
+        raise AssertionError("pd_check called kernel_g")
+
     monkeypatch.setattr(screw, "eval_screw", counting)
+    monkeypatch.setattr(screw, "kernel_g", forbidden)
     n = 300
-    ts = np.linspace(-6.0, 6.0, n)
-    kernel_g(G0, ts[:, None], ts[None, :])
-    distinct = len(np.unique(ts[:, None] - ts[None, :]))
-    assert distinct < n * n // 40
-    assert sum(points) <= distinct + 2 * n
+    pd_check(G0, np.linspace(-6.0, 6.0, n))
+    assert 0 < sum(points) <= 4 * n - 1
+
+
+@pytest.mark.parametrize("tau", [_ATOMS24, _ASYMMETRIC], ids=["24-atoms", "asymmetric"])
+@pytest.mark.parametrize("hi", [6.0, 5.0], ids=["symmetric", "asymmetric-grid"])
+def test_pd_check_toeplitz_kernel_matches_the_dense_kernel(monkeypatch, tau, hi):
+    # the lags k h differ from fl(t_i - t_j) by rounding alone: H, linear in G, agrees with
+    # the Hermitian part that pd_check forms from kernel_g's G to 1e-14 of max|G|
+    g = ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), tau)
+    ts = np.linspace(-6.0, hi, 300)
+    G = kernel_g(g, ts[:, None], ts[None, :])
+    if hi == 6.0:
+        dense = (G.real + G.real.T - G.imag[:, ::-1] + G.imag.T[:, ::-1]) / 2.0
+    else:
+        dense = (G + G.conj().T) / 2.0
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def keeping(a):
+        solved.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(screw.np.linalg, "eigvalsh", keeping)
+    pd_check(g, ts)
+    (H,) = solved
+    assert H.dtype == dense.dtype
+    assert np.abs(H - dense).max() <= 1e-14 * np.abs(G).max()
 
 
 @pytest.mark.parametrize("tau", [_ATOMS24, _ASYMMETRIC], ids=["24-atoms", "asymmetric"])
@@ -464,6 +492,17 @@ def test_kernel_g_is_bit_identical_to_the_per_atom_reference(tau):
 def _hermitian_part_eigenvalues(g, ts):
     """The complex reference: eigvalsh of (G + G^H) / 2."""
     G = kernel_g(g, ts[:, None], ts[None, :])
+    return np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+
+
+def _toeplitz_hermitian_part_eigenvalues(g, ts):
+    """eigvalsh of (G + G^H) / 2 for G read from g at the lags (i - j) h of the uniform grid ts."""
+    n = len(ts)
+    lag = np.subtract.outer(np.arange(n), np.arange(n)) * ((ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0)
+    G = eval_screw(g, lag)
+    G -= eval_screw(g, ts)[:, None]
+    G -= eval_screw(g, -ts)[None, :]
+    G += complex(float(g.g0))
     return np.linalg.eigvalsh((G + G.conj().T) / 2.0)
 
 
@@ -484,7 +523,7 @@ def test_pd_check_forms_the_hermitian_part_in_place():
 def test_pd_check_on_an_asymmetric_grid_is_the_complex_eigvalsh():
     g = ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), _ASYMMETRIC)
     for ts in (np.linspace(0.0, 6.0, 200), np.linspace(-6.0, 5.0, 150), np.array([1.3])):
-        assert pd_check(g, ts).min_eigenvalue == float(_hermitian_part_eigenvalues(g, ts).min())
+        assert pd_check(g, ts).min_eigenvalue == float(_toeplitz_hermitian_part_eigenvalues(g, ts).min())
 
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
