@@ -32,8 +32,8 @@ Cauchy index off the primitive remainder sequence of A and B in integers
 of the signed remainder sequence over the field.  ``_divmod_lists`` is the
 one long division, for any field scalar and, dividing exactly, integers.
 ``_signed_remainders`` is the one field Euclid: ``Polynomial.gcd`` reads
-its last term, canonical.bezout_complete and classical.stieltjes_string its
-quotients.  ``solve_exact`` is fraction-free: it clears each row to
+its last term and classical.stieltjes_string its quotients; no Bezout
+cofactor is formed.  ``solve_exact`` is fraction-free: it clears each row to
 integers, eliminates in integers with one gcd per updated row, and forms
 one Fraction per unknown at the end.
 """
@@ -235,16 +235,6 @@ class Polynomial:
         return F(b) - F(a)
 
     # -- transforms ----------------------------------------------------------------
-
-    def reflect(self) -> "Polynomial":
-        """p(-z)."""
-        return Polynomial([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
-
-    def is_even(self) -> bool:
-        return self.reflect() == self
-
-    def is_odd(self) -> bool:
-        return self.reflect() == -self
 
     def is_real(self) -> bool:
         if self.mode == "exact":

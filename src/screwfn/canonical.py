@@ -11,8 +11,10 @@ direction given by the normalized projector M_k/(alpha_k + gamma_k).
 The peel is also the J-inner certificate: a product of PSD elementary
 factors is J-inner and the factorization is unique, so W is J-inner exactly
 when the peel reaches I with every factor PSD.  All of it is exact rational
-arithmetic; nothing is sampled.  bezout_complete builds the top row of W
-from the quotients of algebra's one field Euclid.
+arithmetic; nothing is sampled.  The peel reads each factor off one row, so
+factorize_row runs it on W's bottom row (C, D) alone, from (0, 1) at z = 0:
+E = C - iD with E(0) = -i fixes H (de Branges 1968, ch. 2), except for a
+leading (1, 0, 0) segment, which leaves the row at (0, 1).
 
 The chain is carried as integer rows: a row (p, q) of W is two lists of
 integer coefficients over one positive common denominator den, shared by the
@@ -21,7 +23,7 @@ rational 2x2 X (for a segment I - z*delta*P*J, X = -delta*P*J; for a peel
 I + zMJ, X = MJ): with X = Y/e in integers, the new coefficients are
 e*p[k] + Y00*p[k-1] + Y10*q[k-1] and e*q[k] + Y01*p[k-1] + Y11*q[k-1] over
 den*e, and all of them and den*e are divided by their gcd once per step.
-fundamental_solution, the peel and _breakpoint_rows take this step,
+fundamental_solution, the peels and _breakpoint_rows take this step,
 carrying only the rows they return.  _breakpoint_rows carries the bottom
 (C, D) row alone, from breakpoint to breakpoint; subspace_chain,
 solution_rows_affine and both directions of the Weyl transform read it.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import MatrixPolynomial, Polynomial, _cleared, _signed_remainders
+from .algebra import MatrixPolynomial, Polynomial, _cleared
 from .exact import ExactComplex
 
 __all__ = [
@@ -47,9 +49,9 @@ __all__ = [
     "Hamiltonian",
     "ValidationReport",
     "validate_transfer",
-    "bezout_complete",
     "peel_factor",
     "factorize",
+    "factorize_row",
     "fundamental_solution",
     "solution_rows_affine",
     "subspace_chain",
@@ -74,19 +76,19 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def _int_rows(W: MatrixPolynomial):
-    """W's rows as integer coefficient lists over one positive denominator.
+def _int_rows(entries):
+    """Rows of Polynomials as integer coefficient lists over one positive denominator.
 
     ValueError unless every coefficient is a real rational.
     """
-    polys = [e for row in W.entries for e in row]
+    polys = [e for row in entries for e in row]
     if any(p.mode != "exact" for p in polys):
         raise ValueError("not factorable: coefficients are not exact rationals")
     if not all(p.is_real() for p in polys):
         raise ValueError("not factorable: matrix is not real")
     ints, den = _cleared([c for p in polys for c in p.coeffs])
     it = iter(ints)
-    return [tuple([next(it) for _ in e.coeffs] for e in row) for row in W.entries], den
+    return [tuple([next(it) for _ in e.coeffs] for e in row) for row in entries], den
 
 
 def _polys(row, den) -> tuple[Polynomial, ...]:
@@ -156,7 +158,7 @@ def _det(rows) -> list[int]:
 
 
 def _peel(rows, den: int):
-    """Strip the rightmost elementary factor off integer rows.
+    """Strip the rightmost elementary factor off integer rows: both rows of W, or one.
 
     Returns (rows of V, its denominator, M) with W = V (I - zMJ), deg V = deg W - 1.
     For W of degree r, (a, b) and (c, d) are the z^r and z^(r-1) coefficients of
@@ -164,7 +166,8 @@ def _peel(rows, den: int):
     de Branges 1968).  V = W (I + zMJ) has z^(r+1) coefficient W_r MJ and z^r
     coefficient W_r + W_(r-1) MJ.  On that row the first vanishes only for
     M = t u u^T, u = (b, -a), and then the second only for t = 1/s, so s = 0
-    leaves no factor.  The check deg V = r - 1 certifies the other row.
+    leaves no factor.  The check deg V = r - 1 certifies the other row; a row
+    alone drops by exactly one, since it is V's row times I - zMJ.
     """
     r = _degree(rows)
     if r < 1:
@@ -185,20 +188,8 @@ def _peel(rows, den: int):
     return rows, den, M
 
 
-def _peel_all(W: MatrixPolynomial) -> list[ElementaryFactor]:
-    """W's PSD elementary factors, left to right; ValueError where W is not J-inner.
-
-    W is converted to integer rows once.  Each peel keeps the value at
-    z = 0, so for W(0) = I the constant left is I.
-    """
-    rows, den = _int_rows(W)
-    failures = []
-    if [_coeff(u, 0) for row in rows for u in row] != [den, 0, 0, den]:
-        failures.append("W(0) != I")
-    if _det(rows) != [den * den]:
-        failures.append("det W != 1")
-    if failures:
-        raise ValueError("; ".join(failures))
+def _peel_all(rows, den: int) -> list[ElementaryFactor]:
+    """The rows' PSD elementary factors, left to right; each peel keeps the value at z = 0."""
     factors = []
     while _degree(rows) >= 1:
         rows, den, M = _peel(rows, den)
@@ -206,41 +197,26 @@ def _peel_all(W: MatrixPolynomial) -> list[ElementaryFactor]:
     return factors[::-1]
 
 
+def _transfer_factors(W: MatrixPolynomial) -> list[ElementaryFactor]:
+    """W's PSD factors, after W(0) = I and det W = 1; ValueError where W is not J-inner."""
+    rows, den = _int_rows(W.entries)
+    failures = []
+    if [_coeff(u, 0) for row in rows for u in row] != [den, 0, 0, den]:
+        failures.append("W(0) != I")
+    if _det(rows) != [den * den]:
+        failures.append("det W != 1")
+    if failures:
+        raise ValueError("; ".join(failures))
+    return _peel_all(rows, den)
+
+
 def validate_transfer(W: MatrixPolynomial) -> ValidationReport:
     """Exact certificate: W(0) = I, det W = 1, and the rank-one peel down to I with PSD factors."""
     try:
-        _peel_all(W)
+        _transfer_factors(W)
     except ValueError as exc:
         return ValidationReport(False, (str(exc),))
     return ValidationReport(True, ())
-
-
-def bezout_complete(C: Polynomial, D: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Minimal-degree real (A, B) with A*D - B*C = 1 completing a transfer matrix.
-
-    Requires C odd, D even (both real) and gcd(C, D) constant.  The bare
-    extended-Euclid solution is returned; factorize and validate_transfer
-    certify [[A,B],[C,D]] as J-inner, which fails when D/C is not Herglotz.
-    """
-    if not (C.is_real() and C.is_odd()):
-        raise ValueError("C must be a real odd polynomial")
-    if not (D.is_real() and D.is_even()):
-        raise ValueError("D must be a real even polynomial")
-    # the Euclid's terms t_k = u_k D + v_k C: (u_k, v_k) by s_(k+1) = q_k s_k - s_(k-1)
-    terms, quots = _signed_remainders(D.coeffs, C.coeffs)
-    if len(terms[-1]) != 1:
-        raise ValueError("C, D not coprime")
-    prev, cur = (Polynomial.one(), Polynomial.zero()), (Polynomial.zero(), Polynomial.one())
-    for q in map(Polynomial, quots[:-1]):
-        prev, cur = cur, (q * cur[0] - prev[0], q * cur[1] - prev[1])
-    u, v = cur if quots else prev  # already of minimal degree
-    A, B = u / terms[-1][0], v / -terms[-1][0]
-    check = A * D - B * C
-    if check != Polynomial.one():
-        raise ValueError("Bezout completion failed to satisfy A*D - B*C = 1")
-    if C.degree >= 1 and not (A.degree < C.degree and B.degree < D.degree):
-        raise ValueError("no minimal-degree completion exists")
-    return A, B
 
 
 @dataclass(frozen=True)
@@ -271,7 +247,7 @@ def peel_factor(W: MatrixPolynomial) -> tuple[MatrixPolynomial, ElementaryFactor
 
     Every coefficient of W must be a real rational.
     """
-    rows, den, M = _peel(*_int_rows(W))
+    rows, den, M = _peel(*_int_rows(W.entries))
     return MatrixPolynomial([_polys(row, den) for row in rows]), M
 
 
@@ -351,20 +327,38 @@ class Hamiltonian:
         return f"Hamiltonian([{body}])"
 
 
+def _hamiltonian(factors) -> Hamiltonian:
+    """The step Hamiltonian of PSD elementary factors, left to right: segment k is M_k/tr M_k."""
+    return Hamiltonian(Segment(M.trace, (M.alpha / M.trace, M.beta / M.trace, M.gamma / M.trace))
+                       for M in factors)
+
+
 def factorize(W: MatrixPolynomial) -> Hamiltonian:
     """Full rank-one factorization of a transfer matrix into its step Hamiltonian.
 
     The peel is the J-inner certificate, so W is checked once, as it is factored.
     """
     try:
-        factors = _peel_all(W)
+        factors = _transfer_factors(W)
     except ValueError as exc:
         raise ValueError(f"not a transfer matrix: {exc}") from exc
-    segments = []
-    for M in factors:
-        tr = M.trace
-        segments.append(Segment(tr, (M.alpha / tr, M.beta / tr, M.gamma / tr)))
-    return Hamiltonian(segments)
+    return _hamiltonian(factors)
+
+
+def factorize_row(C: Polynomial, D: Polynomial) -> Hamiltonian:
+    """The step Hamiltonian, with no leading (1, 0, 0) segment, whose W has bottom row (C, D).
+
+    factorize's peel on the one row, (0, 1) at z = 0: a PSD factor at every
+    step certifies (C, D) as the bottom row of a J-inner W.
+    """
+    try:
+        rows, den = _int_rows([(C, D)])
+        if [_coeff(u, 0) for u in rows[0]] != [0, den]:
+            raise ValueError("(C, D)(0) != (0, 1)")
+        factors = _peel_all(rows, den)
+    except ValueError as exc:
+        raise ValueError(f"not a transfer row: {exc}") from exc
+    return _hamiltonian(factors)
 
 
 def fundamental_solution(H: Hamiltonian, t) -> MatrixPolynomial:

@@ -16,8 +16,9 @@ One global --seed drives every randomized probe, so reports are
 deterministic.
 
 run_spectral_pipeline serves exact symmetric measures with an atom at 0
-(A odd and B even for bezout_complete, Q odd for q_substitute, tau({0}) > 0
-for the Levy density); on other measures the checks that need these fail.
+(Q odd for q_substitute; the atom at 0 gives B(0) != 0, which normalizes E,
+and tau({0}) > 0 for the Levy density); on other measures the checks that
+need these fail.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import serialization as ser
-from .algebra import MatrixPolynomial, Polynomial, ab_split
-from .canonical import bezout_complete, factorize, fundamental_solution, subspace_chain
+from .algebra import Polynomial, ab_split
+from .canonical import factorize, factorize_row, subspace_chain
 from .classical import (
     idd_charfn_check,
     levy_triplet,
@@ -123,10 +124,10 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
     """Every identity of the chain built from one exact spectral measure tau.
 
     g = (0, 0, tau), Q = q_from_measure(0, 0, tau), E = A - iB from the
-    Cayley transform of Q divided by the real B(0) so that E(0) = -i,
-    W = [bezout_complete(A, B); A, B] and H = factorize(W), whose peel
-    certifies W as J-inner.  Each check compares two of these; they are built
-    on first use, so a check that cannot build one fails with the message.
+    Cayley transform of Q divided by the real B(0) so that E(0) = -i, the
+    frame from_e(E), which locates the zeros of A, and H = factorize_row(A, B),
+    which needs none.  Each check compares two of these; they are built on
+    first use, so a check that cannot build one fails with the message.
     """
     rep = VerificationReport()
     g = ScrewFunctionData(Fraction(0), Fraction(0), tau)
@@ -136,17 +137,19 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
         return q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
 
     @functools.cache
-    def frame():
-        E = theta_to_e(cayley_q_to_theta(Q()))
-        if (b0 := ab_split(E)[1](0)) == 0:
+    def E():
+        e = theta_to_e(cayley_q_to_theta(Q()))
+        if (b0 := ab_split(e)[1](0)) == 0:
             raise ValueError("outside the class served: tau has no atom at 0, so B(0) = 0")
-        return HermiteBiehlerFrame.from_e(E / b0)
+        return e / b0
 
     @functools.cache
-    def transfer():
-        fr = frame()
-        W = MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)])
-        return W, factorize(W)
+    def frame():
+        return HermiteBiehlerFrame.from_e(E())
+
+    @functools.cache
+    def hamiltonian():
+        return factorize_row(*ab_split(E()))
 
     def spectral_measure() -> bool:
         d = measure_from_q(Q())
@@ -200,14 +203,13 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
             multiplication_domain)
 
     def factorization() -> bool:
-        W, H = transfer()
-        return (fundamental_solution(H, H.total_length) == W
-                and subspace_chain(H)[-1].E == frame().E)
+        # the row peel certifies each factor PSD; the chain's last E must be E itself
+        return subspace_chain(hamiltonian())[-1].E == E()
 
     rep.run("hamiltonian-factorization", "rank-one-transfer-factors", factorization)
 
     def weyl_images() -> bool:
-        fr, (_, H) = frame(), transfer()
+        fr, H = frame(), hamiltonian()
         basis = extension_eigenbasis(fr, math.pi / 2).normalized
         invs = _inverse_images(fr, H, basis)  # one row table, and one rho_s per segment below
         # l2h_inner(v, u) = conj(l2h_inner(u, v)) exactly: each unordered pair once
@@ -235,7 +237,7 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
             lambda: (max(laplace_check(g, Q(), z, T=80.0) for z in (2j, 1 + 1j, -1 + 2j)), 1e-8))
 
     def diagram():
-        out = diagram_check(g, frame(), transfer()[1], n_samples=20, seed=seed, tol=tol)
+        out = diagram_check(g, frame(), hamiltonian(), n_samples=20, seed=seed, tol=tol)
         rep.constants["basis_gram_constant"] = out.basis_gram_constant
         rep.constants["basis_gram_offdiag"] = out.basis_gram_offdiag
         phase = out.square_phase_constant
@@ -254,7 +256,7 @@ def run_spectral_pipeline(tau: DiscreteMeasure, seed: int = 0,
         if s.L != math.inf or titchmarsh_weyl(s) != q:
             return False
         pos = [p for p, _ in s.masses]
-        segs = [(seg.length, seg.proj) for seg in reversed(transfer()[1].segments)]
+        segs = [(seg.length, seg.proj) for seg in reversed(hamiltonian().segments)]
         return (segs[0::2] == [(m, (0, 0, 1)) for _, m in s.masses]
                 and segs[1::2] == [(b - a, (1, 0, 0)) for a, b in zip(pos, pos[1:])])
 
@@ -423,6 +425,8 @@ def main(argv=None) -> int:
     p_pw.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's generators take no negative seed
+        return _input_error("--seed must be >= 0")
     if getattr(args, "tol", None) is not None:
         # pd-check reads a negative tol as lambda_min >= |tol|; elsewhere tol bounds a residual
         signed = args.command == "pd-check"

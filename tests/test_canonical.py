@@ -13,8 +13,8 @@ from screwfn.canonical import (
     ElementaryFactor,
     Hamiltonian,
     Segment,
-    bezout_complete,
     factorize,
+    factorize_row,
     fundamental_solution,
     peel_factor,
     solution_rows_affine,
@@ -61,41 +61,48 @@ def test_transfer_matrix_wrapper():
 
 
 def test_bezout_reproduces_reference_completion():
-    A, B = bezout_complete(C0, D0)
+    # the row peel of w0's bottom row is w0's Hamiltonian, so its solution completes the row to w0
+    H = factorize_row(C0, D0)
+    assert H == factorize(w0_matrix())
+    A, B = fundamental_solution(H, H.total_length).entries[0]
     assert A == Polynomial([1, 0, -2])
     assert B == Polynomial([0, 4])
 
 
 def test_bezout_unit_case():
-    # the bare Euclid solution is (1, 0); the pair (z, 1) admits no J-inner
-    # completion because the bottom-row quotient is identically negative
-    C, D = Polynomial([0, 1]), Polynomial([1])
-    A, B = bezout_complete(C, D)
-    assert A == Polynomial.one() and B.is_zero()
-    report = validate_transfer(MatrixPolynomial([[A, B], [C, D]]))
-    assert not report.ok and report.failures[0].startswith("not factorable")
+    # the pair (z, 1) admits no J-inner completion: its one factor would be
+    # M = (0, 0, -1), and the bottom-row quotient D/C = 1/z is not Herglotz
+    with pytest.raises(ValueError, match="^not a transfer row: not factorable: elementary factor must be PSD"):
+        factorize_row(Polynomial([0, 1]), Polynomial([1]))
+    H = factorize_row(Polynomial([0, -1]), Polynomial([1]))  # -z - i: one mass 1
+    assert [(s.length, s.proj) for s in H.segments] == [(1, (0, 0, 1))]
 
 
 def test_bezout_identity_on_generated_pairs():
+    # bottom rows of random Krein strings: the solution's top row is a minimal Bezout completion
     rng = np.random.default_rng(0)
     for _ in range(5):
-        c = Polynomial([0, Fraction(int(rng.integers(-4, 5)) or 1), 0, Fraction(int(rng.integers(1, 4)))])
-        d = Polynomial([Fraction(1), 0, Fraction(int(rng.integers(-4, 5)))])
-        if not c.gcd(d).degree == 0:
-            continue
-        A, B = bezout_complete(c, d)
+        n = int(rng.integers(2, 6))
+        lengths = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4))) for _ in range(2 * n - 1)]
+        axes = [(0, 0, 1), (1, 0, 0)] * n
+        H = Hamiltonian(Segment(length, axis) for length, axis in zip(lengths, axes))
+        (A, B), (c, d) = fundamental_solution(H, H.total_length).entries
+        assert factorize_row(c, d) == H
         assert A * d - B * c == Polynomial.one()
         assert A.degree < c.degree and B.degree < d.degree
-        assert A.is_even() and B.is_odd()
+        assert not any(A.coeffs[1::2]) and not any(B.coeffs[0::2])  # A even, B odd
 
 
-def test_bezout_parity_guards():
-    with pytest.raises(ValueError, match="odd"):
-        bezout_complete(D0, D0)
-    with pytest.raises(ValueError, match="even"):
-        bezout_complete(C0, C0)
-    with pytest.raises(ValueError, match="coprime"):
-        bezout_complete(C0 * 2, Polynomial([1, 0, -1]) * 2)
+def test_row_peel_rejects_rows_off_the_chain():
+    # -z - i is a chain row; these are not: off (0, 1) at z = 0, float, and nonreal
+    for C, D, reason in [
+        (Polynomial([1, -1]), Polynomial([1]), "(C, D)(0) != (0, 1)"),
+        (Polynomial([0, -2]), Polynomial([2]), "(C, D)(0) != (0, 1)"),
+        (Polynomial([0, -1.0]), Polynomial([1.0]), "not factorable: coefficients are not exact rationals"),
+        (Polynomial([0, -1]), Polynomial([1, I]), "not factorable: matrix is not real"),
+    ]:
+        with pytest.raises(ValueError, match=f"^not a transfer row: {re.escape(reason)}$"):
+            factorize_row(C, D)
 
 
 def test_peel_factor_sequence():
@@ -482,8 +489,8 @@ def test_real_chain_data_hold_fractions(xs, ms):
     Q = q_from_measure(NevanlinnaData(0, 0, tau))
     E = theta_to_e(cayley_q_to_theta(Q))
     A, B = ab_split(E / ab_split(E)[1](0))
-    top = bezout_complete(A, B)
-    H = factorize(MatrixPolynomial([top, (A, B)]))
+    H = factorize_row(A, B)
+    top = fundamental_solution(H, H.total_length).entries[0]
     rows = [p for r0, r1 in solution_rows_affine(H) for p in r0 + r1]
     assert _exact_rational([Q.num, Q.den, A, B, *top, *rows])
     assert _exact_rational([E], real=False)
@@ -517,6 +524,15 @@ def test_integer_chain_equals_the_segment_product(H, data):
         assert r1 == (-(R0[0] * pb + R0[1] * pc) * z, (R0[0] * pa + R0[1] * pb) * z)
         assert _exact_rational(r0 + r1)
     assert factorize(fundamental_solution(H, H.total_length)) == H
+
+
+@settings(max_examples=60)
+@given(pythagorean_hamiltonian())
+def test_row_peel_recovers_the_hamiltonian(H):
+    # a leading (1, 0, 0) segment leaves the bottom row at (0, 1), so the row cannot see it
+    C, D = fundamental_solution(H, H.total_length).entries[1]
+    head = 1 if H.segments[0].proj == (1, 0, 0) else 0
+    assert factorize_row(C, D) == Hamiltonian(H.segments[head:])
 
 
 def _thirty_two_segments() -> Hamiltonian:

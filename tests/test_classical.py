@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screwfn.algebra import MatrixPolynomial, Polynomial, RationalFunction, ab_split
+from screwfn.algebra import Polynomial, RationalFunction, ab_split
 from screwfn import classical
-from screwfn.canonical import bezout_complete, factorize
+from screwfn.canonical import factorize_row
 from screwfn.classical import (
     KreinString,
     LevyTriplet,
@@ -121,7 +121,7 @@ def test_string_is_the_peel_read_backwards(tau):
     Q = q_from_measure(NevanlinnaData(Fraction(0), Fraction(0), tau))
     E = theta_to_e(cayley_q_to_theta(Q))
     A, B = ab_split(E / ab_split(E)[1](0))
-    H = factorize(MatrixPolynomial([bezout_complete(A, B), (A, B)]))
+    H = factorize_row(A, B)
     q = q_substitute(Q)
     s = stieltjes_string(q)
     assert s.L == math.inf and titchmarsh_weyl(s) == q and s.masses[0][0] == 0

@@ -223,6 +223,13 @@ def test_cli_pd_check_names_a_mass_beyond_float_range(tmp_path, capsys):
     assert err == "error: bad measure JSON: mass 1" + "0" * 400 + " is beyond float range\n"
 
 
+@pytest.mark.parametrize("example", ["g0", "pw"])
+def test_cli_negative_seed_is_an_input_error(capsys, example):
+    # numpy's generators reject a negative seed: main names it before any probe runs
+    assert main(["--seed", "-1", "pipeline", "--example", example]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
+
 def test_cli_unknown_example_is_input_error():
     assert main(["pipeline", "--example", "zeta"]) == 2
 
@@ -286,7 +293,7 @@ def test_g0_report_deterministic_within_one_process():
 
 
 @pytest.mark.parametrize("points, masses", [
-    # B(0) = -1 here: without the division by it, bezout_complete fails with "W(0) != I"
+    # B(0) = -1 here: without the division by it, factorize_row fails with "(C, D)(0) != (0, 1)"
     ([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2], [Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 4)]),
     ([Fraction(-3, 2), 0, Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)]),
 ])
@@ -311,6 +318,21 @@ def test_spectral_pipeline_passes_on_odd_quarter_atoms(atoms):
     assert rep.passed, [(c.name, c.residual, c.message) for c in rep.checks if c.status != "pass"]
     assert len([c for c in rep.checks if c.tolerance == 0]) == 7
     assert {c.name: c.residual for c in rep.checks}["isometry-diagram-closure"] < 1e-13
+
+
+@pytest.mark.parametrize("atoms", [17, 21])
+def test_hamiltonian_checks_need_no_level_set_on_odd_quarter_atoms(atoms):
+    # H comes from E's row by the row peel, which locates no zero of A, so these two checks
+    # pass where the frame's level set is out of reach; the other checks are not asserted
+    points, masses = [0], [Fraction(1)]
+    for k in range(1, atoms // 2 + 1):
+        x, m = Fraction(2 * k - 1, 4), Fraction(2 * (k % 3) + 1, 8)
+        points += [-x, x]
+        masses += [m, m]
+    rep = run_spectral_pipeline(DiscreteMeasure(points, masses), seed=1)
+    status = {c.name: c.status for c in rep.checks}
+    assert status["hamiltonian-factorization"] == "pass"
+    assert status["krein-string-correspondence"] == "pass"
 
 
 def test_polynomial_space_tables_evaluates_each_polynomial_once_per_level_point(monkeypatch):

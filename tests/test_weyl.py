@@ -13,12 +13,12 @@ from test_canonical import _segment_product, _thirty_two_segments, pythagorean_h
 from test_screw import _dense_kernel_side
 
 from screwfn import canonical, screw, weyl
-from screwfn.algebra import MatrixPolynomial, Polynomial, ab_split, sharp
+from screwfn.algebra import Polynomial, ab_split, sharp
 from screwfn.canonical import (
     Hamiltonian,
     Segment,
-    bezout_complete,
     factorize,
+    factorize_row,
     fundamental_solution,
     w0_matrix,
 )
@@ -282,7 +282,7 @@ def _frame_and_hamiltonian(tau):
     """The pipeline's frame, with B(0) = 1, and its Hamiltonian, for a symmetric tau with an atom at 0."""
     E = theta_to_e(cayley_q_to_theta(q_from_measure(NevanlinnaData(0, 0, tau))))
     fr = HermiteBiehlerFrame.from_e(E / ab_split(E)[1](0))
-    return fr, factorize(MatrixPolynomial([bezout_complete(fr.A, fr.B), (fr.A, fr.B)]))
+    return fr, factorize_row(fr.A, fr.B)
 
 
 @functools.cache
