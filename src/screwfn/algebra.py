@@ -757,12 +757,23 @@ class MatrixPolynomial:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _monic_from_roots(roots) -> list:
-    """Ascending coefficients of prod (z - r) over roots, by one running product."""
-    out = [Fraction(1)]
+def _integer_from_roots(roots) -> tuple[list[int], int]:
+    """(ints, scale): ascending ints of prod (q z - p) over roots p/q in lowest terms, and prod q.
+
+    One running product in integers; prod (z - r) = ints / scale.
+    """
+    out, scale = [1], 1
     for r in roots:
-        out = [-r * out[0]] + [lo - r * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
-    return out
+        p, q = r.numerator, r.denominator
+        out = [-p * out[0]] + [q * lo - p * hi for lo, hi in zip(out, out[1:])] + [q * out[-1]]
+        scale *= q
+    return out, scale
+
+
+def _monic_from_roots(roots) -> list:
+    """Ascending Fraction coefficients of prod (z - r) over rational roots, from the integer product."""
+    ints, scale = _integer_from_roots(roots)
+    return [Fraction(c, scale) for c in ints]
 
 
 def _cleared(xs) -> tuple[list[int], int]:

@@ -27,19 +27,20 @@ sum_k p_k(w) conj(p_k(z)) / h_k, exact at exact z and w.
 Each polynomial read at several points is read in one
 ``Polynomial.values`` call, so at float points its exact coefficients are
 converted to complex once per call, not once per point, with the same
-values to the bit: B on the level set in ``weights``, A and B at (z, w) in
-kernel_ab, each p_k at (w, z) in kernel_moment.  The pi/2 eigenbasis
-divides A by z - g, and at a float g one complex copy of A.
+values to the bit: B on the level set in ``weights``, each p_k at (w, z)
+in kernel_moment.  kernel_ab reads A and B at a float z and w through the
+frame's ``float_ab``, converted once per frame.  The pi/2 eigenbasis
+divides A by z - g, and at a float g the frame's float A.
 inner_product evaluates p, and q unless q is p, once at each level point
 and adds p(g) conj(q(g)) w(g) in level-set order in _sampled_inner; a
 check that forms many inner products, such as the CLI's polynomial-space
 tables, takes each polynomial's values once and calls _sampled_inner per
 pair, with the same sums in the same order.
 
-A frame builds its sampling weights, its moment table and its pi/2
-eigenbasis once, on first use, and keeps them; every reader gets the same
-instance.  This is sound only because every part of a frame, and every
-object built from it, is immutable.
+A frame builds its sampling weights, the float views of A and B, its
+moment table and its pi/2 eigenbasis once, on first use, and keeps them;
+every reader gets the same instance.  This is sound only because every
+part of a frame, and every object built from it, is immutable.
 """
 from __future__ import annotations
 
@@ -76,8 +77,9 @@ __all__ = [
 class HermiteBiehlerFrame:
     """A certified Hermite-Biehler polynomial with its split and level-set measure.
 
-    ``weights``, ``moment_table`` and ``pi_half_eigenbasis`` are derived from
-    the four fields, built once on first use and kept on the instance.
+    ``weights``, ``float_ab``, ``moment_table`` and ``pi_half_eigenbasis``
+    are derived from the four fields, built once on first use and kept on
+    the instance.
     Equality and hashing see the fields only.  Sharing the cached objects is
     safe because the fields and the cached objects are all immutable.
     """
@@ -106,6 +108,12 @@ class HermiteBiehlerFrame:
         """
         bs = self.B.values(self.mu.points)
         return tuple((g, m / abs(b) ** 2) for (g, m), b in zip(self.mu, bs))
+
+    @cached_property
+    def float_ab(self) -> tuple[Polynomial, Polynomial]:
+        """The float views of A and B, which kernel_ab reads at float points and
+        the pi/2 eigenbasis divides at a float level set."""
+        return self.A.float_view(), self.B.float_view()
 
     @cached_property
     def moment_table(self) -> "MomentTable":
@@ -186,7 +194,8 @@ def kernel_ab(frame: HermiteBiehlerFrame, z, w):
     Exact when the frame and z, w are exact, complex when z or w is a float.
     """
     A, B, d = frame.A, frame.B, w - z.conjugate()
-    (az, aw), (bz, bw) = A.values((z, w)), B.values((z, w))
+    fA, fB = frame.float_ab if all(isinstance(x, (float, complex)) for x in (z, w)) else (A, B)
+    (az, aw), (bz, bw) = fA.values((z, w)), fB.values((z, w))
     az, bz = az.conjugate(), bz.conjugate()
     if d == 0:
         return (az * B.derivative()(w) - A.derivative()(w) * bz) / PI
@@ -274,8 +283,11 @@ def _eigenbasis(frame: HermiteBiehlerFrame, theta: float) -> Eigenbasis:
                     raise ValueError(f"nonreal zero {r} of S_theta")
                 evs.append(r.real)
         evs.sort(key=float)
-    # exact P at an exact g; at a float g, one complex copy of P, as a mixed division converts it
-    view = P.float_view() if any(isinstance(g, float) for g in evs) else P
+    # exact P at an exact g; at a float g, one complex copy of P, as a mixed division converts it:
+    # at pi/2 the frame's own copy of A
+    view = P
+    if any(isinstance(g, float) for g in evs):
+        view = frame.float_ab[0] if P is frame.A else P.float_view()
     funcs = [(view if isinstance(g, float) else P).divmod(Polynomial([-g, 1]))[0] for g in evs]
     if effective_degree(P, 1e-12) < frame.dim and not P.is_zero():
         evs.append(None)

@@ -24,8 +24,9 @@ from fractions import Fraction
 from .algebra import (
     Polynomial,
     RationalFunction,
+    _cleared,
     _hb_test_split,
-    _monic_from_roots,
+    _integer_from_roots,
     ab_split,
     hb_test,
     real_zeros,
@@ -174,12 +175,17 @@ def q_from_measure(d: NevanlinnaData) -> RationalFunction:
 
         N = (a z + b') D - sum m_k D/(z - g_k).
 
-    D is one running product and each D/(z - g_k) one synthetic division, so
-    the assembly takes O(n^2) rational operations for n atoms.  N/D needs no
-    gcd: at each pole N(g_k) = -m_k D'(g_k), which is nonzero because the
-    points are distinct (D' has no zero among them) and the masses positive.
-    So N and D share no zero, and with D monic, N/D is already the canonical
-    form RationalFunction reduces to.
+    It runs in integers.  With g_k = p_k/q_k in lowest terms,
+    D~ = prod (q_k z - p_k) = D prod q_k is one running product, and each
+    S_k = D~/(q_k z - p_k) = (D/(z - g_k)) prod q_k / q_k one synthetic
+    division from the top down, exact since the divisor divides D~.  Over
+    the common denominator M of a, b' and the m_k q_k (a = A/M, b' = B/M,
+    m_k q_k = W_k/M), N M prod q_k = (A z + B) D~ - sum W_k S_k, and one
+    Fraction is formed per coefficient.  N/D needs no gcd: at each pole
+    N(g_k) = -m_k D'(g_k), which is nonzero because the points are distinct
+    (D' has no zero among them) and the masses positive.  So N and D share
+    no zero, and with D monic, N/D is already the canonical form
+    RationalFunction reduces to.
     """
     if not d.measure.is_exact:
         raise TypeError("q_from_measure requires an exact measure")
@@ -187,15 +193,20 @@ def q_from_measure(d: NevanlinnaData) -> RationalFunction:
     ms = [m.as_fraction() for m in d.measure.masses]
     a = Fraction(d.a)
     b = Fraction(d.b) - sum(m * g / (1 + g * g) for g, m in zip(pts, ms))
-    den = _monic_from_roots(pts)  # ascending
-    num = [b * lo + a * hi for lo, hi in zip(den + [0], [0] + den)]
-    for g, m in zip(pts, ms):
-        quot = den[1:]  # D/(z - g) by synthetic division, from the top degree down
+    den, scale = _integer_from_roots(pts)  # ascending D~, and prod q_k
+    ints, common = _cleared([a, b, *(m * g.denominator for g, m in zip(pts, ms))])
+    num = [ints[1] * lo + ints[0] * hi for lo, hi in zip(den + [0], [0] + den)]
+    for g, w in zip(pts, ints[2:]):
+        p, q = g.numerator, g.denominator
+        quot = den[1:]  # S = D~/(q z - p), from the top degree down
+        quot[-1] //= q
         for k in range(len(quot) - 2, -1, -1):
-            quot[k] += g * quot[k + 1]
+            quot[k] = (quot[k] + p * quot[k + 1]) // q
         for k, c in enumerate(quot):
-            num[k] -= m * c
-    return RationalFunction(Polynomial(num), Polynomial(den), reduce=False)
+            num[k] -= w * c
+    total = common * scale
+    return RationalFunction(Polynomial([Fraction(c, total) for c in num]),
+                            Polynomial([Fraction(c, scale) for c in den]), reduce=False)
 
 
 def measure_from_q(Q: RationalFunction) -> NevanlinnaData:

@@ -576,8 +576,10 @@ def test_each_exact_polynomial_is_converted_once_per_call():
         (lambda: frame.weights, {"B": nB}),
         (lambda: inner_product(frame, B, B), {"B": nB}),
         (lambda: inner_product(frame, B, B * 2), {"B": nB}),  # B * 2 has plain coefficients
-        (lambda: kernel_ab(frame, 0.5 + 1j, -1 + 0.25j), {"A": nA, "B": nB}),
-        (lambda: debranges._eigenbasis(frame, math.pi / 2), {"A": nA}),
+        (lambda: kernel_ab(frame, 0.5 + 1j, -1 + 0.25j), {"A": nA, "B": nB}),  # the frame's float_ab
+        (lambda: kernel_ab(frame, -1 + 0.25j, 0.5 + 1j), {}),  # read again, not converted
+        (lambda: kernel_ab(frame, ExactComplex(1, 2), 0.5 + 1j), {"A": nA, "B": nB}),  # exact z stays exact
+        (lambda: debranges._eigenbasis(frame, math.pi / 2), {}),  # divides the frame's float A
     ]
     for call, want in calls:
         tally.clear()
@@ -585,3 +587,11 @@ def test_each_exact_polynomial_is_converted_once_per_call():
         assert tally == want
     assert repr(frame.weights) == repr(base.weights)
     assert repr(frame.pi_half_eigenbasis) == repr(base.pi_half_eigenbasis)
+    for z, w in ((0.5 + 1j, -1 + 0.25j), (0.5 + 1j, 0.5 - 1j), (2.0, -1j)):  # the second is w = conj z
+        (az, aw), (bz, bw) = base.A.values((z, w)), base.B.values((z, w))  # converted in the call
+        d = w - z.conjugate()
+        if d == 0:
+            want = (az.conjugate() * base.B.derivative()(w) - base.A.derivative()(w) * bz.conjugate()) / PI
+        else:
+            want = (az.conjugate() * bw - aw * bz.conjugate()) / (PI * d)
+        assert repr(kernel_ab(frame, z, w)) == repr(want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screwfn import screw
@@ -437,7 +437,7 @@ def _kernel_per_atom(g, t, s):
     return val
 
 
-def test_pd_check_reads_g_at_4n_minus_1_points_and_never_calls_kernel_g(monkeypatch):
+def test_pd_check_reads_g_at_2n_points_and_never_calls_kernel_g(monkeypatch):
     points = []
 
     def counting(g, t):
@@ -451,33 +451,30 @@ def test_pd_check_reads_g_at_4n_minus_1_points_and_never_calls_kernel_g(monkeypa
     monkeypatch.setattr(screw, "kernel_g", forbidden)
     n = 300
     pd_check(G0, np.linspace(-6.0, 6.0, n))
-    assert 0 < sum(points) <= 4 * n - 1
+    assert 0 < sum(points) <= 2 * n
 
 
 @pytest.mark.parametrize("tau", [_ATOMS24, _ASYMMETRIC], ids=["24-atoms", "asymmetric"])
 @pytest.mark.parametrize("hi", [6.0, 5.0], ids=["symmetric", "asymmetric-grid"])
 def test_pd_check_toeplitz_kernel_matches_the_dense_kernel(monkeypatch, tau, hi):
-    # the lags k h differ from fl(t_i - t_j) by rounding alone: H, linear in G, agrees with
-    # the Hermitian part that pd_check forms from kernel_g's G to 1e-14 of max|G|
+    # the lags k h differ from fl(t_i - t_j) by rounding alone: what pd_check solves, linear
+    # in G, agrees with the same matrices formed from kernel_g's G to 1e-14 of max|G|
     g = ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), tau)
     ts = np.linspace(-6.0, hi, 300)
     G = kernel_g(g, ts[:, None], ts[None, :])
-    if hi == 6.0:
-        dense = (G.real + G.real.T - G.imag[:, ::-1] + G.imag.T[:, ::-1]) / 2.0
+    if hi == 6.0 and tau is _ATOMS24:  # an even measure: the even and odd blocks of Re H
+        dense = _even_odd_transform(G.real + G.real.T) / 2.0
+        dense = [dense[:150, :150], dense[150:, 150:]]
+    elif hi == 6.0:
+        dense = [(G.real + G.real.T - G.imag[:, ::-1] + G.imag.T[:, ::-1]) / 2.0]
     else:
-        dense = (G + G.conj().T) / 2.0
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def keeping(a):
-        solved.append(a.copy())
-        return eigvalsh(a)
-
-    monkeypatch.setattr(screw.np.linalg, "eigvalsh", keeping)
+        dense = [(G + G.conj().T) / 2.0]
+    solved = _solved_matrices(monkeypatch)
     pd_check(g, ts)
-    (H,) = solved
-    assert H.dtype == dense.dtype
-    assert np.abs(H - dense).max() <= 1e-14 * np.abs(G).max()
+    assert len(solved) == len(dense)
+    for H, want in zip(solved, dense):
+        assert H.dtype == want.dtype and H.shape == want.shape
+        assert np.abs(H - want).max() <= 1e-14 * np.abs(G).max()
 
 
 @pytest.mark.parametrize("tau", [_ATOMS24, _ASYMMETRIC], ids=["24-atoms", "asymmetric"])
@@ -487,6 +484,41 @@ def test_kernel_g_is_bit_identical_to_the_per_atom_reference(tau):
     for ts in (np.linspace(-6.0, 6.0, 300), np.sort(rng.uniform(-6.0, 6.0, 200))):
         for t, s in ((ts[:, None], ts[None, :]), (ts[:, None], ts[None, ::3])):
             assert np.array_equal(_bits(kernel_g(g, t, s)), _bits(_kernel_per_atom(g, t, s)))
+
+
+def _solved_matrices(monkeypatch) -> list:
+    """The list that receives a copy of each matrix pd_check hands to eigvalsh, from now on."""
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def keeping(a, *args, **kwargs):
+        solved.append(a.copy())
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(screw.np.linalg, "eigvalsh", keeping)
+    return solved
+
+
+def _even_odd_transform(H):
+    """U H U^T for the orthogonal U whose first ceil(n/2) rows are (e_i + e_{n-1-i})/sqrt 2, i < n // 2,
+    then e_{n // 2} for odd n, and whose last n // 2 rows are (e_i - e_{n-1-i})/sqrt 2."""
+    n = len(H)
+    m = n // 2
+    U = np.zeros((n, n))
+    for i in range(m):
+        U[i, i] = U[i, n - 1 - i] = U[n - m + i, i] = 1 / math.sqrt(2.0)
+        U[n - m + i, n - 1 - i] = -1 / math.sqrt(2.0)
+    if n % 2:
+        U[m, m] = 1.0
+    return U @ H @ U.T
+
+
+def _g_rounding(g, ts):
+    """n eps max|g| over the lags and grid points: G is formed from g values rounded to about
+    eps max|g|, and an n x n change of that size moves each eigenvalue by at most n times it (Weyl)."""
+    n = len(ts)
+    lags = np.arange(n) * ((ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0)
+    return n * np.finfo(float).eps * max(np.abs(eval_screw(g, lags)).max(), np.abs(eval_screw(g, ts)).max())
 
 
 def _hermitian_part_eigenvalues(g, ts):
@@ -507,7 +539,8 @@ def _toeplitz_hermitian_part_eigenvalues(g, ts):
 
 
 def test_pd_check_forms_the_hermitian_part_in_place():
-    # G and the real A - BJ while it is formed, then that matrix and eigvalsh's copy of it
+    # G and the real 2 Re H while it is formed, then that matrix, its two half-size blocks and
+    # eigvalsh's copies of them (g0's measure is even)
     n = 1025
     ts = np.linspace(-6.0, 6.0, n)
     g = g0_data()
@@ -544,26 +577,29 @@ def _screw_data(draw):
     return ScrewFunctionData(g0, c, DiscreteMeasure(points, masses))
 
 
+# Where max|lambda| is small next to max|g|, 1e-14 max|lambda| alone is below the rounding of G.
+# At n = 4 g reaches 8.08 and max|lambda| is 0.078 (7.8e-16 allowed by it): the real solve of
+# A - BJ lies 8.0e-16 from the complex reference and 9.6e-16 from the 40-digit spectrum.  At
+# n = 19 (4.9e-15 allowed) the two real blocks lie 3.9e-15 from the 40-digit spectrum, and the
+# complex reference 1.1e-14.
 @settings(max_examples=40)
 @given(g=_screw_data(), n=st.integers(2, 300), half_width=st.sampled_from([1.0, 4.0, 6.0, 7.3]))
+@example(g=ScrewFunctionData(Fraction(1), Fraction(1), DiscreteMeasure([Fraction(-7, 2)], [Fraction(1, 8)])),
+         n=4, half_width=4.0)
+@example(g=ScrewFunctionData(Fraction(37, 13), Fraction(13, 5),
+                             DiscreteMeasure([Fraction(-18, 5), Fraction(18, 5)], [Fraction(1, 8)] * 2)),
+         n=19, half_width=7.3)
 def test_pd_check_on_a_symmetric_grid_matches_the_complex_spectrum(g, n, half_width):
     ts = np.linspace(-half_width, half_width, n)
     expect = _hermitian_part_eigenvalues(g, ts)
     scale = np.abs(expect).max()
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def keeping(a):
-        solved.append(a.copy())
-        return eigvalsh(a)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(screw.np.linalg, "eigvalsh", keeping)
+        solved = _solved_matrices(mp)
         lam = pd_check(g, ts).min_eigenvalue
     assert abs(lam - expect.min()) <= 1e-13 * scale
-    (S,) = solved
-    assert S.dtype == np.float64
-    assert np.abs(np.linalg.eigvalsh(S) - expect).max() <= 1e-14 * scale
+    assert all(S.dtype == np.float64 for S in solved)
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(S) for S in solved]))
+    assert np.abs(union - expect).max() <= 1e-14 * scale + _g_rounding(g, ts)
 
 
 def test_pd_check_solves_a_real_problem_on_a_symmetric_grid(monkeypatch):
@@ -575,9 +611,69 @@ def test_pd_check_solves_a_real_problem_on_a_symmetric_grid(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(screw.np.linalg, "eigvalsh", recording)
-    pd_check(G0, np.linspace(-6.0, 6.0, 300))
+    pd_check(G0, np.linspace(-6.0, 6.0, 300))  # g0's measure is even: two real half-size blocks
     pd_check(G0, [1.3])
-    assert dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
+    assert dtypes == [np.dtype(np.float64), np.dtype(np.float64), np.dtype(np.complex128)]
+
+
+@st.composite
+def _even_screw_data(draw):
+    """Nonzero g(0) and c, and an even measure: mirror pairs of equal mass, and maybe an atom at 0."""
+    g0 = draw(_small_rationals.filter(bool))
+    c = draw(_small_rationals.filter(bool))
+    xs = draw(st.lists(st.fractions(min_value=Fraction(1, 16), max_value=4, max_denominator=16),
+                       min_size=1, max_size=6, unique=True))
+    masses = [draw(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)) for _ in xs]
+    points, weights = [*xs, *(-x for x in xs)], [*masses, *masses]
+    if draw(st.booleans()):
+        points.append(Fraction(0))
+        weights.append(draw(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)))
+    return ScrewFunctionData(g0, c, DiscreteMeasure(points, weights))
+
+
+@settings(max_examples=40)
+@given(g=_even_screw_data(), n=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 301)),
+       half_width=st.sampled_from([1.0, 4.0, 6.0, 7.3]))
+@example(g=ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), G0.tau), n=1, half_width=1.0)
+@example(g=ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), G0.tau), n=2, half_width=6.0)
+@example(g=ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), G0.tau), n=3, half_width=6.0)
+@example(g=ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), _ATOMS24), n=301, half_width=6.0)
+def test_pd_check_splits_an_even_measure_into_two_half_size_problems(g, n, half_width):
+    ts = np.linspace(-half_width, half_width, n) if n > 1 else np.zeros(1)  # symmetric about 0
+    G = kernel_g(g, ts[:, None], ts[None, :])
+    expect = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        solved = _solved_matrices(mp)
+        lam = pd_check(g, ts).min_eigenvalue
+    assert [S.shape for S in solved] == [(k, k) for k in ((n + 1) // 2, n // 2) if k]
+    assert all(S.dtype == np.float64 for S in solved)
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(S) for S in solved]))
+    assert np.abs(union - expect).max() <= 1e-14 * np.abs(expect).max() + _g_rounding(g, ts)
+    assert lam == union.min()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_even_odd_blocks_are_the_even_odd_transform(n):
+    # on the kernel the middle row of an odd grid is 0 (G(t, 0) = 0), so a random symmetric
+    # centrosymmetric H is what checks the sqrt 2 of the bordered block
+    X = np.random.default_rng(n).normal(size=(n, n))
+    H = X + X.T
+    H += H[::-1, ::-1]
+    T = _even_odd_transform(H)
+    k = (n + 1) // 2
+    assert np.abs(T[:k, k:]).max(initial=0.0) <= 1e-14 * np.abs(H).max()
+    blocks = screw._even_odd_blocks(H)
+    assert [B.shape for B in blocks] == [(j, j) for j in (k, n // 2) if j]
+    for B, want in zip(blocks, (T[:k, :k], T[k:, k:])):
+        assert np.abs(B - want).max() <= 1e-14 * np.abs(H).max()
+
+
+def test_pd_check_on_an_asymmetric_measure_and_a_symmetric_grid_makes_one_real_solve(monkeypatch):
+    g = ScrewFunctionData(Fraction(1, 3), Fraction(-1, 2), _ASYMMETRIC)
+    for n in (1, 2, 3, 300):
+        solved = _solved_matrices(monkeypatch)
+        pd_check(g, np.linspace(-6.0, 6.0, n) if n > 1 else [0.0])
+        assert [(S.shape, S.dtype) for S in solved] == [((n, n), np.dtype(np.float64))]
 
 
 def test_warm_screw_data_keeps_equality_and_hash():

@@ -86,6 +86,50 @@ def test_q_from_measure_matches_per_atom_sum(d):
     assert got.den.coeffs == ref.den.coeffs
 
 
+def _q_fraction_synthetic(d: NevanlinnaData) -> tuple[Polynomial, Polynomial]:
+    """The reference: N and D in Fractions, by one running product and one synthetic division per atom."""
+    pts = d.measure.points
+    ms = [m.as_fraction() for m in d.measure.masses]
+    a = Fraction(d.a)
+    b = Fraction(d.b) - sum(m * g / (1 + g * g) for g, m in zip(pts, ms))
+    den = [Fraction(1)]
+    for r in pts:
+        den = [-r * den[0]] + [lo - r * hi for lo, hi in zip(den, den[1:])] + [den[-1]]
+    num = [b * lo + a * hi for lo, hi in zip(den + [0], [0] + den)]
+    for g, m in zip(pts, ms):
+        quot = den[1:]  # D/(z - g), from the top degree down
+        for k in range(len(quot) - 2, -1, -1):
+            quot[k] += g * quot[k + 1]
+        for k, c in enumerate(quot):
+            num[k] -= m * c
+    return Polynomial(num), Polynomial(den)
+
+
+@st.composite
+def mixed_denominator_data(draw):
+    """1 to 40 atoms, one at 0, points with denominators up to 12; a >= 0 and b != 0."""
+    points = draw(st.lists(st.fractions(-6, 6, max_denominator=12).filter(bool), max_size=39, unique=True))
+    points.append(Fraction(0))
+    masses = [draw(st.fractions(Fraction(1, 9), 5, max_denominator=9)) for _ in points]
+    a = draw(st.fractions(0, 3, max_denominator=7))
+    b = draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+    return NevanlinnaData(a, b, DiscreteMeasure(points, masses))
+
+
+_FORTY_ATOMS = DiscreteMeasure([Fraction(0)] + [Fraction(k * (-1) ** k, 1 + k % 12) for k in range(1, 40)],
+                               [Fraction(1 + k % 5, 1 + k % 7) for k in range(40)])
+
+
+@settings(max_examples=30)
+@given(mixed_denominator_data())
+@example(NevanlinnaData(Fraction(2, 7), Fraction(-3, 5), _FORTY_ATOMS))
+def test_q_from_measure_in_integers_equals_the_fraction_assembly(d):
+    got, (num, den) = q_from_measure(d), _q_fraction_synthetic(d)
+    assert got.num.coeffs == num.coeffs
+    assert got.den.coeffs == den.coeffs
+    assert all(type(c) is Fraction for c in (*got.num.coeffs, *got.den.coeffs))
+
+
 def test_measure_from_q_inverts_q0_exactly():
     d = measure_from_q(Q0)
     assert d.a == 0 and d.b == 0
